@@ -41,11 +41,12 @@ from .halfgraph import (
     theta_profile,
 )
 from .patterns import (
+    PatternCensus,
+    _coverage,
     ap_census,
     corner_census,
     lshape_census,
     rect23_census,
-    sidelength_coverage,
     square_census,
 )
 from .relations import density, dump_relation, load_relation
@@ -153,7 +154,7 @@ class ExperimentConfig:
         }
 
 
-def _run_census(relation, kind: str) -> dict:
+def _run_census(relation, kind: str) -> PatternCensus:
     if kind == "square":
         census = square_census(relation)
     elif kind == "naive":
@@ -168,7 +169,7 @@ def _run_census(relation, kind: str) -> dict:
         census = lshape_census(relation)
     else:
         raise ValueError(f"unknown census kind {kind!r}")
-    return {"total": census.total_count, "nontrivial": census.nontrivial_count}
+    return census
 
 
 def _theta_entry(relation, k, exact_budget, samples, seed, confidence, threads=1):
@@ -202,12 +203,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
             )
             stages["halfgraph"] = time.perf_counter() - t1
             t2 = time.perf_counter()
-            censuses = {kind: _run_census(relation, kind) for kind in config.census}
+            # One square census serves both its census entry and the coverage search.
+            squares = square_census(relation)
+            censuses = {}
+            for kind in config.census:
+                census = squares if kind == "square" else _run_census(relation, kind)
+                censuses[kind] = {"total": census.total_count, "nontrivial": census.nontrivial_count}
             stages["census"] = time.perf_counter() - t2
             t3 = time.perf_counter()
             best = None
             for sub in subgroups_up_to_index(group, config.max_index):
-                coverage = sidelength_coverage(relation, sub)
+                coverage = _coverage(squares.count_by_sidelength, sub)
                 if coverage.missing_fraction < config.epsilon:
                     best = {
                         "index": sub.index_in_parent,
@@ -255,21 +261,27 @@ def run_family_trend(config: ExperimentConfig) -> dict:
     rows = []
     timing = []
     for spec in config.groups:
+        stages: dict[str, float] = {}
         t0 = time.perf_counter()
         try:
             group = parse_group_spec(spec)
             relation = instantiate_generator(config.generator, group, config.seed)
+            stages["build"] = time.perf_counter() - t0
+            t1 = time.perf_counter()
             theta = _theta_entry(
                 relation, config.k, config.exact_budget, config.samples,
                 config.seed, config.confidence, config.threads,
             )
+            stages["halfgraph"] = time.perf_counter() - t1
+            t2 = time.perf_counter()
             arity_sum = relation.domain.arity + relation.codomain.arity
             densities = {}
             for kind in config.census:
-                total = _run_census(relation, kind)["total"]
+                total = _run_census(relation, kind).total_count
                 densities[kind] = frac_json(
                     Fraction(total, group.order ** (arity_sum + 1))
                 )
+            stages["census"] = time.perf_counter() - t2
             rows.append(
                 {
                     "group": group.name,
@@ -288,7 +300,7 @@ def run_family_trend(config: ExperimentConfig) -> dict:
                     "error": {"type": type(exc).__name__, "message": str(exc)},
                 }
             )
-        timing.append({"group": str(spec), "total_s": time.perf_counter() - t0})
+        timing.append({"group": str(spec), "stages": stages, "total_s": time.perf_counter() - t0})
     return {
         "version": __version__,
         "config": config.echo(),

@@ -29,12 +29,25 @@ class FiniteGroup:
     name: str
 
     _abelian: bool | None = None
+    _table: list[list[int]] | None = None
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
     def inv(self, a: int) -> int:
         raise NotImplementedError
+
+    def _mul_table(self) -> list[list[int]]:
+        """Rows of the multiplication table, row a holding a*b at position b.
+
+        Built on first use and kept on the instance; TableGroup supplies its
+        validated Cayley table here.
+        """
+        if self._table is None:
+            mul = self.mul
+            order = self.order
+            self._table = [[mul(a, b) for b in range(order)] for a in range(order)]
+        return self._table
 
     @property
     def identity(self) -> int:
@@ -365,44 +378,65 @@ def _validate_subgroup_mask(group: FiniteGroup, mask: int) -> None:
     elems = list(iter_bits(mask))
     if group.order % len(elems):
         raise ValueError(f"subgroup size {len(elems)} does not divide order {group.order}")
+    table = group._mul_table()
     for a in elems:
         if not mask >> group.inv(a) & 1:
             raise ValueError(f"subgroup not closed under inverse at element {a}")
+        row = table[a]
         for b in elems:
-            if not mask >> group.mul(a, b) & 1:
+            if not mask >> row[b] & 1:
                 raise ValueError(f"subgroup not closed under product at ({a}, {b})")
 
 
 def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
-    """Smallest subgroup mask containing the seed elements."""
-    mask = (seed if isinstance(seed, int) else mask_of(seed)) | 1
-    members = list(iter_bits(mask))
-    queue = list(members)
-    mul = group.mul
-    while queue:
-        a = queue.pop()
-        for b in members[:]:
-            for c in (mul(a, b), mul(b, a)):
-                if not mask >> c & 1:
-                    mask |= 1 << c
-                    members.append(c)
-                    queue.append(c)
-    return mask
+    """Smallest subgroup mask containing the seed elements.
+
+    Breadth-first search from the identity by right multiplication with the
+    seed elements. In a finite group every inverse is a positive power, so
+    the elements reached form the generated subgroup; the cost is
+    |subgroup|·|seed| table lookups.
+    """
+    mask = seed if isinstance(seed, int) else mask_of(seed)
+    gens = [s for s in iter_bits(mask) if s]
+    table = group._mul_table()
+    seen = bytearray(group.order)
+    seen[0] = 1
+    reached = [0]
+    for a in reached:
+        row = table[a]
+        for s in gens:
+            c = row[s]
+            if not seen[c]:
+                seen[c] = 1
+                reached.append(c)
+    return mask_of(reached)
 
 
 def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_CLOSURE_BUDGET) -> list[int]:
-    """Every subgroup mask, found by closing known subgroups with one extra generator."""
+    """Every subgroup mask, found by closing known subgroups with one extra generator.
+
+    Each subgroup keeps the generating set it was first closed from, and is
+    extended by one element g per left coset g·h: <h, g> = <h, g·x> for x
+    in h, so the other elements of the coset give nothing new. The budget
+    counts these candidate closures.
+    """
     order = group.order
     full = (1 << order) - 1
-    seen = {1}
+    table = group._mul_table()
+    generators = {1: 0}
     frontier = [1]
     closures = 0
     while frontier:
         h = frontier.pop()
-        hsize = h.bit_count()
+        hgens = generators[h]
+        members = list(iter_bits(h))
+        hsize = len(members)
+        done = h
         for g in range(1, order):
-            if h >> g & 1:
+            if done >> g & 1:
                 continue
+            row = table[g]
+            done |= mask_of(row[x] for x in members)
             # Lagrange: any proper extension at least doubles, so extending an
             # index-2 subgroup can only reach the whole group.
             if 2 * hsize >= order:
@@ -411,11 +445,11 @@ def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_CLOSURE_BUDGET) -> l
                 closures += 1
                 if closures > budget:
                     raise BudgetExceeded(closures, budget, "candidate closures")
-                k = closure(group, h | (1 << g))
-            if k not in seen:
-                seen.add(k)
+                k = closure(group, hgens | (1 << g))
+            if k not in generators:
+                generators[k] = hgens | (1 << g)
                 frontier.append(k)
-    return sorted(seen)
+    return sorted(generators)
 
 
 def subgroups_up_to_index(

@@ -51,6 +51,19 @@ class CoverageReport:
     missing_fraction: Fraction
 
 
+def _checked_element(group: FiniteGroup, members: int, element: GroupElement | int) -> int:
+    """Index of the element, after checking it and the member mask against the group."""
+    if isinstance(element, GroupElement):
+        if element.group is not group:
+            raise ValueError(f"element of {element.group.name} used with {group.name}")
+        element = element.index
+    if members >> group.order:
+        raise ValueError(f"member mask has bits outside 0..{group.order - 1}")
+    if not 0 <= element < group.order:
+        raise ValueError(f"element index {element} out of range for order {group.order}")
+    return element
+
+
 def _finish(kind, counts, witnesses) -> PatternCensus:
     total = sum(counts)
     return PatternCensus(
@@ -255,10 +268,7 @@ def ap_census(
     """m-AP(A, h): the elements a of A with h^i·a in A for 0 <= i < m."""
     if m < 1:
         raise ValueError(f"progression length must be >= 1, got {m}")
-    if isinstance(h, GroupElement):
-        if h.group is not group:
-            raise ValueError(f"element of {h.group.name} used with {group.name}")
-        h = h.index
+    h = _checked_element(group, members, h)
     result = 0
     for a in iter_bits(members):
         x = a
@@ -275,10 +285,12 @@ def ap_census(
 
 def sidelength_coverage(relation: Relation, sub: Subgroup) -> CoverageReport:
     """Which g in the subgroup appear as the side of at least one square in S."""
-    census = square_census(relation)
-    covered = mask_of(
-        g for g in sub.member_indices() if census.count_by_sidelength[g] > 0
-    )
+    return _coverage(square_census(relation).count_by_sidelength, sub)
+
+
+def _coverage(square_counts: list[int], sub: Subgroup) -> CoverageReport:
+    """Coverage of the subgroup by the side lengths with a nonzero square count."""
+    covered = mask_of(g for g in sub.member_indices() if square_counts[g] > 0)
     size = sub.size
     return CoverageReport(
         subgroup=sub,
@@ -291,10 +303,7 @@ def comparability_defect(
     group: FiniteGroup, members: int, g: GroupElement | int, side: str = "left"
 ) -> Fraction:
     """|A △ g·A| / |G| (side="left") or |A △ A·g| / |G| (side="right"), exact."""
-    if isinstance(g, GroupElement):
-        if g.group is not group:
-            raise ValueError(f"element of {g.group.name} used with {group.name}")
-        g = g.index
+    g = _checked_element(group, members, g)
     if side == "left":
         translated = mask_of(group.mul(g, a) for a in iter_bits(members))
     elif side == "right":

@@ -122,6 +122,26 @@ def brute_lshape_counts(relation: Relation) -> list[int]:
     )
 
 
+def brute_closure(group, seed: int) -> int:
+    """Smallest subgroup mask containing the seed mask, by a fixed point.
+
+    Multiplies every reached element by every member on both sides until
+    nothing new appears.
+    """
+    mask = seed | 1
+    members = list(iter_bits(mask))
+    queue = list(members)
+    while queue:
+        a = queue.pop()
+        for b in members[:]:
+            for c in (group.mul(a, b), group.mul(b, a)):
+                if not mask >> c & 1:
+                    mask |= 1 << c
+                    members.append(c)
+                    queue.append(c)
+    return mask
+
+
 def brute_subgroup_masks(group) -> set[int]:
     """All subgroups as closures of generating sets of size <= 4.
 

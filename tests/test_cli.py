@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from groupstab import ExperimentConfig, GeneratorSpec, run_experiment, run_family_trend
+from groupstab import (
+    ExperimentConfig,
+    GeneratorSpec,
+    instantiate_generator,
+    run_experiment,
+    run_family_trend,
+    sidelength_coverage,
+    subgroups_up_to_index,
+)
 from groupstab.cli import main, parse_group_spec
 
 
@@ -85,6 +93,20 @@ def test_patterns_ap_cli(capsys):
     assert out["members"] == [0, 1] and out["count"] == 2
 
 
+@pytest.mark.parametrize(
+    "group, members, h",
+    [("D4", "0,1", "20"), ("Z4", "0,9", "1")],
+)
+def test_patterns_ap_cli_rejects_elements_outside_the_group(group, members, h):
+    proc = run_cli(
+        "patterns", "census", "--group", group, "--kind", "ap", "--set", members, "--h", h,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_boxcover_cli(capsys):
     code = main([
         "boxcover", "--group", "Z4",
@@ -136,6 +158,31 @@ def test_experiment_run_and_reproducibility(tmp_path):
     assert json.dumps(strip(report)) == json.dumps(strip(again))
 
 
+def test_experiment_best_subgroup_is_first_covering_in_ascending_index():
+    base = {"kind": "coset_boxes", "params": {"max_subgroup_index": 4, "pairs": "diagonal"}}
+    generator = GeneratorSpec("perturbation", {"base": base, "eta": "1/20", "seed": 3})
+    groups = ["Z2xZ2xZ2xZ2", "Z3xZ3", "Z12", "D4", "D6", "H3"]
+    for epsilon in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
+        cfg = ExperimentConfig(groups=groups, generator=generator, epsilon=epsilon,
+                               max_index=4, census=["naive"])
+        report = run_experiment(cfg)
+        assert report["row_errors"] == 0
+        for row in report["rows"]:
+            group = parse_group_spec(row["group"])
+            relation = instantiate_generator(generator, group, cfg.seed)
+            expected = "NOT_FOUND"
+            for sub in subgroups_up_to_index(group, 4):
+                miss = sidelength_coverage(relation, sub).missing_fraction
+                if miss < epsilon:
+                    expected = {
+                        "index": sub.index_in_parent,
+                        "members": sub.member_indices(),
+                        "missing_fraction": {"num": miss.numerator, "den": miss.denominator},
+                    }
+                    break
+            assert row["best_subgroup"] == expected, row["group"]
+
+
 def test_experiment_not_found_and_full():
     z4 = "Z4"
     empty_cfg = ExperimentConfig(
@@ -183,6 +230,9 @@ def test_family_trend_linear_order_decay():
     assert counts[0] == 5
     assert all(c > 0 for c in counts)
     assert thetas[0] > thetas[1] > thetas[2]
+    for entry in report["timing"]:
+        assert set(entry["stages"]) == {"build", "halfgraph", "census"}
+        assert sum(entry["stages"].values()) <= entry["total_s"]
 
 
 def test_family_trend_needs_two_groups():

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupstab import (
     AxiomViolation,
@@ -22,9 +24,12 @@ from groupstab import (
     subgroup,
     subgroups_up_to_index,
 )
-from groupstab.bits import iter_bits
+from groupstab.bits import iter_bits, mask_of
+from groupstab.groups import closure
 
-from oracles import brute_subgroup_masks
+from oracles import brute_closure, brute_subgroup_masks
+
+CLOSURE_GROUPS = builtin_catalogue(16) + [heisenberg(3)]
 
 
 def test_cyclic_and_product_basics():
@@ -119,11 +124,33 @@ def test_subgroups_z3xz3():
 
 
 def test_subgroup_enumeration_complete_vs_brute_force():
-    for g in [cyclic(12), product(cyclic(2), cyclic(2), cyclic(2)), dihedral(4),
-              product(cyclic(2), cyclic(2), cyclic(2), cyclic(2))]:
+    for g in builtin_catalogue(16):
         expected = brute_subgroup_masks(g)
         got = {s.members for s in subgroups_up_to_index(g, g.order)}
-        assert got == expected
+        assert got == expected, g.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closure_matches_fixed_point_oracle(data):
+    g = data.draw(st.sampled_from(CLOSURE_GROUPS), label="group")
+    # a few generators reach proper subgroups; a random half of G rarely does
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4), label="seed")
+    seed = mask_of(elems)
+    assert closure(g, seed) == brute_closure(g, seed)
+    assert closure(g, elems) == brute_closure(g, seed)
+
+
+@pytest.mark.parametrize(
+    "p, n, expected",
+    [(2, 5, 187), (3, 3, 14), (2, 6, 715)],
+)
+def test_elementary_abelian_subgroup_counts_up_to_index_four(p, n, expected):
+    # index p^j subgroups of Z_p^n number the Gaussian binomial [n, j]_p
+    g = product(*(cyclic(p) for _ in range(n)))
+    subs = subgroups_up_to_index(g, 4)
+    assert len(subs) == expected
+    assert all(s.index_in_parent <= 4 for s in subs)
 
 
 def test_subgroups_sorted_by_index_then_members():

@@ -228,6 +228,20 @@ def test_ap_census_length_one_returns_the_set():
     assert ap_census(z6, a, 1, 5)[0] == a
 
 
+def test_ap_census_and_defect_reject_inputs_outside_the_group():
+    z4 = cyclic(4)
+    with pytest.raises(ValueError):
+        ap_census(z4, 0b100011, 2, 1)  # bit 5 is not an element of Z4
+    with pytest.raises(ValueError):
+        ap_census(z4, 0b11, 2, 4)
+    with pytest.raises(ValueError):
+        comparability_defect(z4, 1 << 5, 1)
+    with pytest.raises(ValueError):
+        comparability_defect(z4, 0b11, -1, "right")
+    with pytest.raises(ValueError):
+        comparability_defect(z4, 0b11, cyclic(5).element(1))
+
+
 def test_sidelength_coverage():
     z4 = cyclic(4)
     full = full_relation(z4)
