@@ -5,7 +5,9 @@ patterns census, boxcover, gen, experiment run, experiment trend. Reports
 are JSON with exact rationals as {"num": ..., "den": ...}; timing lives in
 a segregated block so re-running a config byte-reproduces everything else.
 
-Exit codes: 0 success, 1 config error, 2 any per-row error in a sweep.
+Exit codes: 0 success; 1 config error (bad usage, or malformed JSON, specs
+or files); 2 a toolkit error, such as an exceeded budget, in a single
+command, or an error in any row of a sweep.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -123,6 +126,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"experiment config must be a JSON object, got {obj!r}")
+        for key in ("groups", "census"):
+            if not isinstance(obj.get(key, []), list):
+                raise ValueError(f"config {key!r} must be a JSON list, got {obj[key]!r}")
         return ExperimentConfig(
             groups=list(obj["groups"]),
             generator=GeneratorSpec.from_json(obj["generator"]),
@@ -154,22 +162,18 @@ class ExperimentConfig:
         }
 
 
-def _run_census(relation, kind: str) -> PatternCensus:
+def _run_census(relation, kind: str, witnesses: int = 0) -> PatternCensus:
+    """The census of one CLI kind, listing up to `witnesses` witness triples."""
+    listed = (witnesses > 0, witnesses or 1)
     if kind == "square":
-        census = square_census(relation)
-    elif kind == "naive":
-        census = corner_census(relation, "naive")
-    elif kind == "bmz-left":
-        census = corner_census(relation, "bmz_left")
-    elif kind == "bmz-right":
-        census = corner_census(relation, "bmz_right")
-    elif kind == "rect23":
-        census = rect23_census(relation)
-    elif kind == "lshape":
-        census = lshape_census(relation)
-    else:
-        raise ValueError(f"unknown census kind {kind!r}")
-    return census
+        return square_census(relation, *listed)
+    if kind in ("naive", "bmz-left", "bmz-right"):
+        return corner_census(relation, kind.replace("-", "_"), *listed)
+    if kind == "rect23":
+        return rect23_census(relation, *listed)
+    if kind == "lshape":
+        return lshape_census(relation, *listed)
+    raise ValueError(f"unknown census kind {kind!r}")
 
 
 def _theta_entry(relation, k, exact_budget, samples, seed, confidence, threads=1):
@@ -181,118 +185,32 @@ def _theta_entry(relation, k, exact_budget, samples, seed, confidence, threads=1
     return report
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Per group: build S, measure density and theta_k, run censuses, and
-    search subgroups in ascending index for the first one whose side-length
-    coverage misses less than an epsilon fraction."""
+@contextmanager
+def _stage(stages: dict, name: str):
+    """Record the seconds spent in the block under stages[name] if it completes."""
+    t0 = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - t0
+
+
+def _sweep(config: ExperimentConfig, row_body) -> dict:
+    """Per group: build S, take theta_k, then row_body(group, relation, theta,
+    stages) gives the row; an error becomes an error row and the sweep goes on."""
     rows = []
     timing = []
     for spec in config.groups:
         stages: dict[str, float] = {}
         t0 = time.perf_counter()
         try:
-            group = parse_group_spec(spec)
-            relation = instantiate_generator(config.generator, group, config.seed)
-            stages["build"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            exponent, _ = exponent_and_orders(group)
-            delta = density(relation, "group_power")
-            theta = _theta_entry(
-                relation, config.k, config.exact_budget, config.samples,
-                config.seed, config.confidence, config.threads,
-            )
-            stages["halfgraph"] = time.perf_counter() - t1
-            t2 = time.perf_counter()
-            # One square census serves both its census entry and the coverage search.
-            squares = square_census(relation)
-            censuses = {}
-            for kind in config.census:
-                census = squares if kind == "square" else _run_census(relation, kind)
-                censuses[kind] = {"total": census.total_count, "nontrivial": census.nontrivial_count}
-            stages["census"] = time.perf_counter() - t2
-            t3 = time.perf_counter()
-            best = None
-            for sub in subgroups_up_to_index(group, config.max_index):
-                coverage = _coverage(squares.count_by_sidelength, sub)
-                if coverage.missing_fraction < config.epsilon:
-                    best = {
-                        "index": sub.index_in_parent,
-                        "members": sub.member_indices(),
-                        "missing_fraction": frac_json(coverage.missing_fraction),
-                    }
-                    break
-            stages["subgroups"] = time.perf_counter() - t3
-            rows.append(
-                {
-                    "group": group.name,
-                    "order": group.order,
-                    "exponent": exponent,
-                    "density": frac_json(delta),
-                    "theta_k": frac_json(theta.theta_group),
-                    "theta_method": "exact" if theta.is_exact else "sampled",
-                    "census": censuses,
-                    "best_subgroup": best if best is not None else "NOT_FOUND",
-                    "error": None,
-                }
-            )
-        except (ToolkitError, ValueError) as exc:
-            rows.append(
-                {
-                    "group": str(spec),
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                }
-            )
-        timing.append({"group": str(spec), "stages": stages, "total_s": time.perf_counter() - t0})
-    report = {
-        "version": __version__,
-        "config": config.echo(),
-        "rows": rows,
-        "row_errors": sum(1 for r in rows if r.get("error")),
-        "timing": timing,
-    }
-    return report
-
-
-def run_family_trend(config: ExperimentConfig) -> dict:
-    """Rows of (order, theta_k, census densities) across a family of groups,
-    for decay inspection; no fitting is performed."""
-    if len(config.groups) < 2:
-        raise ValueError("a family trend needs at least 2 groups")
-    rows = []
-    timing = []
-    for spec in config.groups:
-        stages: dict[str, float] = {}
-        t0 = time.perf_counter()
-        try:
-            group = parse_group_spec(spec)
-            relation = instantiate_generator(config.generator, group, config.seed)
-            stages["build"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            theta = _theta_entry(
-                relation, config.k, config.exact_budget, config.samples,
-                config.seed, config.confidence, config.threads,
-            )
-            stages["halfgraph"] = time.perf_counter() - t1
-            t2 = time.perf_counter()
-            arity_sum = relation.domain.arity + relation.codomain.arity
-            densities = {}
-            for kind in config.census:
-                total = _run_census(relation, kind).total_count
-                densities[kind] = frac_json(
-                    Fraction(total, group.order ** (arity_sum + 1))
+            with _stage(stages, "build"):
+                group = parse_group_spec(spec)
+                relation = instantiate_generator(config.generator, group, config.seed)
+            with _stage(stages, "halfgraph"):
+                theta = _theta_entry(
+                    relation, config.k, config.exact_budget, config.samples,
+                    config.seed, config.confidence, config.threads,
                 )
-            stages["census"] = time.perf_counter() - t2
-            rows.append(
-                {
-                    "group": group.name,
-                    "order": group.order,
-                    "theta_k": frac_json(theta.theta_group),
-                    "theta_method": "exact" if theta.is_exact else "sampled",
-                    "halfgraph_count": theta.exact_count,
-                    "census_density": densities,
-                    "error": None,
-                }
-            )
+            rows.append(row_body(group, relation, theta, stages))
         except (ToolkitError, ValueError) as exc:
             rows.append(
                 {
@@ -308,6 +226,78 @@ def run_family_trend(config: ExperimentConfig) -> dict:
         "row_errors": sum(1 for r in rows if r.get("error")),
         "timing": timing,
     }
+
+
+def _theta_fields(theta) -> dict:
+    return {
+        "theta_k": frac_json(theta.theta_group),
+        "theta_method": "exact" if theta.is_exact else "sampled",
+    }
+
+
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Per group: build S, measure density and theta_k, run censuses, and
+    search subgroups in ascending index for the first one whose side-length
+    coverage misses less than an epsilon fraction."""
+
+    def row(group, relation, theta, stages):
+        with _stage(stages, "census"):
+            # One square census serves both its census entry and the coverage search.
+            squares = square_census(relation)
+            censuses = {}
+            for kind in config.census:
+                census = squares if kind == "square" else _run_census(relation, kind)
+                censuses[kind] = {"total": census.total_count, "nontrivial": census.nontrivial_count}
+        with _stage(stages, "subgroups"):
+            best = "NOT_FOUND"
+            for sub in subgroups_up_to_index(group, config.max_index):
+                coverage = _coverage(squares.count_by_sidelength, sub)
+                if coverage.missing_fraction < config.epsilon:
+                    best = {
+                        "index": sub.index_in_parent,
+                        "members": sub.member_indices(),
+                        "missing_fraction": frac_json(coverage.missing_fraction),
+                    }
+                    break
+        return {
+            "group": group.name,
+            "order": group.order,
+            "exponent": exponent_and_orders(group)[0],
+            "density": frac_json(density(relation, "group_power")),
+            **_theta_fields(theta),
+            "census": censuses,
+            "best_subgroup": best,
+            "error": None,
+        }
+
+    return _sweep(config, row)
+
+
+def run_family_trend(config: ExperimentConfig) -> dict:
+    """Rows of (order, theta_k, census densities) across a family of groups,
+    for decay inspection; no fitting is performed."""
+    if len(config.groups) < 2:
+        raise ValueError("a family trend needs at least 2 groups")
+
+    def row(group, relation, theta, stages):
+        with _stage(stages, "census"):
+            arity_sum = relation.domain.arity + relation.codomain.arity
+            densities = {
+                kind: frac_json(Fraction(
+                    _run_census(relation, kind).total_count, group.order ** (arity_sum + 1)
+                ))
+                for kind in config.census
+            }
+        return {
+            "group": group.name,
+            "order": group.order,
+            **_theta_fields(theta),
+            "halfgraph_count": theta.exact_count,
+            "census_density": densities,
+            "error": None,
+        }
+
+    return _sweep(config, row)
 
 
 def _load_relation_arg(args) -> tuple[FiniteGroup, "Relation"]:
@@ -392,22 +382,7 @@ def _cmd_patterns(args) -> int:
         _emit({"kind": "ap", "members": list(iter_bits(mask)), "count": count}, args)
         return 0
     _, relation = _load_relation_arg(args)
-    witnesses = args.witnesses > 0
-    if args.kind == "square":
-        census = square_census(relation, witnesses, args.witnesses or 1)
-    elif args.kind == "naive":
-        census = corner_census(relation, "naive", witnesses, args.witnesses or 1)
-    elif args.kind == "bmz-left":
-        census = corner_census(relation, "bmz_left", witnesses, args.witnesses or 1)
-    elif args.kind == "bmz-right":
-        census = corner_census(relation, "bmz_right", witnesses, args.witnesses or 1)
-    elif args.kind == "rect23":
-        census = rect23_census(relation, witnesses, args.witnesses or 1)
-    elif args.kind == "lshape":
-        census = lshape_census(relation, witnesses, args.witnesses or 1)
-    else:
-        raise ValueError(f"unknown census kind {args.kind!r}")
-    _emit(census.to_json(), args)
+    _emit(_run_census(relation, args.kind, args.witnesses).to_json(), args)
     return 0
 
 

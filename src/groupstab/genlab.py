@@ -41,7 +41,12 @@ class GeneratorSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "GeneratorSpec":
-        return GeneratorSpec(kind=obj["kind"], params=dict(obj.get("params", {})))
+        if not isinstance(obj, dict):
+            raise ValueError(f"generator spec must be a JSON object, got {obj!r}")
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"generator params must be a JSON object, got {params!r}")
+        return GeneratorSpec(kind=obj["kind"], params=dict(params))
 
 
 def coset_box_set(

@@ -2,9 +2,12 @@
 L-shapes, arithmetic-progression sets, side-length coverage, and
 translation-comparability defects.
 
-Every census counts ordered parameter triples including the degenerate
-g = identity slice; nontrivial_count excludes it. Per-g slices reduce to
-popcounts of ANDs of translated rows. For carriers of arity above one the
+A shape is a list of points ((ld, rd), (lc, rc)); a triple (a, b, g)
+matches it when every pair (g^ld·a·g^rd, g^lc·b·g^rc) lies in S. One
+engine counts the matches of any shape: for each g it ANDs the rows of the
+points, each row a translated copy of a row of S, and popcounts the meet.
+Every census counts ordered triples including the degenerate g = identity
+slice; nontrivial_count excludes it. For carriers of arity above one the
 side length acts on a single designated coordinate (default: the last),
 or on every coordinate at once with diagonal=True.
 """
@@ -17,7 +20,7 @@ from fractions import Fraction
 from .bits import iter_bits, mask_of, permute_bits
 from .errors import ArityUnsupported, NonAbelianGroup
 from .groups import FiniteGroup, GroupElement, Subgroup
-from .relations import Relation, coordinate_action
+from .relations import Relation, _lift_digit_map
 
 DEFAULT_WITNESS_CAP = 10_000
 
@@ -84,6 +87,82 @@ def _collect(witnesses, cap, meet, a, g) -> None:
             return
 
 
+_SQUARE = (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 1), (0, 1)))
+_CORNERS = {
+    "naive": (((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 0))),
+    "bmz_left": (((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 0), (1, 0))),
+    "bmz_right": (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0))),
+}
+_RECT23 = _SQUARE + (((0, 0), (1, 1)), ((0, 1), (1, 1)))
+_LSHAPE = (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 2)))
+
+
+def _census(
+    kind: str,
+    relation: Relation,
+    points,
+    include_witnesses: bool,
+    witness_cap: int,
+    domain_lift: tuple[int | None, bool] = (None, False),
+    codomain_lift: tuple[int | None, bool] = (None, False),
+) -> PatternCensus:
+    """Per-g counts of the triples (a, b, g) whose points all lie in S.
+
+    For each g, the domain map a -> g^ld·a·g^rd and the inverse codomain map
+    y -> g^-lc·y·g^-rc are built once per distinct action and lifted to the
+    carriers by (coordinate, diagonal). The points that share a codomain
+    action form one block: the AND of their rows dmap[a], permuted once by
+    that action's inverse map, is the set of b that block allows, since a
+    permutation commutes with AND. The block without a codomain action goes
+    first, and a triple's meet stops at the first empty block.
+    """
+    group = relation.group
+    q = group.order
+    table = group._mul_table()
+    n, m = relation.domain.arity, relation.codomain.arity
+    rows = relation.rows
+    xs = relation.domain.member_indices()
+    blocks: dict = {}
+    for dact, cact in sorted(points, key=lambda p: p[1] != (0, 0)):
+        blocks.setdefault(cact, []).append(dact)
+    top = max(max(p[0] + p[1]) for p in points)  # highest power of g in a point
+
+    def action(sides, powers, arity, lift):
+        left, right = table[powers[sides[0]]], powers[sides[1]]
+        return _lift_digit_map([left[row[right]] for row in table], arity, *lift)
+
+    counts = [0] * q
+    witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
+    for g in range(q):
+        up, down = [0, g], [0, group.inv(g)]
+        for _ in range(top - 1):
+            up.append(table[up[-1]][g])
+            down.append(table[down[-1]][down[1]])
+        dmaps: dict = {(0, 0): range(len(rows))}
+        plan = []
+        for cact, dacts in blocks.items():
+            for dact in dacts:
+                if dact not in dmaps:
+                    dmaps[dact] = action(dact, up, n, domain_lift)
+            cmap = None if cact == (0, 0) else action(cact, down, m, codomain_lift)
+            plan.append((cmap, [dmaps[dact] for dact in dacts]))
+        for a in xs:
+            meet = -1
+            for cmap, block in plan:
+                allowed = -1
+                for dmap in block:
+                    allowed &= rows[dmap[a]]
+                if allowed and cmap is not None:
+                    allowed = permute_bits(allowed, cmap)
+                meet &= allowed
+                if not meet:
+                    break
+            else:
+                counts[g] += meet.bit_count()
+                _collect(witnesses, witness_cap, meet, a, g)
+    return _finish(kind, counts, witnesses)
+
+
 def square_census(
     relation: Relation,
     include_witnesses: bool = False,
@@ -92,38 +171,8 @@ def square_census(
     diagonal: bool = False,
 ) -> PatternCensus:
     """Triples (a, b, g) with (a,b), (a·g,b), (a,b·g), (a·g,b·g) all in S."""
-    group = relation.group
-    q = group.order
-    n = relation.domain.arity
-    m = relation.codomain.arity
-    rows = relation.rows
-    xs = relation.domain.member_indices()
-    counts = [0] * q
-    witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
-    for g in range(q):
-        ginv = group.inv(g)
-        dperm = coordinate_action(group, n, g, "right", coordinate, diagonal)
-        cinv = coordinate_action(group, m, ginv, "right", coordinate, diagonal)
-        shifted: dict[int, int] = {}
-        for a in xs:
-            ra = rows[a]
-            if not ra:
-                continue
-            ra2 = rows[dperm[a]]
-            if not ra2:
-                continue
-            sa = shifted.get(a)
-            if sa is None:
-                sa = shifted[a] = permute_bits(ra, cinv)
-            a2 = dperm[a]
-            sa2 = shifted.get(a2)
-            if sa2 is None:
-                sa2 = shifted[a2] = permute_bits(ra2, cinv)
-            meet = ra & ra2 & sa & sa2
-            if meet:
-                counts[g] += meet.bit_count()
-                _collect(witnesses, witness_cap, meet, a, g)
-    return _finish("square", counts, witnesses)
+    lift = (coordinate, diagonal)
+    return _census("square", relation, _SQUARE, include_witnesses, witness_cap, lift, lift)
 
 
 def corner_census(
@@ -137,44 +186,11 @@ def corner_census(
     naive: (x,y), (g·x,y), (x,g·y); bmz_left: (x,y), (g·x,y), (g·x,g·y);
     bmz_right: (x,y), (x·g,y), (x,g·y). nontrivial_count drops g = identity.
     """
-    if form not in ("naive", "bmz_left", "bmz_right"):
+    if form not in _CORNERS:
         raise ValueError(f"unknown corner form {form!r}")
     if relation.domain.arity != 1 or relation.codomain.arity != 1:
         raise ArityUnsupported("corner censuses are defined on G×G (n = m = 1)")
-    group = relation.group
-    q = group.order
-    rows = relation.rows
-    xs = relation.domain.member_indices()
-    counts = [0] * q
-    witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
-    for g in range(q):
-        ginv = group.inv(g)
-        left = [group.mul(g, x) for x in range(q)]
-        right = [group.mul(x, g) for x in range(q)]
-        inv_left = [group.mul(ginv, y) for y in range(q)]
-        shifted: dict[int, int] = {}
-
-        def shl(x: int) -> int:
-            s = shifted.get(x)
-            if s is None:
-                s = shifted[x] = permute_bits(rows[x], inv_left)
-            return s
-
-        for x in xs:
-            rx = rows[x]
-            if not rx:
-                continue
-            if form == "naive":
-                meet = rx & rows[left[x]] & shl(x)
-            elif form == "bmz_left":
-                x2 = left[x]
-                meet = rx & rows[x2] & shl(x2)
-            else:
-                meet = rx & rows[right[x]] & shl(x)
-            if meet:
-                counts[g] += meet.bit_count()
-                _collect(witnesses, witness_cap, meet, x, g)
-    return _finish(form, counts, witnesses)
+    return _census(form, relation, _CORNERS[form], include_witnesses, witness_cap)
 
 
 def rect23_census(
@@ -191,42 +207,9 @@ def rect23_census(
     """
     if relation.codomain.arity != 1:
         raise ArityUnsupported("2x3 rectangle census needs codomain arity m = 1")
-    group = relation.group
-    q = group.order
-    rows = relation.rows
-    xs = relation.domain.member_indices()
-    counts = [0] * q
-    witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
-    for g in range(q):
-        ginv = group.inv(g)
-        dperm = coordinate_action(group, relation.domain.arity, g, "right", coordinate, diagonal)
-        inv_r = [group.mul(y, ginv) for y in range(q)]
-        inv_two = [group.mul(group.mul(ginv, y), ginv) for y in range(q)]
-        sh1: dict[int, int] = {}
-        sh2: dict[int, int] = {}
-
-        def shift(cache, perm, x):
-            s = cache.get(x)
-            if s is None:
-                s = cache[x] = permute_bits(rows[x], perm)
-            return s
-
-        for a in xs:
-            ra = rows[a]
-            if not ra:
-                continue
-            a2 = dperm[a]
-            ra2 = rows[a2]
-            if not ra2:
-                continue
-            meet = ra & ra2 & shift(sh1, inv_r, a) & shift(sh1, inv_r, a2)
-            if not meet:
-                continue
-            meet &= shift(sh2, inv_two, a) & shift(sh2, inv_two, a2)
-            if meet:
-                counts[g] += meet.bit_count()
-                _collect(witnesses, witness_cap, meet, a, g)
-    return _finish("rect23", counts, witnesses)
+    return _census(
+        "rect23", relation, _RECT23, include_witnesses, witness_cap, (coordinate, diagonal)
+    )
 
 
 def lshape_census(
@@ -235,31 +218,11 @@ def lshape_census(
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> PatternCensus:
     """Triples (x, y, d) with (x,y), (x+d,y), (x,y+d), (x,y+2d) in S (abelian)."""
-    group = relation.group
-    if not group.is_abelian:
+    if not relation.group.is_abelian:
         raise NonAbelianGroup("L-shapes are defined over abelian groups")
     if relation.domain.arity != 1 or relation.codomain.arity != 1:
         raise ArityUnsupported("L-shape census is defined on G×G (n = m = 1)")
-    q = group.order
-    rows = relation.rows
-    xs = relation.domain.member_indices()
-    counts = [0] * q
-    witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
-    for d in range(q):
-        dinv = group.inv(d)
-        d2inv = group.inv(group.mul(d, d))
-        sub_d = [group.mul(y, dinv) for y in range(q)]
-        sub_2d = [group.mul(y, d2inv) for y in range(q)]
-        plus_d = [group.mul(x, d) for x in range(q)]
-        for x in xs:
-            rx = rows[x]
-            if not rx:
-                continue
-            meet = rx & rows[plus_d[x]] & permute_bits(rx, sub_d) & permute_bits(rx, sub_2d)
-            if meet:
-                counts[d] += meet.bit_count()
-                _collect(witnesses, witness_cap, meet, x, d)
-    return _finish("lshape", counts, witnesses)
+    return _census("lshape", relation, _LSHAPE, include_witnesses, witness_cap)
 
 
 def ap_census(

@@ -59,28 +59,29 @@ def coordinate_action(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    q = group.order
-    size = q**arity
+    digit_map = [group.mul(d, g) if side == "right" else group.mul(g, d) for d in range(group.order)]
+    return _lift_digit_map(digit_map, arity, coordinate, diagonal)
+
+
+def _lift_digit_map(
+    digit_map: Sequence[int], arity: int, coordinate: int | None = None, diagonal: bool = False
+) -> list[int]:
+    """Permutation of G^arity indices applying a map of G to one coordinate.
+
+    The designated coordinate defaults to the last one; diagonal=True maps
+    every coordinate at once and ignores `coordinate`.
+    """
+    q = len(digit_map)
     if diagonal:
-        digit_map = [group.mul(d, g) if side == "right" else group.mul(g, d) for d in range(q)]
-        perm = []
-        for x in range(size):
-            coords = decode_tuple(group, arity, x)
-            perm.append(encode_tuple(group, [digit_map[c] for c in coords]))
+        perm = [0]
+        for _ in range(arity):
+            perm = [p * q + e for p in perm for e in digit_map]
         return perm
-    if coordinate is None:
-        coord = arity - 1
-    else:
-        coord = coordinate
-        if not 0 <= coord < arity:
-            raise ArityMismatch(f"coordinate {coord} invalid for arity {arity}")
+    coord = arity - 1 if coordinate is None else coordinate
+    if not 0 <= coord < arity:
+        raise ArityMismatch(f"coordinate {coord} invalid for arity {arity}")
     w = q ** (arity - 1 - coord)
-    digit_map = [group.mul(d, g) if side == "right" else group.mul(g, d) for d in range(q)]
-    perm = []
-    for x in range(size):
-        d = (x // w) % q
-        perm.append(x + (digit_map[d] - d) * w)
-    return perm
+    return [(h * q + e) * w + lo for h in range(q**coord) for e in digit_map for lo in range(w)]
 
 
 @dataclass(frozen=True)

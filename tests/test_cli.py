@@ -1,12 +1,15 @@
 """cli: subcommands, experiment harness, reproducibility, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import groupstab
 from groupstab import (
     ExperimentConfig,
     GeneratorSpec,
@@ -20,10 +23,14 @@ from groupstab.cli import main, parse_group_spec
 
 
 def run_cli(*args):
+    # The child imports the same groupstab as this process, installed or not.
+    src = str(Path(groupstab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "from groupstab.cli import main; raise SystemExit(main())", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 
@@ -258,6 +265,13 @@ def test_cli_exit_codes(tmp_path):
     }))
     proc = run_cli("experiment", "run", "--config", str(cfg))
     assert proc.returncode == 2
+    # toolkit error in a single command: 64^4 a-tuples exceed the exact budget
+    proc = run_cli(
+        "halfgraph", "count", "--group", "Z64",
+        "--gen", '{"kind": "random_dense", "params": {"delta": 0.5, "seed": 1}}', "--k", "4",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: operation needs 16777216 a-tuples")
     # success
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({
@@ -268,6 +282,26 @@ def test_cli_exit_codes(tmp_path):
     proc = run_cli("experiment", "run", "--config", str(ok), "--output", str(tmp_path / "r.json"))
     assert proc.returncode == 0
     assert (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["halfgraph", "count", "--group", "Z4", "--gen", "[1]"], None),
+        (["experiment", "run"], "[1]"),
+        (["experiment", "run"], '{"groups": 5, "generator": {"kind": "linear_order"}}'),
+    ],
+)
+def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_cli_version_and_bad_usage():

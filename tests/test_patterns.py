@@ -2,15 +2,20 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupstab import (
+    ArityMismatch,
     ArityUnsupported,
     CarrierSet,
     NonAbelianGroup,
     ap_census,
     build_relation,
+    builtin_catalogue,
     cayley_graph,
     comparability_defect,
     corner_census,
@@ -27,12 +32,15 @@ from groupstab import (
     subgroups_up_to_index,
 )
 from groupstab.bits import mask_of
+from groupstab.relations import decode_tuple, encode_tuple
 
+import oracles
 from oracles import (
     brute_corner_counts,
     brute_lshape_counts,
     brute_rect23_counts,
     brute_square_counts,
+    pair_set,
 )
 
 from test_relations import random_relation
@@ -73,27 +81,124 @@ def test_square_identity_slice_is_edge_count():
         assert census.nontrivial_count == census.total_count - rel.edge_count
 
 
+def oracle_triples(brute, relation, *args):
+    """The triples (a, b, g) that an oracle counts, in (g, a, b) order.
+
+    Runs the oracle with its per-g counter swapped for one that lists the
+    triples, so the oracle's own point lists decide membership.
+    """
+    triples = []
+
+    def listing(group, rel, points_of):
+        pairs = pair_set(rel)
+        for g in range(group.order):
+            for a in rel.domain.member_indices():
+                for b in rel.codomain.member_indices():
+                    if all(p in pairs for p in points_of(a, b, g)):
+                        triples.append((a, b, g))
+
+    with mock.patch.object(oracles, "_census_counts", listing):
+        brute(relation, *args)
+    return triples
+
+
+def census_calls(group):
+    """(census(relation, include_witnesses, cap), oracle, oracle args) per census on G×G."""
+    calls = [(square_census, brute_square_counts, ())]
+    for form in ("naive", "bmz_left", "bmz_right"):
+        calls.append((lambda rel, *w, f=form: corner_census(rel, f, *w), brute_corner_counts, (form,)))
+    calls.append((rect23_census, brute_rect23_counts, ()))
+    if group.is_abelian:
+        calls.append((lshape_census, brute_lshape_counts, ()))
+    return calls
+
+
+def assert_censuses_match_oracles(rel, cap=10_000):
+    for census, brute, args in census_calls(rel.group):
+        counted = census(rel, True, cap)
+        assert counted.count_by_sidelength == brute(rel, *args)
+        assert counted.witnesses == oracle_triples(brute, rel, *args)[:cap]
+
+
 def test_censuses_match_brute_force():
     rng = random.Random(2718)
     for trial in range(50):
         group = cyclic(rng.randrange(3, 13))
-        rel = random_relation(group, rng)
-        assert square_census(rel).count_by_sidelength == brute_square_counts(rel)
-        for form in ("naive", "bmz_left", "bmz_right"):
-            assert corner_census(rel, form).count_by_sidelength == brute_corner_counts(rel, form)
-        assert rect23_census(rel).count_by_sidelength == brute_rect23_counts(rel)
-        assert lshape_census(rel).count_by_sidelength == brute_lshape_counts(rel)
+        assert_censuses_match_oracles(random_relation(group, rng))
 
 
 def test_censuses_match_brute_force_nonabelian():
     rng = random.Random(553)
     for group in (dihedral(4), dihedral(6), heisenberg(2)):
         for _ in range(5):
-            rel = random_relation(group, rng)
-            assert square_census(rel).count_by_sidelength == brute_square_counts(rel)
-            for form in ("naive", "bmz_left", "bmz_right"):
-                assert corner_census(rel, form).count_by_sidelength == brute_corner_counts(rel, form)
-            assert rect23_census(rel).count_by_sidelength == brute_rect23_counts(rel)
+            assert_censuses_match_oracles(random_relation(group, rng))
+
+
+CENSUS_GROUPS = builtin_catalogue(12) + [dihedral(4), heisenberg(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_censuses_match_brute_force_property(data):
+    group = data.draw(st.sampled_from(CENSUS_GROUPS), label="group")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    rel = random_relation(group, rng, proper_carriers=data.draw(st.booleans(), label="proper"))
+    assert_censuses_match_oracles(rel, cap=data.draw(st.integers(1, 60), label="cap"))
+
+
+@pytest.mark.parametrize("arity", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize(
+    "lift", [{}, {"coordinate": 0}, {"coordinate": 1}, {"coordinate": 5}, {"diagonal": True}]
+)
+def test_lifted_censuses_match_pointwise_definition(arity, lift):
+    group = dihedral(3)
+    mul = group.mul
+    rel = random_relation(group, random.Random(31), arity=arity)
+
+    def times(index, n, g):
+        """The tuple with g multiplied on the right of its acted-on coordinates."""
+        coords = list(decode_tuple(group, n, index))
+        for c in range(n) if lift.get("diagonal") else [lift.get("coordinate", n - 1)]:
+            coords[c] = mul(coords[c], g)
+        return encode_tuple(group, coords)
+
+    def pointwise(points):
+        return [
+            (a, b, g)
+            for g in range(group.order)
+            for a in rel.domain.member_indices()
+            for b in rel.codomain.member_indices()
+            if all(rel.has_pair(*p) for p in points(a, b, g))
+        ]
+
+    def check(census, triples):
+        assert census.witnesses == triples
+        assert census.count_by_sidelength == [
+            sum(1 for t in triples if t[2] == g) for g in range(group.order)
+        ]
+
+    n, m = arity
+    coordinate = lift.get("coordinate", 0)
+    # The square's side acts on both carriers, the rectangle's on the domain only.
+    if coordinate >= min(n, m):
+        with pytest.raises(ArityMismatch):
+            square_census(rel, True, **lift)
+    else:
+        check(square_census(rel, True, **lift), pointwise(lambda a, b, g: [
+            (a, b), (times(a, n, g), b), (a, times(b, m, g)), (times(a, n, g), times(b, m, g)),
+        ]))
+    if m != 1:
+        with pytest.raises(ArityUnsupported):
+            rect23_census(rel, True, **lift)
+    elif coordinate >= n:
+        with pytest.raises(ArityMismatch):
+            rect23_census(rel, True, **lift)
+    else:
+        check(rect23_census(rel, True, **lift), pointwise(lambda a, b, g: [
+            (a, b), (times(a, n, g), b), (a, mul(b, g)), (times(a, n, g), mul(b, g)),
+            (a, mul(g, mul(b, g))), (times(a, n, g), mul(g, mul(b, g))),
+        ]))
+
 
 
 def test_corner_counts_full_relation():
