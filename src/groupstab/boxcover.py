@@ -104,10 +104,8 @@ def greedy_box_cover(
     ymask = relation.codomain.members
     union = [0] * len(rows)
     boxes: list[tuple[int, int]] = []
-    while len(boxes) < max_boxes:
-        symdiff = sum((r ^ u).bit_count() for r, u in zip(rows, union))
-        if Fraction(symdiff, denom) < eps:
-            break
+    symdiff, _, over = _cover_errors(rows, union, denom)
+    while len(boxes) < max_boxes and symdiff >= eps:
         seed = None
         for x in iter_bits(xmask):
             uncovered = rows[x] & ~union[x]
@@ -120,15 +118,22 @@ def greedy_box_cover(
         boxes.append((xb, yb))
         for x in iter_bits(xb):
             union[x] |= yb
-    union_rel = Relation(relation.domain, relation.codomain, tuple(union))
-    symdiff = sum((r ^ u).bit_count() for r, u in zip(rows, union))
-    over = sum((u & ~r).bit_count() for r, u in zip(rows, union))
+        symdiff, _, over = _cover_errors(rows, union, denom)
     return BoxCover(
         boxes=tuple(boxes),
-        union=union_rel,
-        symdiff_error=Fraction(symdiff, denom),
-        overcount_error=Fraction(over, denom),
+        union=Relation(relation.domain, relation.codomain, tuple(union)),
+        symdiff_error=symdiff,
+        overcount_error=over,
     )
+
+
+def _cover_errors(rows, union, denom: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(symdiff, missed, overcount) of the union rows against S's rows, over denom."""
+    missed = over = 0
+    for r, u in zip(rows, union):
+        missed += (r & ~u).bit_count()
+        over += (u & ~r).bit_count()
+    return Fraction(missed + over, denom), Fraction(missed, denom), Fraction(over, denom)
 
 
 def box_union_stability_check(
@@ -153,13 +158,4 @@ def cover_error(
     denom = relation.group.order ** (
         relation.domain.arity + relation.codomain.arity
     )
-    symdiff = missed = over = 0
-    for r, u in zip(relation.rows, cover.union.rows):
-        symdiff += (r ^ u).bit_count()
-        missed += (r & ~u).bit_count()
-        over += (u & ~r).bit_count()
-    return (
-        Fraction(symdiff, denom),
-        Fraction(missed, denom),
-        Fraction(over, denom),
-    )
+    return _cover_errors(relation.rows, cover.union.rows, denom)

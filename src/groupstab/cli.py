@@ -26,7 +26,7 @@ from . import __version__
 from .bits import iter_bits, mask_of
 from .boxcover import greedy_box_cover
 from .errors import ToolkitError
-from .genlab import GeneratorSpec, as_fraction, instantiate_generator
+from .genlab import GeneratorSpec, _read, as_fraction, instantiate_generator
 from .groups import (
     FiniteGroup,
     cyclic,
@@ -39,6 +39,7 @@ from .groups import (
 )
 from .halfgraph import (
     DEFAULT_EXACT_BUDGET,
+    _exact_or_sampled,
     count_halfgraphs_exact,
     sample_halfgraphs,
     theta_profile,
@@ -93,7 +94,10 @@ def frac_json(f: Fraction) -> dict:
 
 def parse_fraction(value) -> Fraction:
     if isinstance(value, dict):
-        return Fraction(value["num"], value["den"])
+        num, den = value["num"], value["den"]
+        if not (isinstance(num, int) and isinstance(den, int) and den):
+            raise ValueError(f"a rational needs integer num and non-zero den, got {value!r}")
+        return Fraction(num, den)
     return as_fraction(value)
 
 
@@ -131,19 +135,26 @@ class ExperimentConfig:
         for key in ("groups", "census"):
             if not isinstance(obj.get(key, []), list):
                 raise ValueError(f"config {key!r} must be a JSON list, got {obj[key]!r}")
+        output = obj.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ValueError(f"config 'output' must be a path string, got {output!r}")
+
+        def read(key, default, convert=int):
+            return _read(convert, obj.get(key, default), f"config {key!r}")
+
         return ExperimentConfig(
             groups=list(obj["groups"]),
             generator=GeneratorSpec.from_json(obj["generator"]),
-            k=int(obj.get("k", 2)),
-            epsilon=parse_fraction(obj.get("epsilon", "1/10")),
-            max_index=int(obj.get("max_index", 4)),
+            k=read("k", 2),
+            epsilon=read("epsilon", "1/10", parse_fraction),
+            max_index=read("max_index", 4),
             census=list(obj.get("census", ["square"])),
-            samples=int(obj.get("samples", 10_000)),
-            seed=int(obj.get("seed", 0)),
-            confidence=float(obj.get("confidence", 0.95)),
-            exact_budget=int(obj.get("exact_budget", DEFAULT_EXACT_BUDGET)),
-            threads=int(obj.get("threads", 1)),
-            output=obj.get("output"),
+            samples=read("samples", 10_000),
+            seed=read("seed", 0),
+            confidence=read("confidence", 0.95, float),
+            exact_budget=read("exact_budget", DEFAULT_EXACT_BUDGET),
+            threads=read("threads", 1),
+            output=output,
         )
 
     def echo(self) -> dict:
@@ -176,15 +187,6 @@ def _run_census(relation, kind: str, witnesses: int = 0) -> PatternCensus:
     raise ValueError(f"unknown census kind {kind!r}")
 
 
-def _theta_entry(relation, k, exact_budget, samples, seed, confidence, threads=1):
-    if relation.domain.size**k <= exact_budget:
-        report = count_halfgraphs_exact(relation, k, budget=exact_budget)
-    else:
-        report = sample_halfgraphs(relation, k, samples, seed, confidence,
-                                   worker_count=threads)
-    return report
-
-
 @contextmanager
 def _stage(stages: dict, name: str):
     """Record the seconds spent in the block under stages[name] if it completes."""
@@ -206,9 +208,9 @@ def _sweep(config: ExperimentConfig, row_body) -> dict:
                 group = parse_group_spec(spec)
                 relation = instantiate_generator(config.generator, group, config.seed)
             with _stage(stages, "halfgraph"):
-                theta = _theta_entry(
+                theta = _exact_or_sampled(
                     relation, config.k, config.exact_budget, config.samples,
-                    config.seed, config.confidence, config.threads,
+                    config.seed, config.confidence, worker_count=config.threads,
                 )
             rows.append(row_body(group, relation, theta, stages))
         except (ToolkitError, ValueError) as exc:

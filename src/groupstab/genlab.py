@@ -11,22 +11,35 @@ from fractions import Fraction
 
 from .bits import full_mask, iter_bits, mask_of
 from .errors import IndexOutOfRange
-from .groups import CyclicGroup, FiniteGroup, Subgroup, subgroups_up_to_index, left_cosets
+from .groups import FiniteGroup, Subgroup, subgroups_up_to_index, left_cosets
 from .relations import CarrierSet, Relation, build_relation, cayley_graph
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from int/Fraction; floats are read with decimal semantics
-    (0.01 means 1/100, not the nearest binary double)."""
+    """Exact rational from int/Fraction/str; floats are read with decimal
+    semantics (0.01 means 1/100, not the nearest binary double). Any other
+    value, an infinity or a zero denominator is a ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(Decimal(str(value)))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    try:
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(Decimal(str(value)))
+        if isinstance(value, str):
+            return Fraction(value)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot interpret {value!r} as a rational: {exc}") from exc
+    raise ValueError(f"cannot interpret {value!r} as a rational")
+
+
+def _read(convert, value, what: str):
+    """convert(value) for one field of parsed JSON; a value of the wrong type
+    or form is a ValueError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"cannot read {what} from {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ def sidon_set(group: FiniteGroup, budget: int | None = None) -> int:
     chosen elements. The result is re-verified against the all-pairs
     difference test before returning.
     """
-    if not isinstance(group, CyclicGroup):
+    if group.recipe != f"cyclic({group.order})":
         raise ValueError("greedy Sidon construction expects a cyclic group")
     n = group.order
     chosen: list[int] = []
@@ -166,7 +179,7 @@ def linear_order_relation(group: FiniteGroup, width: int) -> Relation:
 
 def _resolve_subgroup(group: FiniteGroup, params: dict) -> Subgroup:
     if "subgroup_index" in params:
-        wanted = int(params["subgroup_index"])
+        wanted = _read(int, params["subgroup_index"], "'subgroup_index'")
         subs = [
             s
             for s in subgroups_up_to_index(group, wanted)
@@ -176,7 +189,7 @@ def _resolve_subgroup(group: FiniteGroup, params: dict) -> Subgroup:
             raise ValueError(f"{group.name} has no subgroup of index {wanted}")
         return subs[0]
     if "max_subgroup_index" in params:
-        bound = int(params["max_subgroup_index"])
+        bound = _read(int, params["max_subgroup_index"], "'max_subgroup_index'")
         subs = subgroups_up_to_index(group, bound)
         best = max(s.index_in_parent for s in subs)
         return next(s for s in subs if s.index_in_parent == best)
@@ -192,21 +205,24 @@ def instantiate_generator(spec: GeneratorSpec, group: FiniteGroup, default_seed:
         if pairs == "diagonal":
             pairs = [(i, i) for i in range(sub.index_in_parent)]
         else:
-            pairs = [(int(i), int(j)) for i, j in pairs]
+            pairs = _read(lambda ps: [(int(i), int(j)) for i, j in ps], pairs, "'pairs'")
         return coset_box_set(group, sub, pairs)
     if spec.kind == "sidon_cayley":
-        return cayley_graph(group, sidon_set(group, params.get("budget")), "left")
+        budget = params.get("budget")
+        if budget is not None:
+            budget = _read(int, budget, "'budget'")
+        return cayley_graph(group, sidon_set(group, budget), "left")
     if spec.kind == "random_dense":
         carrier = CarrierSet.full(group, 1)
-        seed = int(params.get("seed", default_seed))
+        seed = _read(int, params.get("seed", default_seed), "'seed'")
         return random_dense(carrier, carrier, params.get("delta", 0.5), seed)
     if spec.kind == "perturbation":
         base = instantiate_generator(GeneratorSpec.from_json(params["base"]), group, default_seed)
-        seed = int(params.get("seed", default_seed))
+        seed = _read(int, params.get("seed", default_seed), "'seed'")
         return perturb_relation(base, params["eta"], seed)
     if spec.kind == "linear_order":
         width = params.get("width", "isqrt")
         if width == "isqrt":
             width = math.isqrt(group.order)
-        return linear_order_relation(group, int(width))
+        return linear_order_relation(group, _read(int, width, "'width'"))
     raise ValueError(f"unknown generator kind {spec.kind!r}")

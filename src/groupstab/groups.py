@@ -1,10 +1,15 @@
 """Finite groups on dense element indices, subgroup enumeration, cosets.
 
 Elements are the integers 0..order-1 and index 0 is always the identity,
-so element bitsets line up across relations, censuses and covers. Groups
-come from three recipes: cyclic(n), product(...) of smaller groups, and
-explicit Cayley tables (validated exhaustively). Dihedral and Heisenberg
-builders are shipped as convenience Cayley-table constructors.
+so element bitsets line up across relations, censuses and covers. Every
+group is one FiniteGroup: a multiplication table and an inverse list on
+those indices, which `mul` and `inv` read. Groups come from three recipes:
+cyclic(n), product(...) of smaller groups (first factor most significant),
+and explicit Cayley tables. A Cayley table is validated exhaustively and
+kept from the start; dihedral and Heisenberg groups are built this way. A
+cyclic group or a product builds its table the first time anything reads
+it (`mul`, `inv`, a subgroup search, a census) and keeps it, so a large
+Z_n used only as an index space never holds n² entries.
 """
 
 from __future__ import annotations
@@ -22,32 +27,58 @@ DEFAULT_CLOSURE_BUDGET = 10**6
 
 
 class FiniteGroup:
-    """Base class: a finite group on indices 0..order-1 with identity 0."""
+    """A finite group on indices 0..order-1 with identity 0.
 
-    order: int
-    recipe: str
-    name: str
+    `factors` holds the factors of a product and is empty otherwise. A group
+    built without a table is cyclic when it has no factors.
+    """
 
-    _abelian: bool | None = None
-    _table: list[list[int]] | None = None
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
+    def __init__(
+        self,
+        order: int,
+        recipe: str,
+        name: str,
+        factors: Sequence["FiniteGroup"] = (),
+        abelian: bool | None = None,
+        table: list[list[int]] | None = None,
+        inverses: list[int] | None = None,
+    ):
+        self.order = order
+        self.recipe = recipe
+        self.name = name
+        self.factors = tuple(factors)
+        self._abelian = abelian
+        self._table = table
+        self._inv = inverses
 
     def _mul_table(self) -> list[list[int]]:
         """Rows of the multiplication table, row a holding a*b at position b.
 
-        Built on first use and kept on the instance; TableGroup supplies its
-        validated Cayley table here.
+        Built on first use and kept on the instance. Cyclic rows are slices of
+        one doubled range, so they share their int objects; a product combines
+        its factors' tables one digit at a time.
         """
         if self._table is None:
-            mul = self.mul
-            order = self.order
-            self._table = [[mul(a, b) for b in range(order)] for a in range(order)]
+            if self.factors:
+                table = [[0]]
+                for f in self.factors:
+                    q = f.order
+                    ftable = f._mul_table()
+                    table = [[x * q + y for x in row for y in frow] for row in table for frow in ftable]
+            else:
+                n = self.order
+                doubled = list(range(n)) * 2
+                table = [doubled[a:a + n] for a in range(n)]
+            self._table = table
         return self._table
+
+    def mul(self, a: int, b: int) -> int:
+        return self._mul_table()[a][b]
+
+    def inv(self, a: int) -> int:
+        if self._inv is None:
+            self._inv = [row.index(0) for row in self._mul_table()]
+        return self._inv[a]
 
     @property
     def identity(self) -> int:
@@ -62,11 +93,8 @@ class FiniteGroup:
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
-            self._abelian = all(
-                self.mul(a, b) == self.mul(b, a)
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
+            table = self._mul_table()
+            self._abelian = all(row == list(col) for row, col in zip(table, zip(*table)))
         return self._abelian
 
     def recipe_hash(self) -> str:
@@ -94,139 +122,90 @@ class GroupElement:
         return f"{self.group.name}[{self.index}]"
 
 
-class CyclicGroup(FiniteGroup):
+def cyclic(n: int) -> FiniteGroup:
     """Additive group Z_n."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"cyclic group order must be >= 1, got {n}")
-        self.order = n
-        self.recipe = f"cyclic({n})"
-        self.name = f"Z{n}"
-        self._abelian = True
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def inv(self, a: int) -> int:
-        return (-a) % self.order
+    if n < 1:
+        raise ValueError(f"cyclic group order must be >= 1, got {n}")
+    return FiniteGroup(n, f"cyclic({n})", f"Z{n}", abelian=True)
 
 
-class ProductGroup(FiniteGroup):
+def product(*factors: FiniteGroup) -> FiniteGroup:
     """Direct product, elements packed big-endian (first factor most significant)."""
-
-    def __init__(self, factors: Sequence[FiniteGroup]):
-        if not factors:
-            raise ValueError("product recipe needs at least one factor")
-        self.factors = tuple(factors)
-        self.order = math.prod(f.order for f in self.factors)
-        self.recipe = "product(" + ",".join(f.recipe for f in self.factors) + ")"
-        self.name = "x".join(f.name for f in self.factors)
-        weights = []
-        w = 1
-        for f in reversed(self.factors):
-            weights.append(w)
-            w *= f.order
-        self._weights = tuple(reversed(weights))
-        if all(f._abelian for f in self.factors):
-            self._abelian = True
-
-    def mul(self, a: int, b: int) -> int:
-        out = 0
-        for f, w in zip(self.factors, self._weights):
-            da = (a // w) % f.order
-            db = (b // w) % f.order
-            out += f.mul(da, db) * w
-        return out
-
-    def inv(self, a: int) -> int:
-        out = 0
-        for f, w in zip(self.factors, self._weights):
-            out += f.inv((a // w) % f.order) * w
-        return out
+    if not factors:
+        raise ValueError("product recipe needs at least one factor")
+    return FiniteGroup(
+        math.prod(f.order for f in factors),
+        "product(" + ",".join(f.recipe for f in factors) + ")",
+        "x".join(f.name for f in factors),
+        factors=factors,
+        abelian=True if all(f._abelian for f in factors) else None,
+    )
 
 
-class TableGroup(FiniteGroup):
+def from_cayley_table(table: Sequence[Sequence[int]], name: str | None = None) -> FiniteGroup:
     """Group given by an explicit Cayley table; axioms checked exhaustively."""
-
-    def __init__(self, table: Sequence[Sequence[int]], name: str | None = None):
-        q = len(table)
-        if q < 1:
-            raise ValueError("Cayley table must be non-empty")
-        rows = []
-        for i, row in enumerate(table):
-            if len(row) != q:
-                raise ValueError(f"Cayley table row {i} has length {len(row)}, expected {q}")
-            row = [int(x) for x in row]
-            for x in row:
-                if not 0 <= x < q:
-                    raise ValueError(f"Cayley table entry {x} out of range 0..{q - 1}")
-            rows.append(row)
-        self.order = q
-        self._table = rows
-        digest = hashlib.sha256(
-            b"\n".join(" ".join(map(str, r)).encode() for r in rows)
-        ).hexdigest()[:12]
-        self.recipe = f"cayley_table({q},{digest})"
-        self.name = name or f"T{q}_{digest[:4]}"
-        self._validate_axioms()
-        self._inv_table = self._build_inverses()
-
-    def _validate_axioms(self) -> None:
-        q = self.order
-        t = self._table
-        for j in range(q):
-            if t[0][j] != j:
-                raise AxiomViolation("identity", (0, j), f"0*{j} = {t[0][j]}")
-        for i in range(q):
-            if t[i][0] != i:
-                raise AxiomViolation("identity", (i, 0), f"{i}*0 = {t[i][0]}")
-        for a in range(q):
-            for b in range(q):
-                tab = t[a][b]
-                row_tab = t[tab]
-                ta = t[a]
-                tb = t[b]
-                for c in range(q):
-                    if row_tab[c] != ta[tb[c]]:
-                        raise AxiomViolation(
-                            "associativity",
-                            (a, b, c),
-                            f"({a}*{b})*{c} = {row_tab[c]} but {a}*({b}*{c}) = {ta[tb[c]]}",
-                        )
-
-    def _build_inverses(self) -> list[int]:
-        q = self.order
-        inv = [-1] * q
-        for a in range(q):
-            for b in range(q):
-                if self._table[a][b] == 0 and self._table[b][a] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise AxiomViolation("inverse", (a,), f"element {a} has no two-sided inverse")
-        return inv
-
-    def mul(self, a: int, b: int) -> int:
-        return self._table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv_table[a]
+    q = len(table)
+    if q < 1:
+        raise ValueError("Cayley table must be non-empty")
+    rows = []
+    for i, row in enumerate(table):
+        if len(row) != q:
+            raise ValueError(f"Cayley table row {i} has length {len(row)}, expected {q}")
+        row = [int(x) for x in row]
+        for x in row:
+            if not 0 <= x < q:
+                raise ValueError(f"Cayley table entry {x} out of range 0..{q - 1}")
+        rows.append(row)
+    digest = hashlib.sha256(
+        b"\n".join(" ".join(map(str, r)).encode() for r in rows)
+    ).hexdigest()[:12]
+    _validate_axioms(rows)
+    return FiniteGroup(
+        q,
+        f"cayley_table({q},{digest})",
+        name or f"T{q}_{digest[:4]}",
+        table=rows,
+        inverses=_two_sided_inverses(rows),
+    )
 
 
-def cyclic(n: int) -> CyclicGroup:
-    return CyclicGroup(n)
+def _validate_axioms(t: list[list[int]]) -> None:
+    q = len(t)
+    for j in range(q):
+        if t[0][j] != j:
+            raise AxiomViolation("identity", (0, j), f"0*{j} = {t[0][j]}")
+    for i in range(q):
+        if t[i][0] != i:
+            raise AxiomViolation("identity", (i, 0), f"{i}*0 = {t[i][0]}")
+    for a in range(q):
+        for b in range(q):
+            tab = t[a][b]
+            row_tab = t[tab]
+            ta = t[a]
+            tb = t[b]
+            for c in range(q):
+                if row_tab[c] != ta[tb[c]]:
+                    raise AxiomViolation(
+                        "associativity",
+                        (a, b, c),
+                        f"({a}*{b})*{c} = {row_tab[c]} but {a}*({b}*{c}) = {ta[tb[c]]}",
+                    )
 
 
-def product(*factors: FiniteGroup) -> ProductGroup:
-    return ProductGroup(factors)
+def _two_sided_inverses(t: list[list[int]]) -> list[int]:
+    q = len(t)
+    inv = [-1] * q
+    for a in range(q):
+        for b in range(q):
+            if t[a][b] == 0 and t[b][a] == 0:
+                inv[a] = b
+                break
+        if inv[a] < 0:
+            raise AxiomViolation("inverse", (a,), f"element {a} has no two-sided inverse")
+    return inv
 
 
-def from_cayley_table(table: Sequence[Sequence[int]], name: str | None = None) -> TableGroup:
-    return TableGroup(table, name=name)
-
-
-def dihedral(n: int) -> TableGroup:
+def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; index = flip*n + rotation, identity 0."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
@@ -239,10 +218,10 @@ def dihedral(n: int) -> TableGroup:
         return ((ex ^ ey) * n) + rot
 
     table = [[mul(x, y) for y in range(q)] for x in range(q)]
-    return TableGroup(table, name=f"D{n}")
+    return from_cayley_table(table, name=f"D{n}")
 
 
-def heisenberg(p: int) -> TableGroup:
+def heisenberg(p: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices mod p; order p^3, non-abelian for p >= 2."""
     if p < 2:
         raise ValueError(f"heisenberg modulus must be >= 2, got {p}")
@@ -258,7 +237,7 @@ def heisenberg(p: int) -> TableGroup:
         return enc((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)
 
     table = [[mul(x, y) for y in range(p**3)] for x in range(p**3)]
-    return TableGroup(table, name=f"H{p}")
+    return from_cayley_table(table, name=f"H{p}")
 
 
 def make_group(recipe) -> FiniteGroup:
@@ -287,21 +266,24 @@ def make_group(recipe) -> FiniteGroup:
     raise ValueError(f"unknown group recipe kind: {kind!r}")
 
 
-def load_cayley_table(path) -> TableGroup:
+def load_cayley_table(path) -> FiniteGroup:
     """Read a Cayley table file: first line order q, then q lines of q indices."""
     text = Path(path).read_text()
     return parse_cayley_table(text, name=Path(path).stem)
 
 
-def parse_cayley_table(text: str, name: str | None = None) -> TableGroup:
+def parse_cayley_table(text: str, name: str | None = None) -> FiniteGroup:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty Cayley table file")
-    q = int(lines[0].split()[0])
+    head = lines[0].split()
+    if len(head) != 1:
+        raise ValueError(f"Cayley table header must be the order alone, got {lines[0]!r}")
+    q = int(head[0])
     if len(lines) != q + 1:
         raise ValueError(f"expected {q} table rows, found {len(lines) - 1}")
     table = [[int(x) for x in lines[1 + i].split()] for i in range(q)]
-    return TableGroup(table, name=name)
+    return from_cayley_table(table, name=name)
 
 
 def format_cayley_table(group: FiniteGroup) -> str:

@@ -91,13 +91,11 @@ def count_halfgraphs_exact(
 
     Equal rows contribute symmetrically (and repeated rows contribute
     nothing), so the sum runs over injective tuples of distinct row values
-    weighted by their multiplicities.
+    weighted by their multiplicities. The budget is charged for those
+    tuples: d·(d-1)···(d-k+1) over the d distinct non-empty rows.
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
-    x_size = relation.domain.size
-    if x_size**k > budget:
-        raise BudgetExceeded(x_size**k, budget, "a-tuples")
     mult: dict[int, int] = {}
     for x in relation.domain.member_indices():
         row = relation.rows[x]
@@ -106,6 +104,9 @@ def count_halfgraphs_exact(
     vals = list(mult)
     weights = [mult[v] for v in vals]
     d = len(vals)
+    tuples = math.perm(d, k)
+    if tuples > budget:
+        raise BudgetExceeded(tuples, budget, "a-tuples")
     total = 0
     prefixes = [0] * (k + 1)
     chosen = [0] * (k + 1)
@@ -148,6 +149,11 @@ def is_halfgraph(relation: Relation, witness: tuple[int, ...]) -> bool:
     k = len(witness) // 2
     a = witness[:k]
     b = witness[k:]
+    for side, indices, universe in (("domain", a, relation.domain.universe),
+                                    ("codomain", b, relation.codomain.universe)):
+        for i in indices:
+            if not 0 <= i < universe:
+                raise ValueError(f"witness index {i} outside the {side} universe 0..{universe - 1}")
     rows = relation.rows
     for i in range(k):
         row = rows[a[i]]
@@ -295,20 +301,31 @@ def theta_profile(
     seed: int = 0,
     confidence: float = 0.95,
 ) -> list[HalfGraphReport]:
-    """Reports for k = 1..k_max; exact within the budget, sampled beyond.
+    """Reports for k = 1..k_max; exact where the budget gate of
+    count_halfgraphs_exact admits them, sampled beyond.
 
     Sampled entries are flagged by exact_count being None. With the group
     normalization theta_k is non-increasing in k.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    out = []
-    x_size = relation.domain.size
-    for k in range(1, k_max + 1):
-        if x_size**k <= exact_budget:
-            out.append(count_halfgraphs_exact(relation, k, budget=exact_budget))
-        else:
-            out.append(
-                sample_halfgraphs(relation, k, samples, derive_seed(seed, k), confidence)
-            )
-    return out
+    return [
+        _exact_or_sampled(relation, k, exact_budget, samples, derive_seed(seed, k), confidence)
+        for k in range(1, k_max + 1)
+    ]
+
+
+def _exact_or_sampled(
+    relation: Relation,
+    k: int,
+    exact_budget: int,
+    samples: int,
+    seed: int,
+    confidence: float,
+    worker_count: int = 1,
+) -> HalfGraphReport:
+    """The exact report at height k, or a sampled one when the budget gate refuses it."""
+    try:
+        return count_halfgraphs_exact(relation, k, budget=exact_budget)
+    except BudgetExceeded:
+        return sample_halfgraphs(relation, k, samples, seed, confidence, worker_count)

@@ -8,6 +8,7 @@ coordinate of an index is just `index % |G|`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,8 @@ from .errors import (
     PairOutsideCarrier,
 )
 from .groups import FiniteGroup, GroupElement
+
+_HEX_RE = re.compile(r"[0-9a-fA-F]+")
 
 
 def power_size(group: FiniteGroup, arity: int) -> int:
@@ -377,6 +380,8 @@ def parse_relation(text: str, group: FiniteGroup) -> Relation:
     if len(head) != 4:
         raise ValueError(f"bad relation header: {lines[0]!r}")
     n, m, order, digest = int(head[0]), int(head[1]), int(head[2]), head[3]
+    if n < 1 or m < 1:
+        raise ValueError(f"bad relation header: arities must be >= 1 in {lines[0]!r}")
     if order != group.order or digest != group.recipe_hash():
         raise ValueError(
             f"relation was saved for a different group "
@@ -385,15 +390,23 @@ def parse_relation(text: str, group: FiniteGroup) -> Relation:
     nrows = power_size(group, n)
     if len(lines) < 1 + nrows:
         raise ValueError(f"expected {nrows} row lines, found {len(lines) - 1}")
-    rows = tuple(int(lines[1 + i], 16) for i in range(nrows))
+    rows = tuple(_hex(lines[1 + i]) for i in range(nrows))
     xmask = full_mask(nrows)
     ymask = full_mask(power_size(group, m))
     for extra in lines[1 + nrows:]:
         key, _, value = extra.partition("=")
         if key == "X":
-            xmask = int(value, 16)
+            xmask = _hex(value)
         elif key == "Y":
-            ymask = int(value, 16)
+            ymask = _hex(value)
         else:
             raise ValueError(f"unexpected trailer line: {extra!r}")
     return Relation(CarrierSet(group, n, xmask), CarrierSet(group, m, ymask), rows)
+
+
+def _hex(text: str) -> int:
+    """A bitset written as hex digits only: no sign, prefix or underscore."""
+    digits = text.strip()
+    if not _HEX_RE.fullmatch(digits):
+        raise ValueError(f"not a hex bitset: {text!r}")
+    return int(digits, 16)

@@ -170,3 +170,84 @@ def brute_subgroup_masks(group) -> set[int]:
                 mask |= 1 << e
             masks.add(mask)
     return masks
+
+
+class RefGroup:
+    """A group from its definition: order, a multiplication function, and
+    inverses and commutativity found by search over all elements."""
+
+    def __init__(self, order: int, mul):
+        self.order = order
+        self.mul = mul
+
+    def inv(self, a: int) -> int:
+        return next(b for b in range(self.order) if self.mul(a, b) == 0 == self.mul(b, a))
+
+    @property
+    def is_abelian(self) -> bool:
+        return all(
+            self.mul(a, b) == self.mul(b, a)
+            for a in range(self.order)
+            for b in range(self.order)
+        )
+
+
+def ref_cyclic(n: int) -> RefGroup:
+    return RefGroup(n, lambda a, b: (a + b) % n)
+
+
+def ref_product(*factors: RefGroup) -> RefGroup:
+    """Componentwise product; index digits are big-endian, first factor most significant."""
+
+    def digits(a: int) -> list[int]:
+        out = []
+        for f in reversed(factors):
+            a, d = divmod(a, f.order)
+            out.append(d)
+        return out[::-1]
+
+    def mul(a: int, b: int) -> int:
+        idx = 0
+        for f, da, db in zip(factors, digits(a), digits(b)):
+            idx = idx * f.order + f.mul(da, db)
+        return idx
+
+    order = 1
+    for f in factors:
+        order *= f.order
+    return RefGroup(order, mul)
+
+
+def ref_dihedral(n: int) -> RefGroup:
+    """D_n as permutations (v, s) -> (r + (-1)^e·v, s xor e) of Z_n × Z_2, index
+    e·n + r; a·b applies a, then b. The s coordinate keeps D_1 and D_2 faithful."""
+    points = [(v, s) for v in range(n) for s in (0, 1)]
+    maps = [
+        tuple(((r + (-v if e else v)) % n, s ^ e) for v, s in points)
+        for e in (0, 1)
+        for r in range(n)
+    ]
+    where = {pt: i for i, pt in enumerate(points)}
+    index = {m: i for i, m in enumerate(maps)}
+
+    def mul(a: int, b: int) -> int:
+        return index[tuple(maps[b][where[maps[a][i]]] for i in range(len(points)))]
+
+    return RefGroup(2 * n, mul)
+
+
+def ref_heisenberg(p: int) -> RefGroup:
+    """Upper unitriangular 3×3 matrices mod p by matrix product; index (a·p + b)·p + c
+    for the matrix with a and c in the first row and b in the second."""
+
+    def matrix(i: int) -> list[list[int]]:
+        a, bc = divmod(i, p * p)
+        b, c = divmod(bc, p)
+        return [[1, a, c], [0, 1, b], [0, 0, 1]]
+
+    def mul(x: int, y: int) -> int:
+        m, n = matrix(x), matrix(y)
+        prod = [[sum(m[i][t] * n[t][j] for t in range(3)) % p for j in range(3)] for i in range(3)]
+        return (prod[0][1] * p + prod[1][2]) * p + prod[0][2]
+
+    return RefGroup(p**3, mul)

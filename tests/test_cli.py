@@ -13,6 +13,7 @@ import groupstab
 from groupstab import (
     ExperimentConfig,
     GeneratorSpec,
+    cyclic,
     instantiate_generator,
     run_experiment,
     run_family_trend,
@@ -265,13 +266,14 @@ def test_cli_exit_codes(tmp_path):
     }))
     proc = run_cli("experiment", "run", "--config", str(cfg))
     assert proc.returncode == 2
-    # toolkit error in a single command: 64^4 a-tuples exceed the exact budget
+    # toolkit error in a single command: 64·63·62·61 a-tuples of distinct rows
+    # exceed the exact budget
     proc = run_cli(
         "halfgraph", "count", "--group", "Z64",
         "--gen", '{"kind": "random_dense", "params": {"delta": 0.5, "seed": 1}}', "--k", "4",
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: operation needs 16777216 a-tuples")
+    assert proc.stderr.startswith("error: operation needs 15249024 a-tuples")
     # success
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({
@@ -284,19 +286,33 @@ def test_cli_exit_codes(tmp_path):
     assert (tmp_path / "r.json").exists()
 
 
+LINEAR = '"generator": {"kind": "linear_order"}'
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
         (["halfgraph", "count", "--group", "Z4", "--gen", "[1]"], None),
         (["experiment", "run"], "[1]"),
         (["experiment", "run"], '{"groups": 5, "generator": {"kind": "linear_order"}}'),
+        (["experiment", "run"], '{"groups": ["Z4"], "k": [1], %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "epsilon": [1], %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "epsilon": "1/0", %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "confidence": {}, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "output": [1], %s}' % LINEAR),
+        (["halfgraph", "count", "--group", "Z4",
+          "--gen", '{"kind": "random_dense", "params": {"delta": [1]}}'], None),
+        (["halfgraph", "count", "--group", "Z4",
+          "--gen", '{"kind": "linear_order", "params": {"width": [2]}}'], None),
+        (["halfgraph", "count", "--group", "Z4", "--relation-file"],
+         "-1 1 4 %s\n1\n" % cyclic(4).recipe_hash()),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(config)
-        argv = [*argv, "--config", str(path)]
+        argv = [*argv, str(path)] if argv[-1] == "--relation-file" else [*argv, "--config", str(path)]
     proc = run_cli(*argv)
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -1,6 +1,7 @@
 """group-core: recipes, words, subgroups, cosets."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from groupstab import (
     AxiomViolation,
     CrossGroupElement,
     builtin_catalogue,
+    count_halfgraphs_exact,
     cyclic,
     dihedral,
     evaluate,
@@ -18,6 +20,7 @@ from groupstab import (
     from_cayley_table,
     heisenberg,
     left_cosets,
+    linear_order_relation,
     load_cayley_table,
     make_group,
     product,
@@ -25,9 +28,16 @@ from groupstab import (
     subgroups_up_to_index,
 )
 from groupstab.bits import iter_bits, mask_of
-from groupstab.groups import closure
+from groupstab.groups import closure, parse_cayley_table
 
-from oracles import brute_closure, brute_subgroup_masks
+from oracles import (
+    brute_closure,
+    brute_subgroup_masks,
+    ref_cyclic,
+    ref_dihedral,
+    ref_heisenberg,
+    ref_product,
+)
 
 CLOSURE_GROUPS = builtin_catalogue(16) + [heisenberg(3)]
 
@@ -228,3 +238,78 @@ def test_subgroup_enumeration_budget_guard():
     with pytest.raises(BudgetExceeded) as err:
         subgroups_up_to_index(g, 16, budget=5)
     assert err.value.budget == 5 and err.value.required > 5
+
+
+Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "build, recipe, name, digest",
+    [
+        (lambda: cyclic(12), "cyclic(12)", "Z12", "3b7fb77412d3"),
+        (lambda: product(cyclic(2), cyclic(6)), "product(cyclic(2),cyclic(6))", "Z2xZ6", "6752adacabd4"),
+        (lambda: product(cyclic(2), dihedral(3)),
+         "product(cyclic(2),cayley_table(6,57197bee62ee))", "Z2xD3", "eab613874839"),
+        (lambda: dihedral(4), "cayley_table(8,3bd0d8473998)", "D4", "72cd34ed2847"),
+        (lambda: heisenberg(3), "cayley_table(27,5abd4659daf0)", "H3", "3489db715571"),
+        (lambda: from_cayley_table(Z3_TABLE), "cayley_table(3,fc2cc19d9b4c)", "T3_fc2c", "3ce8a6773a05"),
+    ],
+)
+def test_recipes_names_and_hashes_are_pinned(build, recipe, name, digest):
+    # saved relation files embed the recipe hash, so these strings must never change
+    g = build()
+    assert (g.recipe, g.name, g.recipe_hash()) == (recipe, name, digest)
+
+
+@st.composite
+def small_groups(draw):
+    """A (groupstab group, oracle group) pair of order <= 60."""
+    leaf = st.one_of(
+        st.integers(1, 12).map(lambda n: (cyclic(n), ref_cyclic(n))),
+        st.integers(1, 6).map(lambda n: (dihedral(n), ref_dihedral(n))),
+        st.sampled_from([2, 3]).map(lambda p: (heisenberg(p), ref_heisenberg(p))),
+    )
+    parts = draw(st.lists(leaf, min_size=1, max_size=3).filter(
+        lambda ps: math.prod(g.order for g, _ in ps) <= 60))
+    if len(parts) == 1 and draw(st.booleans()):
+        return parts[0]
+    return product(*(g for g, _ in parts)), ref_product(*(r for _, r in parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_the_oracle(data):
+    g, ref = data.draw(small_groups(), label="group")
+    assert g.order == ref.order
+    n = g.order
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               min_size=1, max_size=60), label="pairs")
+    assert [g.mul(a, b) for a, b in pairs] == [ref.mul(a, b) for a, b in pairs]
+    assert [g.inv(a) for a in range(n)] == [ref.inv(a) for a in range(n)]
+    assert g.is_abelian == ref.is_abelian
+
+
+def test_groups_survive_a_pickle_round_trip():
+    for g in [cyclic(6), product(cyclic(2), dihedral(3)), heisenberg(3), cyclic(9)]:
+        g.is_abelian  # a built table travels with the group
+        back = pickle.loads(pickle.dumps(g))
+        assert (back.order, back.recipe, back.name, back.recipe_hash()) == (
+            g.order, g.recipe, g.name, g.recipe_hash())
+        assert back._mul_table() == g._mul_table()
+        assert [back.inv(a) for a in range(g.order)] == [g.inv(a) for a in range(g.order)]
+    fresh = pickle.loads(pickle.dumps(cyclic(7)))
+    assert fresh._table is None and fresh.mul(5, 4) == 2
+
+
+def test_index_space_use_builds_no_table():
+    z = cyclic(2000)
+    rel = linear_order_relation(z, 40)
+    assert count_halfgraphs_exact(rel, 2).exact_count > 0
+    assert z._table is None
+
+
+@pytest.mark.parametrize("text", ["2 junk\n0 1\n1 0\n", "2 2\n0 1\n1 0\n"])
+def test_cayley_table_header_is_the_order_alone(text):
+    with pytest.raises(ValueError):
+        parse_cayley_table(text)
+    assert parse_cayley_table("2\n0 1\n1 0\n").order == 2

@@ -1,5 +1,6 @@
 """halfgraph: exact counts, enumeration, sampling, theta profile."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from groupstab import (
     BudgetExceeded,
     CarrierSet,
+    Relation,
     build_relation,
     cayley_graph,
     count_halfgraphs_exact,
@@ -90,6 +92,14 @@ def test_enumeration_matches_brute_force_and_verifies():
         assert enumerate_halfgraphs(rel, 2, 3) == expected[:3]
 
 
+@pytest.mark.parametrize("witness", [(-1, 0), (4, 0), (9, 0), (0, -1), (0, 4), (0, 1, 2, 7)])
+def test_is_halfgraph_rejects_indices_outside_the_universes(witness):
+    rel = cayley_graph(cyclic(4), mask_of([0, 1]))
+    with pytest.raises(ValueError):
+        is_halfgraph(rel, witness)
+    assert is_halfgraph(rel, (3, 3)) and not is_halfgraph(rel, (3, 1))
+
+
 def test_enumeration_of_edges_at_height_one():
     z4 = cyclic(4)
     rel = cayley_graph(z4, 0b0010)
@@ -109,8 +119,30 @@ def test_witnesses_restrict_to_lower_height():
 def test_budget_guard():
     rng = random.Random(3)
     rel = random_relation(cyclic(10), rng)
+    # 10 distinct non-empty rows: the kernel walks 10·9·8 = 720 a-tuples
     with pytest.raises(BudgetExceeded):
-        count_halfgraphs_exact(rel, 3, budget=999)
+        count_halfgraphs_exact(rel, 3, budget=719)
+
+
+@pytest.mark.parametrize("rows, k", [
+    ((0b11, 0b11, 0b10, 0, 0b01), 2),  # 3 distinct non-empty rows of 5
+    ((0b11, 0b11, 0b10, 0, 0b01), 4),  # fewer rows than k: nothing to walk
+    ((1, 2, 4, 8, 16, 3, 5, 6), 3),
+])
+def test_budget_gate_charges_injective_tuples_of_distinct_rows(rows, k):
+    carrier = CarrierSet.full(cyclic(len(rows)), 1)
+    rel = Relation(carrier, carrier, rows)
+    d = len(set(rows) - {0})
+    charge = math.perm(d, k)
+    expected = count_halfgraphs_exact(rel, k, budget=charge).exact_count
+    assert expected == brute_halfgraph_count(rel, k)
+    with pytest.raises(BudgetExceeded) as err:
+        count_halfgraphs_exact(rel, k, budget=charge - 1)
+    assert err.value.required == charge
+    # theta_profile goes exact exactly where the gate admits the count
+    profile = theta_profile(rel, k, exact_budget=charge, samples=10)
+    assert profile[-1].exact_count == expected
+    assert not theta_profile(rel, k, exact_budget=charge - 1, samples=10)[-1].is_exact
 
 
 def test_sampling_deterministic_and_zero_on_stable_input():
