@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bits import iter_bits
 from .errors import CarrierMismatch
-from .genlab import as_fraction
+from .genlab import as_fraction, frac_json
 from .halfgraph import DEFAULT_EXACT_BUDGET, count_halfgraphs_exact
 from .relations import Relation
 
@@ -37,14 +37,8 @@ class BoxCover:
                 {"domain": list(iter_bits(xb)), "codomain": list(iter_bits(yb))}
                 for xb, yb in self.boxes
             ],
-            "symdiff_error": {
-                "num": self.symdiff_error.numerator,
-                "den": self.symdiff_error.denominator,
-            },
-            "overcount_error": {
-                "num": self.overcount_error.numerator,
-                "den": self.overcount_error.denominator,
-            },
+            "symdiff_error": frac_json(self.symdiff_error),
+            "overcount_error": frac_json(self.overcount_error),
         }
 
 

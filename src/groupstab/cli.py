@@ -25,8 +25,8 @@ from pathlib import Path
 from . import __version__
 from .bits import iter_bits, mask_of
 from .boxcover import greedy_box_cover
-from .errors import ToolkitError
-from .genlab import GeneratorSpec, _read, as_fraction, instantiate_generator
+from .errors import ToolkitError, _read
+from .genlab import GeneratorSpec, as_fraction, frac_json, instantiate_generator
 from .groups import (
     FiniteGroup,
     cyclic,
@@ -44,22 +44,15 @@ from .halfgraph import (
     sample_halfgraphs,
     theta_profile,
 )
-from .patterns import (
-    PatternCensus,
-    _coverage,
-    ap_census,
-    corner_census,
-    lshape_census,
-    rect23_census,
-    square_census,
-)
+from .patterns import SHAPES, PatternCensus, _coverage, ap_census, census, square_census
 from .relations import density, dump_relation, load_relation
 
 _CYCLIC_RE = re.compile(r"[CZ](\d+)$", re.IGNORECASE)
 _DIHEDRAL_RE = re.compile(r"D(\d+)$", re.IGNORECASE)
 _HEISENBERG_RE = re.compile(r"H(\d+)$", re.IGNORECASE)
 
-CENSUS_KINDS = ("square", "naive", "bmz-left", "bmz-right", "rect23", "lshape")
+# The CLI and config names of the census kinds: SHAPES' names with hyphens.
+CENSUS_KINDS = tuple(kind.replace("_", "-") for kind in SHAPES)
 
 
 def parse_group_spec(spec) -> FiniteGroup:
@@ -86,10 +79,6 @@ def parse_group_spec(spec) -> FiniteGroup:
     if m:
         return heisenberg(int(m.group(1)))
     raise ValueError(f"unrecognized group spec {spec!r}")
-
-
-def frac_json(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
 
 
 def parse_fraction(value) -> Fraction:
@@ -127,6 +116,9 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        for kind in self.census:
+            if kind not in CENSUS_KINDS:
+                raise ValueError(f"unknown census kind {kind!r}")
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
@@ -175,16 +167,7 @@ class ExperimentConfig:
 
 def _run_census(relation, kind: str, witnesses: int = 0) -> PatternCensus:
     """The census of one CLI kind, listing up to `witnesses` witness triples."""
-    listed = (witnesses > 0, witnesses or 1)
-    if kind == "square":
-        return square_census(relation, *listed)
-    if kind in ("naive", "bmz-left", "bmz-right"):
-        return corner_census(relation, kind.replace("-", "_"), *listed)
-    if kind == "rect23":
-        return rect23_census(relation, *listed)
-    if kind == "lshape":
-        return lshape_census(relation, *listed)
-    raise ValueError(f"unknown census kind {kind!r}")
+    return census(relation, kind.replace("-", "_"), witnesses > 0, witnesses or 1)
 
 
 @contextmanager
@@ -248,8 +231,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             squares = square_census(relation)
             censuses = {}
             for kind in config.census:
-                census = squares if kind == "square" else _run_census(relation, kind)
-                censuses[kind] = {"total": census.total_count, "nontrivial": census.nontrivial_count}
+                counted = squares if kind == "square" else _run_census(relation, kind)
+                censuses[kind] = {"total": counted.total_count, "nontrivial": counted.nontrivial_count}
         with _stage(stages, "subgroups"):
             best = "NOT_FOUND"
             for sub in subgroups_up_to_index(group, config.max_index):
@@ -312,12 +295,13 @@ def _load_relation_arg(args) -> tuple[FiniteGroup, "Relation"]:
     raise ValueError("provide --gen SPEC or --relation-file PATH")
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n")
+def _emit(payload: dict | str, output: str | None) -> None:
+    """Write a JSON report, or a relation file's text, to the output path or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    if output:
+        Path(output).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _cmd_group_info(args) -> int:
@@ -333,7 +317,7 @@ def _cmd_group_info(args) -> int:
             "exponent": exponent,
             "element_orders": [orders[i] for i in range(group.order)],
         },
-        args,
+        args.output,
     )
     return 0
 
@@ -349,7 +333,7 @@ def _cmd_subgroups(args) -> int:
                 {"index": s.index_in_parent, "members": s.member_indices()} for s in subs
             ],
         },
-        args,
+        args.output,
     )
     return 0
 
@@ -368,9 +352,9 @@ def _cmd_halfgraph(args) -> int:
             relation, args.k_max, exact_budget=args.budget,
             samples=args.samples, seed=args.seed, confidence=args.confidence,
         )
-        _emit({"profile": [r.to_json() for r in reports]}, args)
+        _emit({"profile": [r.to_json() for r in reports]}, args.output)
         return 0
-    _emit(report.to_json(), args)
+    _emit(report.to_json(), args.output)
     return 0
 
 
@@ -381,17 +365,17 @@ def _cmd_patterns(args) -> int:
             raise ValueError("--kind ap needs --set and --h")
         members = mask_of(int(x) for x in args.set.split(","))
         mask, count = ap_census(group, members, args.m, args.h)
-        _emit({"kind": "ap", "members": list(iter_bits(mask)), "count": count}, args)
+        _emit({"kind": "ap", "members": list(iter_bits(mask)), "count": count}, args.output)
         return 0
     _, relation = _load_relation_arg(args)
-    _emit(_run_census(relation, args.kind, args.witnesses).to_json(), args)
+    _emit(_run_census(relation, args.kind, args.witnesses).to_json(), args.output)
     return 0
 
 
 def _cmd_boxcover(args) -> int:
     _, relation = _load_relation_arg(args)
     cover = greedy_box_cover(relation, args.epsilon, args.max_boxes, args.purity)
-    _emit(cover.to_json(), args)
+    _emit(cover.to_json(), args.output)
     return 0
 
 
@@ -399,11 +383,7 @@ def _cmd_gen(args) -> int:
     group = parse_group_spec(args.group)
     spec = GeneratorSpec.from_json(json.loads(args.spec))
     relation = instantiate_generator(spec, group, args.seed)
-    text = dump_relation(relation)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(dump_relation(relation), args.out or args.output)
     return 0
 
 
@@ -416,12 +396,7 @@ def _cmd_experiment(args) -> int:
     if args.threads is not None:
         config.threads = args.threads
     report = run_family_trend(config) if args.mode == "trend" else run_experiment(config)
-    out = args.output or config.output
-    text = json.dumps(report, indent=2)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(report, args.output or config.output)
     return 2 if report["row_errors"] else 0
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one reader of JSON fields."""
 
 from __future__ import annotations
 
@@ -62,3 +62,12 @@ class EmptyCarrier(ToolkitError):
 
 class IndexOutOfRange(ToolkitError):
     """A coset or element index is out of range."""
+
+
+def _read(convert, value, what: str):
+    """convert(value) for one field of parsed JSON; a value of the wrong type
+    or form is a ValueError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"cannot read {what} from {value!r}") from exc

@@ -10,7 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .bits import full_mask, iter_bits, mask_of
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, _read
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_index, left_cosets
 from .relations import CarrierSet, Relation, build_relation, cayley_graph
 
@@ -33,13 +33,9 @@ def as_fraction(value) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
-def _read(convert, value, what: str):
-    """convert(value) for one field of parsed JSON; a value of the wrong type
-    or form is a ValueError that names the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"cannot read {what} from {value!r}") from exc
+def frac_json(f: Fraction) -> dict:
+    """An exact rational as written in every JSON report: {"num": ..., "den": ...}."""
+    return {"num": f.numerator, "den": f.denominator}
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .bits import iter_bits, mask_of
-from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement
+from .bits import iter_bits, mask_of, permute_bits
+from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement, _read
 
 DEFAULT_CLOSURE_BUDGET = 10**6
 
@@ -113,13 +113,24 @@ class GroupElement:
     index: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.index < self.group.order:
-            raise ValueError(
-                f"element index {self.index} out of range for order {self.group.order}"
-            )
+        _check_index(self.group, self.index)
 
     def __repr__(self) -> str:
         return f"{self.group.name}[{self.index}]"
+
+
+def _check_index(group: FiniteGroup, index: int) -> None:
+    if not 0 <= index < group.order:
+        raise ValueError(f"element index {index} out of range for order {group.order}")
+
+
+def translation(group: FiniteGroup, left: int = 0, right: int = 0) -> list[int]:
+    """The map x -> left·x·right as a list; every translation map is built here."""
+    _check_index(group, left)
+    _check_index(group, right)
+    table = group._mul_table()
+    row = table[left]
+    return [row[col[right]] for col in table]
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -254,15 +265,19 @@ def make_group(recipe) -> FiniteGroup:
         raise ValueError(f"unsupported group recipe: {recipe!r}")
     kind = recipe.get("kind")
     if kind == "cyclic":
-        return cyclic(int(recipe["n"]))
+        return cyclic(_read(int, recipe["n"], "'n'"))
     if kind == "product":
-        return product(*(make_group(f) for f in recipe["factors"]))
+        return product(*(make_group(f) for f in _read(list, recipe["factors"], "'factors'")))
     if kind == "cayley_table":
-        return from_cayley_table(recipe["table"], name=recipe.get("name"))
+        table = _read(lambda t: [[int(x) for x in row] for row in t], recipe["table"], "'table'")
+        name = recipe.get("name")
+        if not isinstance(name, (str, type(None))):
+            raise ValueError(f"cannot read 'name' from {name!r}")
+        return from_cayley_table(table, name=name)
     if kind == "dihedral":
-        return dihedral(int(recipe["n"]))
+        return dihedral(_read(int, recipe["n"], "'n'"))
     if kind == "heisenberg":
-        return heisenberg(int(recipe["p"]))
+        return heisenberg(_read(int, recipe["p"], "'p'"))
     raise ValueError(f"unknown group recipe kind: {kind!r}")
 
 
@@ -312,6 +327,7 @@ def evaluate(group: FiniteGroup, word: Iterable[tuple[GroupElement, int]]) -> Gr
 
 
 def element_order(group: FiniteGroup, a: int) -> int:
+    _check_index(group, a)
     x = a
     n = 1
     while x != 0:
@@ -455,13 +471,12 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[int]:
     """Partition of the universe into left cosets g*H, identity block first."""
     if sub.parent is not group:
         raise CrossGroupElement(f"subgroup of {sub.parent.name} used with {group.name}")
-    members = sub.member_indices()
     seen = 0
     blocks = []
     for rep in range(group.order):
         if seen >> rep & 1:
             continue
-        block = mask_of(group.mul(rep, h) for h in members)
+        block = permute_bits(sub.members, translation(group, left=rep))
         blocks.append(block)
         seen |= block
     return blocks

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .bits import iter_bits
 from .errors import BudgetExceeded
+from .genlab import frac_json
 from .relations import Relation
 
 DEFAULT_EXACT_BUDGET = 10**6
@@ -48,19 +49,16 @@ class HalfGraphReport:
         return self.exact_count is not None
 
     def to_json(self) -> dict:
-        def frac(f):
-            return None if f is None else {"num": f.numerator, "den": f.denominator}
-
         return {
             "k": self.k,
             "exact_count": self.exact_count,
-            "estimate": frac(self.estimate),
+            "estimate": None if self.estimate is None else frac_json(self.estimate),
             "confidence_interval": None
             if self.confidence_interval is None
-            else [frac(self.confidence_interval[0]), frac(self.confidence_interval[1])],
+            else [frac_json(f) for f in self.confidence_interval],
             "samples": self.samples,
-            "theta_group": frac(self.theta_group),
-            "theta_carrier": frac(self.theta_carrier),
+            "theta_group": frac_json(self.theta_group),
+            "theta_carrier": frac_json(self.theta_carrier),
         }
 
 

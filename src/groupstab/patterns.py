@@ -3,9 +3,10 @@ L-shapes, arithmetic-progression sets, side-length coverage, and
 translation-comparability defects.
 
 A shape is a list of points ((ld, rd), (lc, rc)); a triple (a, b, g)
-matches it when every pair (g^ld·a·g^rd, g^lc·b·g^rc) lies in S. One
-engine counts the matches of any shape: for each g it ANDs the rows of the
-points, each row a translated copy of a row of S, and popcounts the meet.
+matches it when every pair (g^ld·a·g^rd, g^lc·b·g^rc) lies in S. Every
+census kind is one entry of SHAPES, and `census` counts the matches of any
+of them: for each g it ANDs the rows of the points, each row a translated
+copy of a row of S, and popcounts the meet.
 Every census counts ordered triples including the degenerate g = identity
 slice; nontrivial_count excludes it. For carriers of arity above one the
 side length acts on a single designated coordinate (default: the last),
@@ -19,8 +20,8 @@ from fractions import Fraction
 
 from .bits import iter_bits, mask_of, permute_bits
 from .errors import ArityUnsupported, NonAbelianGroup
-from .groups import FiniteGroup, GroupElement, Subgroup
-from .relations import Relation, _lift_digit_map
+from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, translation
+from .relations import Relation, _lift_digit_map, _side_translation
 
 DEFAULT_WITNESS_CAP = 10_000
 
@@ -62,8 +63,7 @@ def _checked_element(group: FiniteGroup, members: int, element: GroupElement | i
         element = element.index
     if members >> group.order:
         raise ValueError(f"member mask has bits outside 0..{group.order - 1}")
-    if not 0 <= element < group.order:
-        raise ValueError(f"element index {element} out of range for order {group.order}")
+    _check_index(group, element)
     return element
 
 
@@ -93,43 +93,77 @@ _CORNERS = {
     "bmz_left": (((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 0), (1, 0))),
     "bmz_right": (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0))),
 }
-_RECT23 = _SQUARE + (((0, 0), (1, 1)), ((0, 1), (1, 1)))
-_LSHAPE = (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 2)))
+_ON_GXG = (False, False)
 
 
-def _census(
-    kind: str,
+@dataclass(frozen=True)
+class Shape:
+    """A census kind. lifted says whether the domain and the codomain take the
+    coordinate choice; a carrier that does not must have arity 1, else the
+    census raises ArityUnsupported(arity_error). A non-empty abelian_error
+    marks a shape on abelian groups only and is its NonAbelianGroup message."""
+
+    points: tuple
+    lifted: tuple[bool, bool]
+    arity_error: str = ""
+    abelian_error: str = ""
+
+
+# Every census kind: adding a shape is one entry here plus one oracle in the tests.
+SHAPES = {
+    "square": Shape(_SQUARE, (True, True)),
+    **{form: Shape(points, _ON_GXG, "corner censuses are defined on G×G (n = m = 1)")
+       for form, points in _CORNERS.items()},
+    "rect23": Shape(_SQUARE + (((0, 0), (1, 1)), ((0, 1), (1, 1))), (True, False),
+                    "2x3 rectangle census needs codomain arity m = 1"),
+    "lshape": Shape((((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 2))),
+                    _ON_GXG, "L-shape census is defined on G×G (n = m = 1)",
+                    "L-shapes are defined over abelian groups"),
+}
+
+
+def census(
     relation: Relation,
-    points,
-    include_witnesses: bool,
-    witness_cap: int,
-    domain_lift: tuple[int | None, bool] = (None, False),
-    codomain_lift: tuple[int | None, bool] = (None, False),
+    kind: str,
+    include_witnesses: bool = False,
+    witness_cap: int = DEFAULT_WITNESS_CAP,
+    coordinate: int | None = None,
+    diagonal: bool = False,
 ) -> PatternCensus:
-    """Per-g counts of the triples (a, b, g) whose points all lie in S.
+    """Per-g counts of the triples (a, b, g) whose points of SHAPES[kind] all lie in S.
 
     For each g, the domain map a -> g^ld·a·g^rd and the inverse codomain map
     y -> g^-lc·y·g^-rc are built once per distinct action and lifted to the
-    carriers by (coordinate, diagonal). The points that share a codomain
-    action form one block: the AND of their rows dmap[a], permuted once by
-    that action's inverse map, is the set of b that block allows, since a
-    permutation commutes with AND. The block without a codomain action goes
-    first, and a triple's meet stops at the first empty block.
+    carriers by (coordinate, diagonal) where the shape lifts them. The points
+    that share a codomain action form one block: the AND of their rows
+    dmap[a], permuted once by that action's inverse map, is the set of b that
+    block allows, since a permutation commutes with AND. The block without a
+    codomain action goes first, and a triple's meet stops at the first empty
+    block.
     """
+    if kind not in SHAPES:
+        raise ValueError(f"unknown census kind {kind!r}")
+    shape = SHAPES[kind]
     group = relation.group
+    if shape.abelian_error and not group.is_abelian:
+        raise NonAbelianGroup(shape.abelian_error)
+    lifts = []
+    for lifted, carrier in zip(shape.lifted, (relation.domain, relation.codomain)):
+        if not lifted and carrier.arity != 1:
+            raise ArityUnsupported(shape.arity_error)
+        lifts.append((coordinate, diagonal) if lifted else (None, False))
     q = group.order
     table = group._mul_table()
     n, m = relation.domain.arity, relation.codomain.arity
     rows = relation.rows
     xs = relation.domain.member_indices()
     blocks: dict = {}
-    for dact, cact in sorted(points, key=lambda p: p[1] != (0, 0)):
+    for dact, cact in sorted(shape.points, key=lambda p: p[1] != (0, 0)):
         blocks.setdefault(cact, []).append(dact)
-    top = max(max(p[0] + p[1]) for p in points)  # highest power of g in a point
+    top = max(max(p[0] + p[1]) for p in shape.points)  # highest power of g in a point
 
     def action(sides, powers, arity, lift):
-        left, right = table[powers[sides[0]]], powers[sides[1]]
-        return _lift_digit_map([left[row[right]] for row in table], arity, *lift)
+        return _lift_digit_map(translation(group, powers[sides[0]], powers[sides[1]]), arity, *lift)
 
     counts = [0] * q
     witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
@@ -143,8 +177,8 @@ def _census(
         for cact, dacts in blocks.items():
             for dact in dacts:
                 if dact not in dmaps:
-                    dmaps[dact] = action(dact, up, n, domain_lift)
-            cmap = None if cact == (0, 0) else action(cact, down, m, codomain_lift)
+                    dmaps[dact] = action(dact, up, n, lifts[0])
+            cmap = None if cact == (0, 0) else action(cact, down, m, lifts[1])
             plan.append((cmap, [dmaps[dact] for dact in dacts]))
         for a in xs:
             meet = -1
@@ -171,8 +205,7 @@ def square_census(
     diagonal: bool = False,
 ) -> PatternCensus:
     """Triples (a, b, g) with (a,b), (a·g,b), (a,b·g), (a·g,b·g) all in S."""
-    lift = (coordinate, diagonal)
-    return _census("square", relation, _SQUARE, include_witnesses, witness_cap, lift, lift)
+    return census(relation, "square", include_witnesses, witness_cap, coordinate, diagonal)
 
 
 def corner_census(
@@ -188,9 +221,7 @@ def corner_census(
     """
     if form not in _CORNERS:
         raise ValueError(f"unknown corner form {form!r}")
-    if relation.domain.arity != 1 or relation.codomain.arity != 1:
-        raise ArityUnsupported("corner censuses are defined on G×G (n = m = 1)")
-    return _census(form, relation, _CORNERS[form], include_witnesses, witness_cap)
+    return census(relation, form, include_witnesses, witness_cap)
 
 
 def rect23_census(
@@ -205,11 +236,7 @@ def rect23_census(
     The six points are (a,b), (a·g,b), (a,b·g), (a·g,b·g), (a,g·b·g),
     (a·g,g·b·g); the two-sided action needs codomain arity 1.
     """
-    if relation.codomain.arity != 1:
-        raise ArityUnsupported("2x3 rectangle census needs codomain arity m = 1")
-    return _census(
-        "rect23", relation, _RECT23, include_witnesses, witness_cap, (coordinate, diagonal)
-    )
+    return census(relation, "rect23", include_witnesses, witness_cap, coordinate, diagonal)
 
 
 def lshape_census(
@@ -218,11 +245,7 @@ def lshape_census(
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> PatternCensus:
     """Triples (x, y, d) with (x,y), (x+d,y), (x,y+d), (x,y+2d) in S (abelian)."""
-    if not relation.group.is_abelian:
-        raise NonAbelianGroup("L-shapes are defined over abelian groups")
-    if relation.domain.arity != 1 or relation.codomain.arity != 1:
-        raise ArityUnsupported("L-shape census is defined on G×G (n = m = 1)")
-    return _census("lshape", relation, _LSHAPE, include_witnesses, witness_cap)
+    return census(relation, "lshape", include_witnesses, witness_cap)
 
 
 def ap_census(
@@ -232,17 +255,11 @@ def ap_census(
     if m < 1:
         raise ValueError(f"progression length must be >= 1, got {m}")
     h = _checked_element(group, members, h)
-    result = 0
-    for a in iter_bits(members):
-        x = a
-        ok = True
-        for _ in range(m - 1):
-            x = group.mul(h, x)
-            if not members >> x & 1:
-                ok = False
-                break
-        if ok:
-            result |= 1 << a
+    # Step j keeps the a in A whose h·a was kept at step j - 1: h^i·a in A for i <= j.
+    back = translation(group, left=group.inv(h))
+    result = members
+    for _ in range(m - 1):
+        result = members & permute_bits(result, back)
     return result, result.bit_count()
 
 
@@ -267,10 +284,5 @@ def comparability_defect(
 ) -> Fraction:
     """|A △ g·A| / |G| (side="left") or |A △ A·g| / |G| (side="right"), exact."""
     g = _checked_element(group, members, g)
-    if side == "left":
-        translated = mask_of(group.mul(g, a) for a in iter_bits(members))
-    elif side == "right":
-        translated = mask_of(group.mul(a, g) for a in iter_bits(members))
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    translated = permute_bits(members, _side_translation(group, g, side))
     return Fraction((members ^ translated).bit_count(), group.order)

@@ -22,7 +22,7 @@ from .errors import (
     EmptyCarrier,
     PairOutsideCarrier,
 )
-from .groups import FiniteGroup, GroupElement
+from .groups import FiniteGroup, GroupElement, translation
 
 _HEX_RE = re.compile(r"[0-9a-fA-F]+")
 
@@ -60,10 +60,16 @@ def coordinate_action(
     diagonal=True every coordinate is acted on simultaneously. The default
     coordinate is the last one (the least significant digit).
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    digit_map = [group.mul(d, g) if side == "right" else group.mul(g, d) for d in range(group.order)]
-    return _lift_digit_map(digit_map, arity, coordinate, diagonal)
+    return _lift_digit_map(_side_translation(group, g, side), arity, coordinate, diagonal)
+
+
+def _side_translation(group: FiniteGroup, g: int, side: str) -> list[int]:
+    """The map x -> x·g (side "right") or x -> g·x (side "left") of G."""
+    if side == "right":
+        return translation(group, right=g)
+    if side == "left":
+        return translation(group, left=g)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _lift_digit_map(
@@ -74,17 +80,23 @@ def _lift_digit_map(
     The designated coordinate defaults to the last one; diagonal=True maps
     every coordinate at once and ignores `coordinate`.
     """
-    q = len(digit_map)
     if diagonal:
-        perm = [0]
-        for _ in range(arity):
-            perm = [p * q + e for p in perm for e in digit_map]
-        return perm
+        return _lift_digit_maps([digit_map] * arity)
     coord = arity - 1 if coordinate is None else coordinate
     if not 0 <= coord < arity:
         raise ArityMismatch(f"coordinate {coord} invalid for arity {arity}")
-    w = q ** (arity - 1 - coord)
-    return [(h * q + e) * w + lo for h in range(q**coord) for e in digit_map for lo in range(w)]
+    maps = [range(len(digit_map))] * arity
+    maps[coord] = digit_map
+    return _lift_digit_maps(maps)
+
+
+def _lift_digit_maps(digit_maps: Sequence[Sequence[int]]) -> list[int]:
+    """Permutation of G^arity indices applying digit_maps[i] to coordinate i."""
+    perm = [0]
+    for digit_map in digit_maps:
+        q = len(digit_map)
+        perm = [p * q + e for p in perm for e in digit_map]
+    return perm
 
 
 @dataclass(frozen=True)
@@ -198,24 +210,14 @@ def cayley_graph(group: FiniteGroup, members: int, direction: str = "left") -> R
     """
     if members >> group.order:
         raise ValueError("member bitset exceeds the group universe")
-    elems = list(iter_bits(members))
-    rows = [0] * group.order
-    if direction == "left":
-        for g in range(group.order):
-            row = 0
-            for a in elems:
-                row |= 1 << group.mul(g, a)
-            rows[g] = row
-    elif direction == "right":
-        for g in range(group.order):
-            row = 0
-            for a in elems:
-                row |= 1 << group.mul(g, group.inv(a))
-            rows[g] = row
-    else:
+    if direction == "right":
+        # Row g is g·A^-1: h^-1·g lies in A iff h = g·a^-1 for some a in A.
+        members = mask_of(group.inv(a) for a in iter_bits(members))
+    elif direction != "left":
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    rows = tuple(permute_bits(members, translation(group, left=g)) for g in range(group.order))
     carrier = CarrierSet.full(group, 1)
-    return Relation(carrier, carrier, tuple(rows))
+    return Relation(carrier, carrier, rows)
 
 
 def density(relation: Relation, normalization: str = "group_power") -> Fraction:
@@ -232,13 +234,12 @@ def density(relation: Relation, normalization: str = "group_power") -> Fraction:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def _side_perms(
-    group: FiniteGroup,
-    arity: int,
-    shift,
-    side,
-) -> list[int] | None:
-    """Forward permutation for one side of a translation, or None for identity."""
+def _unshift(group: FiniteGroup, arity: int, shift, side) -> list[int] | None:
+    """Permutation of G^arity undoing one side's shift, or None for no shift.
+
+    It is lifted from the per-coordinate inverse translations: x -> x·g^-1
+    undoes a right shift by g, x -> g^-1·x a left one.
+    """
     if shift is None:
         return None
     if isinstance(shift, GroupElement):
@@ -265,13 +266,10 @@ def _side_perms(
     sides = [side] * arity if isinstance(side, str) else list(side)
     if len(sides) != arity:
         raise ArityMismatch(f"side tuple length {len(sides)} != arity {arity}")
-    perm = list(range(power_size(group, arity)))
-    for coord, (s, sd) in enumerate(zip(shifts, sides)):
-        if s is None:
-            continue
-        step = coordinate_action(group, arity, s, side=sd, coordinate=coord)
-        perm = [step[p] for p in perm]
-    return perm
+    return _lift_digit_maps([
+        range(group.order) if s is None else _side_translation(group, group.inv(s), sd)
+        for s, sd in zip(shifts, sides)
+    ])
 
 
 def translate_relation(
@@ -290,25 +288,19 @@ def translate_relation(
     GroupElement/None per coordinate (higher arity), or None for identity.
     """
     group = relation.group
-    dperm = _side_perms(group, relation.domain.arity, domain_shift, domain_side)
-    cperm = _side_perms(group, relation.codomain.arity, codomain_shift, codomain_side)
-    rows = list(relation.rows)
-    if cperm is not None:
-        cinv = [0] * len(cperm)
-        for i, p in enumerate(cperm):
-            cinv[p] = i
+    dom, cod, rows = relation.domain, relation.codomain, list(relation.rows)
+    dinv = _unshift(group, dom.arity, domain_shift, domain_side)
+    cinv = _unshift(group, cod.arity, codomain_shift, codomain_side)
+    # The output is the image of S under the two undoing permutations.
+    if cinv is not None:
         rows = [permute_bits(row, cinv) for row in rows]
-        cod = CarrierSet(group, relation.codomain.arity, permute_bits(relation.codomain.members, cinv))
-    else:
-        cod = relation.codomain
-    if dperm is not None:
-        rows = [rows[dperm[x]] for x in range(len(rows))]
-        dinv = [0] * len(dperm)
-        for i, p in enumerate(dperm):
-            dinv[p] = i
-        dom = CarrierSet(group, relation.domain.arity, permute_bits(relation.domain.members, dinv))
-    else:
-        dom = relation.domain
+        cod = CarrierSet(group, cod.arity, permute_bits(cod.members, cinv))
+    if dinv is not None:
+        moved = [0] * len(rows)
+        for x, row in enumerate(rows):
+            moved[dinv[x]] = row
+        rows = moved
+        dom = CarrierSet(group, dom.arity, permute_bits(dom.members, dinv))
     return Relation(dom, cod, tuple(rows))
 
 

@@ -1,5 +1,6 @@
 """cli: subcommands, experiment harness, reproducibility, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -20,15 +21,16 @@ from groupstab import (
     sidelength_coverage,
     subgroups_up_to_index,
 )
-from groupstab.cli import main, parse_group_spec
+from groupstab.cli import build_parser, main, parse_group_spec
+from groupstab.patterns import SHAPES
 
 
-def run_cli(*args):
+def run_cli(*args, python=("-c", "from groupstab.cli import main; raise SystemExit(main())")):
     # The child imports the same groupstab as this process, installed or not.
     src = str(Path(groupstab.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "from groupstab.cli import main; raise SystemExit(main())", *args],
+        [sys.executable, *python, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -91,6 +93,16 @@ def test_patterns_census_cli(capsys):
     assert out["count_by_sidelength"] == [8, 0, 8, 0]
 
 
+def test_patterns_census_kinds_are_the_registry_plus_ap():
+    def subcommand(parser, name):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices[name]
+
+    census = subcommand(subcommand(build_parser(), "patterns"), "census")
+    kind = next(a for a in census._actions if a.dest == "kind")
+    assert list(kind.choices) == [k.replace("_", "-") for k in SHAPES] + ["ap"]
+
+
 def test_patterns_ap_cli(capsys):
     code = main([
         "patterns", "census", "--group", "Z10", "--kind", "ap",
@@ -141,6 +153,17 @@ def test_gen_save_and_reload(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["exact_count"] == 0
+
+
+def test_gen_writes_to_output_as_to_out(tmp_path, capsys):
+    spec = '{"kind": "coset_boxes", "params": {"subgroup_index": 3, "pairs": "diagonal"}}'
+    assert main(["gen", "--group", "Z6", "--spec", spec]) == 0
+    text = capsys.readouterr().out
+    for flag in ("--out", "--output"):
+        path = tmp_path / f"rel{flag}.txt"
+        assert main(["gen", "--group", "Z6", "--spec", spec, flag, str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == text
 
 
 def test_experiment_run_and_reproducibility(tmp_path):
@@ -222,6 +245,14 @@ def test_experiment_row_error_recorded_not_fatal():
     assert report["row_errors"] == 1
     assert report["rows"][0]["error"]["type"] == "ValueError"
     assert report["rows"][1]["error"] is None
+    # L-shapes need an abelian group: a property of the row's group, not of the config
+    cfg = ExperimentConfig(groups=["Z4", "D3"], generator=GeneratorSpec("linear_order", {}),
+                           census=["lshape"])
+    report = run_experiment(cfg)
+    assert report["row_errors"] == 1
+    assert report["rows"][1]["error"] == {
+        "type": "NonAbelianGroup", "message": "L-shapes are defined over abelian groups",
+    }
 
 
 def test_family_trend_linear_order_decay():
@@ -306,6 +337,15 @@ LINEAR = '"generator": {"kind": "linear_order"}'
           "--gen", '{"kind": "linear_order", "params": {"width": [2]}}'], None),
         (["halfgraph", "count", "--group", "Z4", "--relation-file"],
          "-1 1 4 %s\n1\n" % cyclic(4).recipe_hash()),
+        (["group", "info", "--group", '{"kind": "cyclic", "n": [1]}'], None),
+        (["group", "info", "--group", '{"kind": "cayley_table", "table": 5}'], None),
+        (["group", "info", "--group", '{"kind": "product", "factors": 5}'], None),
+        (["group", "info", "--group", '{"kind": "cayley_table", "table": [[[0]]]}'], None),
+        (["group", "info", "--group",
+          '{"kind": "product", "factors": [{"kind": "cayley_table", "table": [[0]], "name": 5}]}'],
+         None),
+        (["experiment", "run"], '{"groups": ["Z4", "D3"], "census": ["cube"], %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4", "D3"], "census": [5], %s}' % LINEAR),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):
@@ -323,3 +363,8 @@ def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, conf
 def test_cli_version_and_bad_usage():
     assert run_cli("--version").returncode == 0
     assert run_cli("wat").returncode == 1
+
+
+def test_python_dash_m_groupstab_runs_without_warnings():
+    proc = run_cli("--version", python=("-W", "error", "-m", "groupstab"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, groupstab.__version__ + "\n", "")

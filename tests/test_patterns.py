@@ -32,6 +32,7 @@ from groupstab import (
     subgroups_up_to_index,
 )
 from groupstab.bits import mask_of
+from groupstab.patterns import SHAPES, census
 from groupstab.relations import decode_tuple, encode_tuple
 
 import oracles
@@ -102,15 +103,26 @@ def oracle_triples(brute, relation, *args):
     return triples
 
 
+# The oracle of every census kind, with its extra arguments.
+ORACLES = {
+    "square": (brute_square_counts, ()),
+    "naive": (brute_corner_counts, ("naive",)),
+    "bmz_left": (brute_corner_counts, ("bmz_left",)),
+    "bmz_right": (brute_corner_counts, ("bmz_right",)),
+    "rect23": (brute_rect23_counts, ()),
+    "lshape": (brute_lshape_counts, ()),
+}
+
+
 def census_calls(group):
-    """(census(relation, include_witnesses, cap), oracle, oracle args) per census on G×G."""
-    calls = [(square_census, brute_square_counts, ())]
-    for form in ("naive", "bmz_left", "bmz_right"):
-        calls.append((lambda rel, *w, f=form: corner_census(rel, f, *w), brute_corner_counts, (form,)))
-    calls.append((rect23_census, brute_rect23_counts, ()))
-    if group.is_abelian:
-        calls.append((lshape_census, brute_lshape_counts, ()))
-    return calls
+    """(census(relation, include_witnesses, cap), oracle, oracle args) per registered
+    kind that the group admits, on G×G."""
+    assert not set(SHAPES) - set(ORACLES), "every census kind needs an oracle"
+    return [
+        (lambda rel, *w, kind=kind: census(rel, kind, *w), *ORACLES[kind])
+        for kind, shape in SHAPES.items()
+        if group.is_abelian or not shape.abelian_error
+    ]
 
 
 def assert_censuses_match_oracles(rel, cap=10_000):

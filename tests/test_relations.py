@@ -22,6 +22,7 @@ from groupstab import (
     translate_relation,
 )
 from groupstab.bits import full_mask, mask_of
+from groupstab.groups import element_order
 from groupstab.relations import coordinate_action, decode_tuple, encode_tuple
 
 
@@ -217,3 +218,16 @@ def test_coordinate_action_shapes():
     diag = coordinate_action(z3, 2, 1, "right", diagonal=True)
     assert diag[0] == encode_tuple(z3, (1, 1))
     assert sorted(perm) == list(range(9)) and sorted(diag) == list(range(9))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coordinate_action(cyclic(5), 1, 7),
+        lambda: coordinate_action(product(cyclic(2), cyclic(3)), 1, -1),
+        lambda: element_order(cyclic(5), -1),
+    ],
+)
+def test_raw_element_indices_are_checked(call):
+    with pytest.raises(ValueError, match="out of range"):
+        call()

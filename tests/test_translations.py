@@ -1,0 +1,145 @@
+"""translations: x -> l·x·r and every bitset and relation translated by it,
+against pointwise definitions on the oracle groups."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupstab import (
+    ap_census,
+    builtin_catalogue,
+    cayley_graph,
+    comparability_defect,
+    dihedral,
+    heisenberg,
+    left_cosets,
+    subgroup,
+    translate_relation,
+)
+from groupstab.bits import iter_bits, mask_of
+from groupstab.groups import translation
+from groupstab.relations import decode_tuple, encode_tuple
+
+from oracles import brute_closure, ref_cyclic, ref_dihedral, ref_heisenberg, ref_product
+from test_relations import random_relation
+
+
+def reference(group):
+    """The oracle group numbering its elements as the catalogue group does."""
+    if group.factors:
+        return ref_product(*(reference(f) for f in group.factors))
+    if group.recipe == f"cyclic({group.order})":
+        return ref_cyclic(group.order)
+    return {"D": ref_dihedral, "H": ref_heisenberg}[group.name[0]](int(group.name[1:]))
+
+
+PAIRS = [(g, reference(g)) for g in builtin_catalogue(16) + [dihedral(5), heisenberg(3)]]
+
+
+@st.composite
+def groups_with_a_set(draw):
+    """(group, oracle group, member mask A, element h)."""
+    group, ref = draw(st.sampled_from(PAIRS), label="group")
+    members = draw(st.integers(0, 2**group.order - 1), label="A")
+    return group, ref, members, draw(st.integers(0, group.order - 1), label="h")
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups_with_a_set(), st.data())
+def test_translation_is_left_times_x_times_right(case, data):
+    group, ref, _, left = case
+    right = data.draw(st.integers(0, group.order - 1), label="right")
+    assert translation(group, left, right) == [
+        ref.mul(ref.mul(left, x), right) for x in range(group.order)
+    ]
+    assert translation(group, left) == [ref.mul(left, x) for x in range(group.order)]
+    assert translation(group, right=right) == [ref.mul(x, right) for x in range(group.order)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups_with_a_set(), st.integers(1, 5))
+def test_bitset_translations_match_pointwise_definitions(case, m):
+    group, ref, members, h = case
+    q = group.order
+    elems = set(iter_bits(members))
+
+    def progression_in_a(a):
+        x = a
+        for _ in range(m):
+            if x not in elems:
+                return False
+            x = ref.mul(h, x)
+        return True
+
+    expected = mask_of(a for a in elems if progression_in_a(a))
+    assert ap_census(group, members, m, h) == (expected, expected.bit_count())
+
+    left = mask_of(ref.mul(h, a) for a in elems)
+    right = mask_of(ref.mul(a, h) for a in elems)
+    assert comparability_defect(group, members, h, "left") * q == (members ^ left).bit_count()
+    assert comparability_defect(group, members, h, "right") * q == (members ^ right).bit_count()
+
+    for direction, holds in (
+        ("left", lambda g, k: ref.mul(ref.inv(g), k) in elems),
+        ("right", lambda g, k: ref.mul(ref.inv(k), g) in elems),
+    ):
+        rows = cayley_graph(group, members, direction).rows
+        assert rows == tuple(mask_of(k for k in range(q) if holds(g, k)) for g in range(q))
+
+    # <h>: in D_n a reflection's subgroup has left cosets that are not right cosets.
+    sub = subgroup(group, brute_closure(ref, 1 << h))
+    cosets = {frozenset(ref.mul(x, s) for s in sub.member_indices()) for x in range(q)}
+    assert left_cosets(group, sub) == [mask_of(c) for c in sorted(cosets, key=min)]
+
+
+@st.composite
+def shifts(draw, group, arity):
+    """A shift and its sides for one carrier: None, one element (arity 1), or one
+    element or None per coordinate, with one side or one side per coordinate."""
+    elements = st.integers(0, group.order - 1).map(group.element)
+    kind = draw(st.sampled_from(["none", "element", "tuple"] if arity == 1 else ["none", "tuple"]))
+    if kind == "none":
+        shift = None
+    elif kind == "element":
+        shift = draw(elements)
+    else:
+        shift = tuple(draw(st.lists(st.none() | elements, min_size=arity, max_size=arity)))
+    side = st.sampled_from(["left", "right"])
+    sides = draw(side | st.lists(side, min_size=arity, max_size=arity).map(tuple))
+    return shift, sides
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_translate_relation_matches_pointwise_definition(data):
+    group, ref = data.draw(st.sampled_from(PAIRS), label="group")
+    arities = [1, 2] if group.order <= 8 else [1]
+    n, m = (data.draw(st.sampled_from(arities), label=side) for side in ("n", "m"))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    rel = random_relation(group, rng, (n, m), proper_carriers=data.draw(st.booleans()))
+    dshift, dside = data.draw(shifts(group, n), label="domain shift")
+    cshift, cside = data.draw(shifts(group, m), label="codomain shift")
+
+    def moved(index, arity, shift, side):
+        """The tuple with each shifted coordinate c replaced by c·s or s·c."""
+        if shift is None:
+            return index
+        per = shift if isinstance(shift, tuple) else (shift,)
+        sides = side if isinstance(side, tuple) else (side,) * arity
+        coords = list(decode_tuple(group, arity, index))
+        for i, (s, sd) in enumerate(zip(per, sides)):
+            if s is not None:
+                coords[i] = ref.mul(coords[i], s.index) if sd == "right" else ref.mul(s.index, coords[i])
+        return encode_tuple(group, coords)
+
+    out = translate_relation(rel, dshift, cshift, dside, cside)
+    xs = [moved(x, n, dshift, dside) for x in range(rel.domain.universe)]
+    ys = [moved(y, m, cshift, cside) for y in range(rel.codomain.universe)]
+    assert out.domain.members == mask_of(x for x, mx in enumerate(xs) if rel.domain.members >> mx & 1)
+    assert out.codomain.members == mask_of(
+        y for y, my in enumerate(ys) if rel.codomain.members >> my & 1
+    )
+    assert out.rows == tuple(
+        mask_of(y for y, my in enumerate(ys) if rel.has_pair(mx, my)) for mx in xs
+    )
