@@ -36,3 +36,14 @@ def permute_bits(mask: int, perm) -> int:
         out |= 1 << perm[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def _digit_shift(size: int, weight: int, length: int, step: int) -> tuple[int, int, int, int]:
+    """(left, high, right, low) such that ((m << left) & high) | ((m >> right) & low)
+    adds step mod length to the digit p // weight % length of every bit p of a mask
+    m on 0..size-1, leaving the other digits; weight·length must divide size."""
+    span = weight * length
+    repeat = full_mask(size) // full_mask(span)  # bit 0 of every digit block
+    high = (full_mask((length - step) * weight) << step * weight) * repeat
+    low = full_mask(step * weight) * repeat
+    return step * weight, high, (length - step) * weight, low

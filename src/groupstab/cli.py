@@ -493,6 +493,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # Anything else, such as a MemoryError from a group too large to
+        # tabulate, is one line too: the CLI never prints a traceback.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .bits import iter_bits, mask_of, permute_bits
 from .errors import ArityUnsupported, NonAbelianGroup
-from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, translation
-from .relations import Relation, _lift_digit_map, _side_translation
+from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, rotation_views, translation
+from .relations import Relation, _checked_coordinate, _lift_digit_map, _side_translation
 
 DEFAULT_WITNESS_CAP = 10_000
 
@@ -78,9 +78,13 @@ def _finish(kind, counts, witnesses) -> PatternCensus:
     )
 
 
-def _collect(witnesses, cap, meet, a, g) -> None:
+def _collect(witnesses, cap, meet, a, g, order=None) -> None:
+    """Append (a, b, g) for the b of meet, ascending, up to cap; order[p] is the
+    element at position p when meet is in a view's ordering."""
     if witnesses is None or len(witnesses) >= cap:
         return
+    if order is not None:
+        meet = permute_bits(meet, order)
     for b in iter_bits(meet):
         witnesses.append((a, b, g))
         if len(witnesses) >= cap:
@@ -93,6 +97,7 @@ _CORNERS = {
     "bmz_left": (((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 0), (1, 0))),
     "bmz_right": (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0))),
 }
+_LSHAPE = (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 2)))
 _ON_GXG = (False, False)
 
 
@@ -116,9 +121,10 @@ SHAPES = {
        for form, points in _CORNERS.items()},
     "rect23": Shape(_SQUARE + (((0, 0), (1, 1)), ((0, 1), (1, 1))), (True, False),
                     "2x3 rectangle census needs codomain arity m = 1"),
-    "lshape": Shape((((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 2))),
-                    _ON_GXG, "L-shape census is defined on G×G (n = m = 1)",
+    "lshape": Shape(_LSHAPE, _ON_GXG, "L-shape census is defined on G×G (n = m = 1)",
                     "L-shapes are defined over abelian groups"),
+    # The same points with right actions, (a,b), (a·g,b), (a,b·g), (a,b·g²), on any group.
+    "lshape_right": Shape(_LSHAPE, _ON_GXG, "L-shape census is defined on G×G (n = m = 1)"),
 }
 
 
@@ -132,14 +138,21 @@ def census(
 ) -> PatternCensus:
     """Per-g counts of the triples (a, b, g) whose points of SHAPES[kind] all lie in S.
 
-    For each g, the domain map a -> g^ld·a·g^rd and the inverse codomain map
-    y -> g^-lc·y·g^-rc are built once per distinct action and lifted to the
-    carriers by (coordinate, diagonal) where the shape lifts them. The points
-    that share a codomain action form one block: the AND of their rows
-    dmap[a], permuted once by that action's inverse map, is the set of b that
-    block allows, since a permutation commutes with AND. The block without a
-    codomain action goes first, and a triple's meet stops at the first empty
-    block.
+    For each g, the domain map a -> g^ld·a·g^rd is built once per distinct
+    action and lifted to the domain by (coordinate, diagonal) where the shape
+    lifts it. The points that share a codomain action form one block: the AND
+    of their rows dmap[a] is the set of y allowed, and moving it by
+    y -> g^-lc·y·g^-rc gives the set of b that block allows, since a
+    permutation commutes with AND. The block without a codomain action goes
+    first, and a triple's meet stops at the first empty block.
+
+    A g with a rotation view (groups.rotation_views) works in the view's
+    ordering: its rows are re-indexed once per view, and a one-sided move on
+    the view's side is a shift of digits. Any other move, and every move of a
+    g without a view or of a codomain of arity above 1, permutes the block
+    with the lifted translation map, followed by the view's position map.
+    Counts do not depend on the ordering; witnesses are mapped back to
+    elements.
     """
     if kind not in SHAPES:
         raise ValueError(f"unknown census kind {kind!r}")
@@ -147,11 +160,15 @@ def census(
     group = relation.group
     if shape.abelian_error and not group.is_abelian:
         raise NonAbelianGroup(shape.abelian_error)
-    lifts = []
-    for lifted, carrier in zip(shape.lifted, (relation.domain, relation.codomain)):
+    carriers = (relation.domain, relation.codomain)
+    for lifted, carrier in zip(shape.lifted, carriers):
         if not lifted and carrier.arity != 1:
             raise ArityUnsupported(shape.arity_error)
-        lifts.append((coordinate, diagonal) if lifted else (None, False))
+    # Checked up front, after every arity check: a rotated block builds no codomain map.
+    for lifted, carrier in zip(shape.lifted, carriers):
+        if lifted and not diagonal:
+            _checked_coordinate(carrier.arity, coordinate)
+    lifts = [(coordinate, diagonal) if lifted else (None, False) for lifted in shape.lifted]
     q = group.order
     table = group._mul_table()
     n, m = relation.domain.arity, relation.codomain.arity
@@ -161,6 +178,18 @@ def census(
     for dact, cact in sorted(shape.points, key=lambda p: p[1] != (0, 0)):
         blocks.setdefault(cact, []).append(dact)
     top = max(max(p[0] + p[1]) for p in shape.points)  # highest power of g in a point
+
+    # The codomain move of each block as (side, power of g^-1); None when it
+    # acts on both sides of a non-abelian group.
+    moves = {}
+    for lc, rc in blocks:
+        if group.is_abelian or not lc:
+            moves[lc, rc] = ("right", lc + rc)
+        else:
+            moves[lc, rc] = None if rc else ("left", lc)
+    side = next((move[0] for move in moves.values() if move and move[1]), "right")
+    views = rotation_views(group, side) if m == 1 else {}
+    reindexed: dict = {}  # view -> rows in the view's ordering
 
     def action(sides, powers, arity, lift):
         return _lift_digit_map(translation(group, powers[sides[0]], powers[sides[1]]), arity, *lift)
@@ -172,28 +201,43 @@ def census(
         for _ in range(top - 1):
             up.append(table[up[-1]][g])
             down.append(table[down[-1]][down[1]])
+        view = views.get(g)
+        if view is not None and view not in reindexed:
+            reindexed[view] = rows if view.pos is None else [
+                permute_bits(row, view.pos) if row else 0 for row in rows
+            ]
         dmaps: dict = {(0, 0): range(len(rows))}
         plan = []
         for cact, dacts in blocks.items():
             for dact in dacts:
                 if dact not in dmaps:
                     dmaps[dact] = action(dact, up, n, lifts[0])
-            cmap = None if cact == (0, 0) else action(cact, down, m, lifts[1])
-            plan.append((cmap, [dmaps[dact] for dact in dacts]))
+            move = moves[cact]
+            if view is not None and move and (move[0] == side or not move[1]):
+                src, cmap, shifts = reindexed[view], None, view.shifts(g, -move[1])
+            else:
+                src, shifts = rows, ()
+                cmap = None if cact == (0, 0) else action(cact, down, m, lifts[1])
+                if view is not None and view.pos is not None:
+                    cmap = [view.pos[y] for y in cmap]
+            plan.append((src, [dmaps[dact] for dact in dacts], cmap, shifts))
         for a in xs:
             meet = -1
-            for cmap, block in plan:
+            for src, block, cmap, shifts in plan:
                 allowed = -1
                 for dmap in block:
-                    allowed &= rows[dmap[a]]
-                if allowed and cmap is not None:
-                    allowed = permute_bits(allowed, cmap)
+                    allowed &= src[dmap[a]]
+                if allowed:
+                    if cmap is not None:
+                        allowed = permute_bits(allowed, cmap)
+                    for left, high, right, low in shifts:
+                        allowed = (allowed << left & high) | (allowed >> right & low)
                 meet &= allowed
                 if not meet:
                     break
             else:
                 counts[g] += meet.bit_count()
-                _collect(witnesses, witness_cap, meet, a, g)
+                _collect(witnesses, witness_cap, meet, a, g, None if view is None else view.order)
     return _finish(kind, counts, witnesses)
 
 

@@ -82,12 +82,17 @@ def _lift_digit_map(
     """
     if diagonal:
         return _lift_digit_maps([digit_map] * arity)
+    maps = [range(len(digit_map))] * arity
+    maps[_checked_coordinate(arity, coordinate)] = digit_map
+    return _lift_digit_maps(maps)
+
+
+def _checked_coordinate(arity: int, coordinate: int | None) -> int:
+    """The designated coordinate, the last one by default, after checking it."""
     coord = arity - 1 if coordinate is None else coordinate
     if not 0 <= coord < arity:
         raise ArityMismatch(f"coordinate {coord} invalid for arity {arity}")
-    maps = [range(len(digit_map))] * arity
-    maps[coord] = digit_map
-    return _lift_digit_maps(maps)
+    return coord
 
 
 def _lift_digit_maps(digit_maps: Sequence[Sequence[int]]) -> list[int]:

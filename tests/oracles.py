@@ -122,6 +122,17 @@ def brute_lshape_counts(relation: Relation) -> list[int]:
     )
 
 
+def brute_lshape_right_counts(relation: Relation) -> list[int]:
+    """L-shapes with the side acting on the right, in any group:
+    (x, y), (x·d, y), (x, y·d) and (x, (y·d)·d)."""
+    group = relation.group
+    mul = group.mul
+    return _census_counts(
+        group, relation,
+        lambda x, y, d: [(x, y), (mul(x, d), y), (x, mul(y, d)), (x, mul(mul(y, d), d))],
+    )
+
+
 def brute_closure(group, seed: int) -> int:
     """Smallest subgroup mask containing the seed mask, by a fixed point.
 

@@ -21,6 +21,7 @@ from groupstab import (
     sidelength_coverage,
     subgroups_up_to_index,
 )
+from groupstab import cli
 from groupstab.cli import build_parser, main, parse_group_spec
 from groupstab.patterns import SHAPES
 
@@ -315,6 +316,20 @@ def test_cli_exit_codes(tmp_path):
     proc = run_cli("experiment", "run", "--config", str(ok), "--output", str(tmp_path / "r.json"))
     assert proc.returncode == 0
     assert (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (RuntimeError("table went missing"), "error: RuntimeError: table went missing\n"),
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_unexpected_errors_are_one_line_exit_2(monkeypatch, capsys, exc, line):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_group_info", failing)
+    assert main(["group", "info", "--group", "Z4"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
 
 
 LINEAR = '"generator": {"kind": "linear_order"}'

@@ -39,6 +39,7 @@ import oracles
 from oracles import (
     brute_corner_counts,
     brute_lshape_counts,
+    brute_lshape_right_counts,
     brute_rect23_counts,
     brute_square_counts,
     pair_set,
@@ -111,6 +112,7 @@ ORACLES = {
     "bmz_right": (brute_corner_counts, ("bmz_right",)),
     "rect23": (brute_rect23_counts, ()),
     "lshape": (brute_lshape_counts, ()),
+    "lshape_right": (brute_lshape_right_counts, ()),
 }
 
 
@@ -146,7 +148,12 @@ def test_censuses_match_brute_force_nonabelian():
             assert_censuses_match_oracles(random_relation(group, rng))
 
 
-CENSUS_GROUPS = builtin_catalogue(12) + [dihedral(4), heisenberg(3)]
+# Z2xZ2xZ3 rotates three digits, D5 permutes for its reflections, and Z2xD3
+# is a product that is not cyclic in every factor.
+CENSUS_GROUPS = builtin_catalogue(12) + [
+    dihedral(4), heisenberg(3),
+    product(cyclic(2), cyclic(2), cyclic(3)), dihedral(5), product(cyclic(2), dihedral(3)),
+]
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,6 +281,17 @@ def test_lshape_rejects_nonabelian():
     rng = random.Random(1)
     with pytest.raises(NonAbelianGroup):
         lshape_census(random_relation(dihedral(4), rng))
+
+
+@pytest.mark.parametrize("group", [dihedral(4), dihedral(6), heisenberg(3)], ids=lambda g: g.name)
+def test_lshape_right_matches_oracle_nonabelian(group):
+    rng = random.Random(group.order)
+    for proper in (False, True):
+        rel = random_relation(group, rng, proper_carriers=proper)
+        counted = census(rel, "lshape_right", True, 300)
+        assert counted.kind == "lshape_right"
+        assert counted.count_by_sidelength == brute_lshape_right_counts(rel)
+        assert counted.witnesses == oracle_triples(brute_lshape_right_counts, rel)[:300]
 
 
 def test_lshape_implies_naive_corner_bound():

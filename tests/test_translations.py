@@ -11,14 +11,16 @@ from groupstab import (
     builtin_catalogue,
     cayley_graph,
     comparability_defect,
+    cyclic,
     dihedral,
     heisenberg,
     left_cosets,
+    product,
     subgroup,
     translate_relation,
 )
-from groupstab.bits import iter_bits, mask_of
-from groupstab.groups import translation
+from groupstab.bits import iter_bits, mask_of, permute_bits
+from groupstab.groups import rotation_views, translation
 from groupstab.relations import decode_tuple, encode_tuple
 
 from oracles import brute_closure, ref_cyclic, ref_dihedral, ref_heisenberg, ref_product
@@ -143,3 +145,45 @@ def test_translate_relation_matches_pointwise_definition(data):
     assert out.rows == tuple(
         mask_of(y for y, my in enumerate(ys) if rel.has_pair(mx, my)) for mx in xs
     )
+
+
+Z2xD3 = product(cyclic(2), dihedral(3))
+VIEW_PAIRS = PAIRS + [(Z2xD3, reference(Z2xD3))]
+
+
+def ref_powers(ref, g):
+    """[identity, g, g², ...] up to the order of g, from the oracle group."""
+    powers = [0]
+    while ref.mul(powers[-1], g) != 0:
+        powers.append(ref.mul(powers[-1], g))
+    return powers
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VIEW_PAIRS), st.sampled_from(["left", "right"]), st.integers(-3, 3),
+       st.integers(0, 2**32))
+def test_view_rotations_are_translations(pair, side, power, seed):
+    group, ref = pair
+    q = group.order
+    rng = random.Random(seed)
+    views = rotation_views(group, side)
+    cyclic_digits = "cayley_table" not in group.recipe
+    # A product of cyclic groups serves every g; any other group every g in a
+    # cyclic subgroup of order >= 3, so an involution outside them permutes.
+    subgroups = [ref_powers(ref, h) for h in range(q)]
+    served = {g for powers in subgroups if cyclic_digits or len(powers) > 2 for g in powers}
+    assert set(views) == served
+    for g, view in views.items():
+        assert (view.order is None) == cyclic_digits
+        order = list(range(q)) if view.order is None else view.order
+        assert sorted(order) == list(range(q))
+        to_view = [0] * q
+        for p, x in enumerate(order):
+            to_view[x] = p
+        members = rng.getrandbits(q)
+        powers = ref_powers(ref, g)
+        moved = permute_bits(members, translation(group, **{side: powers[power % len(powers)]}))
+        rotated = permute_bits(members, to_view)
+        for left, high, right, low in view.shifts(g, power):
+            rotated = (rotated << left & high) | (rotated >> right & low)
+        assert rotated == permute_bits(moved, to_view)
