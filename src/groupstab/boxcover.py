@@ -98,8 +98,8 @@ def greedy_box_cover(
     ymask = relation.codomain.members
     union = [0] * len(rows)
     boxes: list[tuple[int, int]] = []
-    symdiff, _, over = _cover_errors(rows, union, denom)
-    while len(boxes) < max_boxes and symdiff >= eps:
+    missed, over = _miss_over(rows, union, range(len(rows)))
+    while len(boxes) < max_boxes and (missed + over) * eps.denominator >= eps.numerator * denom:
         seed = None
         for x in iter_bits(xmask):
             uncovered = rows[x] & ~union[x]
@@ -110,23 +110,37 @@ def greedy_box_cover(
             break
         xb, yb = _grow_box(rows, xmask, ymask, seed[0], seed[1], pur)
         boxes.append((xb, yb))
-        for x in iter_bits(xb):
+        xs = list(iter_bits(xb))
+        before = _miss_over(rows, union, xs)
+        for x in xs:
             union[x] |= yb
-        symdiff, _, over = _cover_errors(rows, union, denom)
+        after = _miss_over(rows, union, xs)
+        missed += after[0] - before[0]
+        over += after[1] - before[1]
+    symdiff, _, overcount = _cover_errors(rows, union, denom)
     return BoxCover(
         boxes=tuple(boxes),
         union=Relation(relation.domain, relation.codomain, tuple(union)),
         symdiff_error=symdiff,
-        overcount_error=over,
+        overcount_error=overcount,
     )
+
+
+def _miss_over(rows, union, xs) -> tuple[int, int]:
+    """(missed, over): pairs of S outside the union and union pairs outside S,
+    counted over the rows xs."""
+    missed = over = 0
+    for x in xs:
+        r = rows[x]
+        u = union[x]
+        missed += (r & ~u).bit_count()
+        over += (u & ~r).bit_count()
+    return missed, over
 
 
 def _cover_errors(rows, union, denom: int) -> tuple[Fraction, Fraction, Fraction]:
     """(symdiff, missed, overcount) of the union rows against S's rows, over denom."""
-    missed = over = 0
-    for r, u in zip(rows, union):
-        missed += (r & ~u).bit_count()
-        over += (u & ~r).bit_count()
+    missed, over = _miss_over(rows, union, range(len(rows)))
     return Fraction(missed + over, denom), Fraction(missed, denom), Fraction(over, denom)
 
 

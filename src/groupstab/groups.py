@@ -446,7 +446,12 @@ def evaluate(group: FiniteGroup, word: Iterable[tuple[GroupElement, int]]) -> Gr
 
 
 def element_order(group: FiniteGroup, a: int) -> int:
+    """Order of element a. On a product of cyclic groups it is read from the
+    digits, lcm of n_i / gcd(a_i, n_i), and no table is built."""
     _check_index(group, a)
+    digits = group._cyclic_digits()
+    if digits is not None:
+        return math.lcm(*(n // math.gcd(a // w % n, n) for w, n in digits))
     x = a
     n = 1
     while x != 0:

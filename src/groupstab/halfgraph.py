@@ -7,8 +7,15 @@ is forced by the iff condition, so no dedup is needed.
 
 For a fixed a-tuple the admissible b_j form the pairwise disjoint sets
 T_j = (AND_{i<=j} Row(a_i)) minus (OR_{i>j} Row(a_i)), so the b-choices
-multiply: the exact kernel sums prod_j |T_j| over a-tuples, sharing prefix
-intersections and pruning once a prefix intersection is empty.
+multiply and |H_k| sums prod_j |T_j| over a-tuples. The exact kernel and
+the enumeration grow the a-tuple one row at a time and keep T_1..T_m
+reduced by the rows chosen after them: appending row r sets T_j to
+T_j & ~r for every j <= m and adds T_{m+1} = P_m & r, where the prefix
+meet P_m is T_m as it stood before r. A T_j only shrinks as rows are
+appended, so a branch is cut as soon as any T_j is empty, and a row that
+fails at a node fails at every node below it: each node tries only the
+rows that survived at its parent. A repeated row empties the T_j of its
+earlier copy, so the a_i come out distinct without bookkeeping.
 """
 
 from __future__ import annotations
@@ -88,9 +95,12 @@ def count_halfgraphs_exact(
     """Exact |H_k(S)| by summing Π_j |T_j| over a-tuples.
 
     Equal rows contribute symmetrically (and repeated rows contribute
-    nothing), so the sum runs over injective tuples of distinct row values
-    weighted by their multiplicities. The budget is charged for those
-    tuples: d·(d-1)···(d-k+1) over the d distinct non-empty rows.
+    nothing), so the sum runs over tuples of distinct row values weighted by
+    their multiplicities. The budget is charged for the injective ones,
+    d·(d-1)···(d-k+1) over the d distinct non-empty rows, and checked before
+    any walking. The walk itself keeps T_1..T_m reduced by the rows chosen
+    after them (see `_split`) and cuts a branch as soon as one is empty; at
+    the last level the product of popcounts goes straight into the total.
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
@@ -105,39 +115,65 @@ def count_halfgraphs_exact(
     tuples = math.perm(d, k)
     if tuples > budget:
         raise BudgetExceeded(tuples, budget, "a-tuples")
+    if k == 1:
+        return _exact_report(relation, k, sum(w * v.bit_count() for v, w in zip(vals, weights)))
+    nots = [~v for v in vals]
     total = 0
-    prefixes = [0] * (k + 1)
-    chosen = [0] * (k + 1)
 
-    def rec(depth: int, prefix: int, used: int, weight: int) -> None:
+    def rec(ts: list[int], weight: int, cands: list[int]) -> None:
         nonlocal total
-        for i in range(d):
-            if used >> i & 1:
+        if len(ts) < k - 1:
+            kids = _split(ts, vals, nots, cands)
+            survivors = [c for c, _ in kids]
+            for c, child in kids:
+                rec(child, weight * weights[c], survivors)
+            return
+        meet = ts[0]
+        for c in cands:
+            head = (meet & vals[c]).bit_count()
+            if not head:
                 continue
-            p = prefix & vals[i] if depth > 1 else vals[i]
-            if not p:
-                continue
-            prefixes[depth] = p
-            chosen[depth] = vals[i]
-            w = weight * weights[i]
-            if depth == k:
-                prod = 1
-                union = 0
-                for j in range(k, 0, -1):
-                    t = (prefixes[j] & ~union).bit_count()
-                    if not t:
-                        prod = 0
-                        break
-                    prod *= t
-                    union |= chosen[j]
-                if prod:
-                    total += w * prod
+            prod = weight * weights[c] * head
+            nr = nots[c]
+            for t in ts:
+                n = (t & nr).bit_count()
+                if not n:
+                    break
+                prod *= n
             else:
-                rec(depth + 1, p, used | 1 << i, w)
+                total += prod
 
-    if d:
-        rec(1, 0, 0, 1)
+    cands = list(range(d))
+    for c in cands:
+        rec([vals[c]], weights[c], cands)
     return _exact_report(relation, k, total)
+
+
+def _split(ts: list[int], rows, nots, cands: list[int]) -> list[tuple[int, list[int]]]:
+    """The candidates that extend an a-tuple, each with its reduced T's.
+
+    `ts` holds T_m, ..., T_1 newest first, so ts[0] is the prefix meet. A
+    candidate c, with row rows[c] and complement nots[c], survives when
+    ts[0] & row and every t & ~row are non-empty; its T's are then
+    [ts[0] & row] + [t & ~row for t in ts]. Survivors keep the order of
+    `cands`.
+    """
+    meet = ts[0]
+    out = []
+    for c in cands:
+        head = meet & rows[c]
+        if not head:
+            continue
+        nr = nots[c]
+        child = [head]
+        for t in ts:
+            t &= nr
+            if not t:
+                break
+            child.append(t)
+        else:
+            out.append((c, child))
+    return out
 
 
 def is_halfgraph(relation: Relation, witness: tuple[int, ...]) -> bool:
@@ -162,7 +198,11 @@ def is_halfgraph(relation: Relation, witness: tuple[int, ...]) -> bool:
 
 
 def enumerate_halfgraphs(relation: Relation, k: int, limit: int) -> list[tuple[int, ...]]:
-    """Up to `limit` witnesses, lexicographic in (a_1..a_k, b_1..b_k)."""
+    """Up to `limit` witnesses, lexicographic in (a_1..a_k, b_1..b_k).
+
+    The a-tuple grows over member indices under the kernel's pruning
+    (`_split`), and each full a-tuple yields the product of its T_j.
+    """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
     if limit < 0:
@@ -170,52 +210,30 @@ def enumerate_halfgraphs(relation: Relation, k: int, limit: int) -> list[tuple[i
     out: list[tuple[int, ...]] = []
     if not limit:
         return out
-    xs = relation.domain.member_indices()
     rows = relation.rows
-    a_stack: list[int] = []
-    prefix_stack: list[int] = []
+    nots = [~row for row in rows]
+    xs = [x for x in relation.domain.member_indices() if rows[x]]
 
-    def rec(depth: int) -> bool:
-        for a in xs:
-            row = rows[a]
-            p = prefix_stack[-1] & row if depth > 1 else row
-            if not p:
-                continue
-            a_stack.append(a)
-            prefix_stack.append(p)
-            if depth == k:
-                t_sets = []
-                union = 0
-                ok = True
-                for j in range(k, 0, -1):
-                    t = prefix_stack[j] & ~union
-                    if not t:
-                        ok = False
-                        break
-                    t_sets.append(t)
-                    union |= rows[a_stack[j - 1]]
-                if ok:
-                    t_sets.reverse()
-                    for bs in itertools.product(*(list(iter_bits(t)) for t in t_sets)):
-                        witness = tuple(a_stack) + bs
-                        if not is_halfgraph(relation, witness):
-                            raise AssertionError(f"witness {witness} failed re-verification")
-                        out.append(witness)
-                        if len(out) >= limit:
-                            a_stack.pop()
-                            prefix_stack.pop()
-                            return True
-            else:
-                if rec(depth + 1):
-                    a_stack.pop()
-                    prefix_stack.pop()
+    def rec(a: tuple[int, ...], ts: list[int], cands: list[int]) -> bool:
+        if len(a) == k:
+            for bs in itertools.product(*(list(iter_bits(t)) for t in reversed(ts))):
+                witness = a + bs
+                if not is_halfgraph(relation, witness):
+                    raise AssertionError(f"witness {witness} failed re-verification")
+                out.append(witness)
+                if len(out) >= limit:
                     return True
-            a_stack.pop()
-            prefix_stack.pop()
+            return False
+        kids = _split(ts, rows, nots, cands)
+        survivors = [c for c, _ in kids]
+        for c, child in kids:
+            if rec(a + (c,), child, survivors):
+                return True
         return False
 
-    prefix_stack.append(0)
-    rec(1)
+    for x in xs:
+        if rec((x,), [rows[x]], xs):
+            break
     return out
 
 

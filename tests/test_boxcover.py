@@ -19,6 +19,7 @@ from groupstab import (
 )
 from groupstab.bits import full_mask, iter_bits, mask_of
 
+from oracles import pair_set
 from test_relations import random_relation
 
 
@@ -72,6 +73,31 @@ def test_greedy_errors_match_independent_recount():
         for xb, yb in cover.boxes:
             for x in iter_bits(xb):
                 assert rel.rows[x] & yb == yb
+
+
+def test_greedy_stops_at_the_first_prefix_below_epsilon():
+    # the loop's running error counts against a pairwise recount of every prefix
+    rng = random.Random(505)
+    for _ in range(1000):
+        q = rng.randrange(3, 8)
+        carrier = CarrierSet.full(cyclic(q), 1)
+        density = rng.random()
+        rows = tuple(mask_of(y for y in range(q) if rng.random() < density) for _ in range(q))
+        rel = Relation(carrier, carrier, rows)
+        eps = Fraction(rng.randrange(1, 60), 100)
+        purity = rng.choice([1, Fraction(3, 4), Fraction(2, 3), Fraction(1, 2)])
+        max_boxes = rng.randrange(1, 6)
+        cover = greedy_box_cover(rel, eps, max_boxes, purity)
+        target = pair_set(rel)
+        denom = rel.group.order**2
+        covered: set[tuple[int, int]] = set()
+        errors = [Fraction(len(target), denom)]
+        for xb, yb in cover.boxes:
+            covered |= {(x, y) for x in iter_bits(xb) for y in iter_bits(yb)}
+            errors.append(Fraction(len(target ^ covered), denom))
+        assert all(e >= eps for e in errors[:-1])
+        assert errors[-1] == cover.symdiff_error
+        assert errors[-1] < eps or len(cover.boxes) == max_boxes or target <= covered
 
 
 def test_greedy_error_non_increasing_over_budget():

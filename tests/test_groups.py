@@ -95,6 +95,28 @@ def test_exponent_and_orders():
     assert orders == {0: 1, 1: 6, 2: 3, 3: 2, 4: 3, 5: 6}
 
 
+def test_orders_of_cyclic_products_build_no_table():
+    z = cyclic(20000)
+    exponent, orders = exponent_and_orders(z)
+    assert z._table is None and z.is_abelian
+    assert exponent == 20000
+    assert (orders[0], orders[1], orders[8000], orders[12345]) == (1, 20000, 5, 4000)
+    g = product(cyclic(4), cyclic(6), cyclic(9))
+    assert exponent_and_orders(g)[0] == 36 and g.is_abelian
+    assert g._table is None and all(f._table is None for f in g.factors)
+
+
+def test_orders_from_digits_match_the_table_walk():
+    for group in builtin_catalogue(24):
+        _, orders = exponent_and_orders(group)
+        for a in group.elements():
+            x, n = a, 1
+            while x != 0:
+                x = group.mul(x, a)
+                n += 1
+            assert orders[a] == n, (group.name, a)
+
+
 def test_associativity_exhaustive_small_groups():
     for g in [cyclic(7), product(cyclic(2), cyclic(4)), dihedral(4), heisenberg(2)]:
         assert g.order <= 16

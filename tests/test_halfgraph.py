@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupstab import (
     BudgetExceeded,
@@ -143,6 +145,80 @@ def test_budget_gate_charges_injective_tuples_of_distinct_rows(rows, k):
     profile = theta_profile(rel, k, exact_budget=charge, samples=10)
     assert profile[-1].exact_count == expected
     assert not theta_profile(rel, k, exact_budget=charge - 1, samples=10)[-1].is_exact
+
+
+# (group, domain arity, codomain arity) for the kernel property test
+KERNEL_CARRIERS = [
+    (cyclic(3), 1, 1),
+    (cyclic(4), 1, 1),
+    (cyclic(5), 1, 1),
+    (cyclic(6), 1, 1),
+    (dihedral(3), 1, 1),
+    (cyclic(2), 1, 2),
+    (cyclic(3), 1, 2),
+    (cyclic(2), 2, 2),
+]
+# largest |X|^k·|Y|^k the brute-force count walks per example
+BRUTE_TUPLES = 70_000
+
+
+@st.composite
+def kernel_cases(draw):
+    """(relation, k) over full or proper carriers. Each pool row (random
+    masks, or nested prefixes of one ordering of Y, which are rich in
+    half-graphs) goes to one domain member; the other members get a repeat
+    of a pool row or stay empty. k is as large as the brute force allows."""
+    group, dom_arity, cod_arity = draw(st.sampled_from(KERNEL_CARRIERS), label="carriers")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    dom = CarrierSet.full(group, dom_arity)
+    cod = CarrierSet.full(group, cod_arity)
+    if draw(st.booleans(), label="proper"):
+        dom = CarrierSet(group, dom_arity, mask_of(x for x in range(dom.universe) if rng.random() < 0.8) | 1)
+        cod = CarrierSet(group, cod_arity, mask_of(y for y in range(cod.universe) if rng.random() < 0.8) | 1)
+    xs = dom.member_indices()
+    ys = cod.member_indices()
+    if draw(st.booleans(), label="nested"):
+        rng.shuffle(ys)
+        lengths = rng.sample(range(1, len(ys) + 1), min(len(ys), rng.randint(1, 6)))
+        pool = [mask_of(ys[:n]) for n in lengths]
+    else:
+        pool = [rng.randrange(1, cod.members + 1) & cod.members for _ in range(rng.randint(1, 6))]
+    rng.shuffle(xs)
+    rows = [0] * dom.universe
+    for i, x in enumerate(xs):
+        if i < len(pool):
+            rows[x] = pool[i]
+        elif rng.random() < 0.7:
+            rows[x] = rng.choice(pool)
+    cells = dom.size * cod.size
+    k_max = max(k for k in range(1, 5) if k == 1 or cells**k <= BRUTE_TUPLES)
+    return Relation(dom, cod, tuple(rows)), draw(st.integers(1, k_max), label="k")
+
+
+def _z5_into_four(rows):
+    z5 = cyclic(5)
+    return Relation(CarrierSet.full(z5, 1), CarrierSet(z5, 1, 0b1111), rows)
+
+
+# height 4 on four nested rows, with an empty row and with a repeated one
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases())
+@example((_z5_into_four((0b1111, 0b0111, 0, 0b0011, 0b0001)), 4))
+@example((_z5_into_four((0b1111, 0b0111, 0b0011, 0b0001, 0b0111)), 4))
+def test_kernel_matches_brute_force_and_enumeration(case):
+    rel, k = case
+    expected = brute_halfgraph_count(rel, k)
+    assert count_halfgraphs_exact(rel, k).exact_count == expected
+    witnesses = enumerate_halfgraphs(rel, k, expected + 1)
+    assert len(witnesses) == expected
+    assert all(w < v for w, v in zip(witnesses, witnesses[1:]))
+    # the gate charges injective tuples of distinct non-empty rows, nothing else
+    d = len({rel.rows[x] for x in rel.domain.member_indices()} - {0})
+    charge = math.perm(d, k)
+    assert count_halfgraphs_exact(rel, k, budget=charge).exact_count == expected
+    with pytest.raises(BudgetExceeded) as err:
+        count_halfgraphs_exact(rel, k, budget=charge - 1)
+    assert err.value.required == charge
 
 
 def test_sampling_deterministic_and_zero_on_stable_input():
