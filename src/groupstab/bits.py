@@ -6,6 +6,7 @@ reduce to AND/ANDNOT/popcount on these masks.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 
@@ -47,3 +48,78 @@ def _digit_shift(size: int, weight: int, length: int, step: int) -> tuple[int, i
     high = (full_mask((length - step) * weight) << step * weight) * repeat
     low = full_mask(step * weight) * repeat
     return step * weight, high, (length - step) * weight, low
+
+
+def _column_permuter(rows, size: int):
+    """The function source -> the rows with column source[y] moved to column y,
+    for a permutation source of 0..size-1; the rows lie in 0..size-1. That is
+    [permute_bits(row, perm) for row in rows] for perm the inverse of source,
+    with every column moved at once.
+
+    The row matrix is cut into t×t tiles, t the least power of two >= 8 and >=
+    the smaller of the row count and size: bands of t rows, blocks of t
+    columns. A tile is packed into one int, its row i in bits i·t..i·t+t-1,
+    and transposed here, once, so that every column of a band is a
+    byte-aligned t-bit chunk. Each call lists a band's chunks in the order
+    source gives, transposes the tiles back and joins each row's pieces.
+    """
+    t = max(8, 1 << (min(len(rows), size) - 1).bit_length())
+    width = t // 8  # bytes per tile row
+    blocks = -(-size // t)
+    cuts = [slice(i * width, (i + 1) * width) for i in range(t)]
+    padding = bytes((blocks * t - size) * width)
+    swaps = _transpose_swaps(t)
+    bands = []
+    for start in range(0, len(rows), t):
+        band = [row.to_bytes(blocks * width, "little") for row in rows[start:start + t]]
+        chunks: list[bytes] = []
+        for k in range(blocks):
+            tile = b"".join(map(bytes.__getitem__, band, repeat(slice(k * width, (k + 1) * width))))
+            columns = _transpose(int.from_bytes(tile, "little"), swaps).to_bytes(t * width, "little")
+            chunks += map(columns.__getitem__, cuts)
+        bands.append((cuts[:len(band)], chunks))
+
+    def permute(source) -> list[int]:
+        out: list[int] = []
+        for row_cuts, chunks in bands:
+            moved = b"".join(map(chunks.__getitem__, source)) + padding
+            parts = []
+            for k in range(blocks):
+                tile = int.from_bytes(moved[k * t * width:(k + 1) * t * width], "little")
+                parts.append(map(_transpose(tile, swaps).to_bytes(t * width, "little").__getitem__, row_cuts))
+            pieces = parts[0] if blocks == 1 else map(b"".join, zip(*parts))
+            out += map(int.from_bytes, pieces, repeat("little"))
+        return out
+
+    return permute
+
+
+def _transpose_swaps(w: int) -> list[tuple[int, int]]:
+    """(delta, mask) of the log2(w) masked delta swaps that transpose a w×w bit
+    matrix, bit i·w + j holding entry (i, j), w a power of two (Hacker's
+    Delight, §7-3): the swap for bit s exchanges entries (i, j) and
+    (i + s, j - s) where i lacks s and j has it."""
+    swaps = []
+    s = w >> 1
+    while s:
+        columns = _tile(full_mask(s) << s, 2 * s, w)  # the j that have s
+        rows = _tile(columns, w, s * w)  # in the first s of every 2s rows
+        swaps.append((s * (w - 1), _tile(rows, 2 * s * w, w * w)))
+        s >>= 1
+    return swaps
+
+
+def _transpose(matrix: int, swaps: list[tuple[int, int]]) -> int:
+    """The transpose of a bit matrix, by its _transpose_swaps."""
+    for delta, mask in swaps:
+        t = (matrix ^ matrix >> delta) & mask
+        matrix ^= t | t << delta
+    return matrix
+
+
+def _tile(pattern: int, period: int, size: int) -> int:
+    """The period-bit pattern repeated over size bits, size / period a power of two."""
+    while period < size:
+        pattern |= pattern << period
+        period *= 2
+    return pattern

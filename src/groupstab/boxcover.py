@@ -120,7 +120,8 @@ def greedy_box_cover(
     symdiff, _, overcount = _cover_errors(rows, union, denom)
     return BoxCover(
         boxes=tuple(boxes),
-        union=Relation(relation.domain, relation.codomain, tuple(union)),
+        # Boxes lie inside the checked carriers, so the union needs no re-check.
+        union=Relation._from_fitting_rows(relation.domain, relation.codomain, tuple(union)),
         symdiff_error=symdiff,
         overcount_error=overcount,
     )

@@ -9,9 +9,7 @@ and explicit Cayley tables. A Cayley table is validated exhaustively and
 kept from the start; dihedral and Heisenberg groups are built this way. A
 cyclic group or a product builds its table the first time anything reads
 it (`mul`, `inv`, a subgroup search, a census) and keeps it, so a large
-Z_n used only as an index space never holds n² entries. The rotation views
-that censuses shift bitsets in (`rotation_views`) are built and kept the
-same way, on first use.
+Z_n used only as an index space never holds n² entries.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ class FiniteGroup:
         self._table = table
         self._inv = inverses
         self._cyclic = table is None and not self.factors
-        self._views: dict[str, dict[int, RotationView]] = {}
 
     def _mul_table(self) -> list[list[int]]:
         """Rows of the multiplication table, row a holding a*b at position b.
@@ -151,27 +148,22 @@ def translation(group: FiniteGroup, left: int = 0, right: int = 0) -> list[int]:
 
 
 class RotationView:
-    """An ordering of a group's elements in which translating by the side
-    lengths it serves shifts digits of the positions.
+    """The digits of a product of cyclic groups' index order, in which translating
+    by any side length shifts digits of the indices.
 
-    order[p] is the element at position p and pos[x] the position of element
-    x; both are None when the view keeps the index order. Digit i of position
-    p is p // weight % length for digits[i] = (weight, length). For each g in
-    steps, y -> y·g (a right view) or y -> g·y (a left view) adds steps[g][i]
-    mod length to digit i of every position.
+    Digit i of index p is p // weight % length for digits[i] = (weight, length).
+    For each g, y -> y·g adds steps[g][i] mod length to digit i of every index.
     """
 
-    def __init__(self, order, digits, steps, size):
-        self.order = order
-        self.pos = None if order is None else _inverse(order)
+    def __init__(self, digits, steps, size):
         self.digits = digits
         self.steps = steps
         self.size = size
         self._shifts: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     def shifts(self, g: int, power: int) -> list[tuple[int, int, int, int]]:
-        """The bits._digit_shift of each digit that y -> y·g^power (y -> g^power·y
-        in a left view) moves, for a power of any sign."""
+        """The bits._digit_shift of each digit that y -> y·g^power moves, for a
+        power of any sign."""
         out = []
         for i, ((weight, length), step) in enumerate(zip(self.digits, self.steps[g])):
             step = step * power % length
@@ -183,73 +175,20 @@ class RotationView:
         return out
 
 
-def _inverse(perm: Sequence[int]) -> list[int]:
-    out = [0] * len(perm)
-    for i, x in enumerate(perm):
-        out[x] = i
-    return out
+def rotation_views(group: FiniteGroup) -> dict[int, RotationView]:
+    """The rotation view of every side length g, or no views at all.
 
-
-def rotation_views(group: FiniteGroup, side: str = "right") -> dict[int, RotationView]:
-    """The rotation view of every side length g that has one, built on first use
-    and kept on the group.
-
-    A product of cyclic groups (cyclic(n) included) has one view: the index
-    order, with a digit per cyclic factor. Any other group is covered greedily
-    by cyclic subgroups C = <c>, largest element order first; C gets a view
-    whose blocks are the cosets x·C (side "right") or C·x (side "left"), each
-    listed x, x·c, x·c², ..., so that translating by c^e shifts positions by e
-    inside their blocks. A C that would serve a single new side length, such as
-    an involution outside every larger cyclic subgroup, gets no view: one
-    translation does not pay for re-indexing a set of rows. On an abelian group
-    both sides share one set of views.
+    A product of cyclic groups (cyclic(n) included) has one view, its index
+    order with a digit per cyclic factor, and it serves every g. Any other
+    group gets none, whatever its structure: the census moves its bitsets by
+    permuting the columns of all rows at once (bits._column_permuter).
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if group.is_abelian:
-        side = "right"
-    if side not in group._views:
-        q = group.order
-        digits = group._cyclic_digits()
-        if digits is None:
-            group._views[side] = _cyclic_cover(group, side)
-        else:
-            steps = {g: tuple(g // w % n for w, n in digits) for g in range(q)}
-            group._views[side] = dict.fromkeys(range(q), RotationView(None, digits, steps, q))
-    return group._views[side]
-
-
-def _cyclic_cover(group: FiniteGroup, side: str) -> dict[int, RotationView]:
-    """The views of rotation_views for a group that is not a product of cyclic groups."""
+    digits = group._cyclic_digits()
+    if digits is None:
+        return {}
     q = group.order
-    table = group._mul_table()
-    orders = [element_order(group, x) for x in range(q)]
-    views: dict[int, RotationView] = {}
-    for c in sorted(range(1, q), key=lambda x: -orders[x]):
-        if c in views:
-            continue
-        powers = [0]
-        for _ in range(orders[c] - 1):
-            powers.append(table[powers[-1]][c])
-        new = [e for e, x in enumerate(powers) if e and x not in views]
-        if len(new) < 2:
-            continue
-        order: list[int] = []
-        placed = bytearray(q)
-        for x in range(q):
-            if not placed[x]:
-                if side == "right":
-                    block = [table[x][p] for p in powers]
-                else:
-                    block = [table[p][x] for p in powers]
-                for y in block:
-                    placed[y] = 1
-                order.extend(block)
-        view = RotationView(order, ((1, len(powers)),), {powers[e]: (e,) for e in [0, *new]}, q)
-        views.setdefault(0, view)
-        for e in new:
-            views[powers[e]] = view
-    return views
+    steps = {g: tuple(g // w % n for w, n in digits) for g in range(q)}
+    return dict.fromkeys(range(q), RotationView(digits, steps, q))
 
 
 def cyclic(n: int) -> FiniteGroup:

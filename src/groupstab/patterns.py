@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_
 
-from .bits import iter_bits, mask_of, permute_bits
+from .bits import _column_permuter, iter_bits, mask_of, permute_bits
 from .errors import ArityUnsupported, NonAbelianGroup
 from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, rotation_views, translation
 from .relations import Relation, _checked_coordinate, _lift_digit_map, _side_translation
@@ -78,13 +79,10 @@ def _finish(kind, counts, witnesses) -> PatternCensus:
     )
 
 
-def _collect(witnesses, cap, meet, a, g, order=None) -> None:
-    """Append (a, b, g) for the b of meet, ascending, up to cap; order[p] is the
-    element at position p when meet is in a view's ordering."""
+def _collect(witnesses, cap, meet, a, g) -> None:
+    """Append (a, b, g) for the b of meet, ascending, up to cap."""
     if witnesses is None or len(witnesses) >= cap:
         return
-    if order is not None:
-        meet = permute_bits(meet, order)
     for b in iter_bits(meet):
         witnesses.append((a, b, g))
         if len(witnesses) >= cap:
@@ -140,19 +138,17 @@ def census(
 
     For each g, the domain map a -> g^ld·a·g^rd is built once per distinct
     action and lifted to the domain by (coordinate, diagonal) where the shape
-    lifts it. The points that share a codomain action form one block: the AND
-    of their rows dmap[a] is the set of y allowed, and moving it by
-    y -> g^-lc·y·g^-rc gives the set of b that block allows, since a
-    permutation commutes with AND. The block without a codomain action goes
-    first, and a triple's meet stops at the first empty block.
+    lifts it. A point allows the b whose g^lc·b·g^rc lies in row dmap[a]: that
+    is row dmap[a] of the rows moved by y -> g^-lc·y·g^-rc, built once per g
+    and codomain action. The meet of a triple is the AND over the points, and
+    its popcount the number of b; the loop over a is one chain of map calls.
 
-    A g with a rotation view (groups.rotation_views) works in the view's
-    ordering: its rows are re-indexed once per view, and a one-sided move on
-    the view's side is a shift of digits. Any other move, and every move of a
-    g without a view or of a codomain of arity above 1, permutes the block
-    with the lifted translation map, followed by the view's position map.
-    Counts do not depend on the ordering; witnesses are mapped back to
-    elements.
+    On a product of cyclic groups with a codomain of arity 1, every move is a
+    rotation in the index order (groups.rotation_views): each row shifts digit
+    by digit. Any other move, on any other group, on a codomain of arity above
+    1, or the two-sided move of rect23 on a non-abelian group, permutes the
+    columns of all rows at once (bits._column_permuter). Witnesses list the b
+    of each meet in ascending order, a by a and g by g.
     """
     if kind not in SHAPES:
         raise ValueError(f"unknown census kind {kind!r}")
@@ -164,7 +160,7 @@ def census(
     for lifted, carrier in zip(shape.lifted, carriers):
         if not lifted and carrier.arity != 1:
             raise ArityUnsupported(shape.arity_error)
-    # Checked up front, after every arity check: a rotated block builds no codomain map.
+    # Checked up front, after every arity check: a rotated move builds no codomain map.
     for lifted, carrier in zip(shape.lifted, carriers):
         if lifted and not diagonal:
             _checked_coordinate(carrier.arity, coordinate)
@@ -174,22 +170,9 @@ def census(
     n, m = relation.domain.arity, relation.codomain.arity
     rows = relation.rows
     xs = relation.domain.member_indices()
-    blocks: dict = {}
-    for dact, cact in sorted(shape.points, key=lambda p: p[1] != (0, 0)):
-        blocks.setdefault(cact, []).append(dact)
     top = max(max(p[0] + p[1]) for p in shape.points)  # highest power of g in a point
-
-    # The codomain move of each block as (side, power of g^-1); None when it
-    # acts on both sides of a non-abelian group.
-    moves = {}
-    for lc, rc in blocks:
-        if group.is_abelian or not lc:
-            moves[lc, rc] = ("right", lc + rc)
-        else:
-            moves[lc, rc] = None if rc else ("left", lc)
-    side = next((move[0] for move in moves.values() if move and move[1]), "right")
-    views = rotation_views(group, side) if m == 1 else {}
-    reindexed: dict = {}  # view -> rows in the view's ordering
+    views = rotation_views(group) if m == 1 else {}
+    permute = None if views else _column_permuter(rows, relation.codomain.universe)
 
     def action(sides, powers, arity, lift):
         return _lift_digit_map(translation(group, powers[sides[0]], powers[sides[1]]), arity, *lift)
@@ -197,47 +180,31 @@ def census(
     counts = [0] * q
     witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
     for g in range(q):
-        up, down = [0, g], [0, group.inv(g)]
+        powers = [0, g]
         for _ in range(top - 1):
-            up.append(table[up[-1]][g])
-            down.append(table[down[-1]][down[1]])
-        view = views.get(g)
-        if view is not None and view not in reindexed:
-            reindexed[view] = rows if view.pos is None else [
-                permute_bits(row, view.pos) if row else 0 for row in rows
-            ]
-        dmaps: dict = {(0, 0): range(len(rows))}
-        plan = []
-        for cact, dacts in blocks.items():
-            for dact in dacts:
-                if dact not in dmaps:
-                    dmaps[dact] = action(dact, up, n, lifts[0])
-            move = moves[cact]
-            if view is not None and move and (move[0] == side or not move[1]):
-                src, cmap, shifts = reindexed[view], None, view.shifts(g, -move[1])
-            else:
-                src, shifts = rows, ()
-                cmap = None if cact == (0, 0) else action(cact, down, m, lifts[1])
-                if view is not None and view.pos is not None:
-                    cmap = [view.pos[y] for y in cmap]
-            plan.append((src, [dmaps[dact] for dact in dacts], cmap, shifts))
-        for a in xs:
-            meet = -1
-            for src, block, cmap, shifts in plan:
-                allowed = -1
-                for dmap in block:
-                    allowed &= src[dmap[a]]
-                if allowed:
-                    if cmap is not None:
-                        allowed = permute_bits(allowed, cmap)
-                    for left, high, right, low in shifts:
-                        allowed = (allowed << left & high) | (allowed >> right & low)
-                meet &= allowed
-                if not meet:
-                    break
-            else:
-                counts[g] += meet.bit_count()
-                _collect(witnesses, witness_cap, meet, a, g, None if view is None else view.order)
+            powers.append(table[powers[-1]][g])
+        dmaps = {(0, 0): xs}  # per domain action, dmap[a] for the a of xs
+        moved = {(0, 0): rows}  # per codomain action, the moved rows
+        meets = None
+        for dact, cact in shape.points:
+            if cact not in moved:
+                if views:  # abelian: y -> y·g^-(lc+rc)
+                    src = rows
+                    for left, high, right, low in views[g].shifts(g, -sum(cact)):
+                        src = [(row << left & high) | (row >> right & low) for row in src]
+                    moved[cact] = src
+                else:  # column g^lc·y·g^rc of each row goes to column y
+                    moved[cact] = permute(action(cact, powers, m, lifts[1]))
+            if dact not in dmaps:
+                dmaps[dact] = list(map(action(dact, powers, n, lifts[0]).__getitem__, xs))
+            picked = map(moved[cact].__getitem__, dmaps[dact])
+            meets = picked if meets is None else map(and_, meets, picked)
+        meets = list(meets)
+        counts[g] = sum(map(int.bit_count, meets))
+        if witnesses is not None:
+            for a, meet in zip(xs, meets):
+                if meet:
+                    _collect(witnesses, witness_cap, meet, a, g)
     return _finish(kind, counts, witnesses)
 
 

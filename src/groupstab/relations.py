@@ -97,8 +97,8 @@ def _checked_coordinate(arity: int, coordinate: int | None) -> int:
 
 def _lift_digit_maps(digit_maps: Sequence[Sequence[int]]) -> list[int]:
     """Permutation of G^arity indices applying digit_maps[i] to coordinate i."""
-    perm = [0]
-    for digit_map in digit_maps:
+    perm = list(digit_maps[0])
+    for digit_map in digit_maps[1:]:
         q = len(digit_map)
         perm = [p * q + e for p in perm for e in digit_map]
     return perm
@@ -160,6 +160,17 @@ class Relation:
                 raise PairOutsideCarrier(f"row {x} has bits outside the codomain carrier")
             if row and not xmask >> x & 1:
                 raise PairOutsideCarrier(f"row {x} is outside the domain carrier but non-empty")
+
+    @classmethod
+    def _from_fitting_rows(
+        cls, domain: CarrierSet, codomain: CarrierSet, rows: tuple[int, ...]
+    ) -> "Relation":
+        """A relation whose rows are already known to fit its carriers, such as a
+        union of boxes inside a checked relation's carriers: no re-check."""
+        relation = object.__new__(cls)
+        for name, value in (("domain", domain), ("codomain", codomain), ("rows", rows)):
+            object.__setattr__(relation, name, value)
+        return relation
 
     @property
     def group(self) -> FiniteGroup:

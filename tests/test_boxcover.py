@@ -100,6 +100,23 @@ def test_greedy_stops_at_the_first_prefix_below_epsilon():
         assert errors[-1] < eps or len(cover.boxes) == max_boxes or target <= covered
 
 
+def test_greedy_union_is_the_boxes_inside_the_carriers():
+    # the union skips Relation's check, so it must pass that check when re-built
+    rng = random.Random(606)
+    for _ in range(200):
+        rel = random_relation(cyclic(rng.randrange(2, 6)), rng, (rng.randint(1, 2), rng.randint(1, 2)),
+                              proper_carriers=True)
+        purity = rng.choice([1, Fraction(2, 3), Fraction(1, 2)])
+        cover = greedy_box_cover(rel, Fraction(1, 100), rng.randrange(0, 5), purity)
+        union = cover.union
+        assert union == Relation(rel.domain, rel.codomain, union.rows)
+        rows = [0] * len(rel.rows)
+        for xb, yb in cover.boxes:
+            for x in iter_bits(xb):
+                rows[x] |= yb
+        assert union.rows == tuple(rows)
+
+
 def test_greedy_error_non_increasing_over_budget():
     rng = random.Random(9)
     rel = random_relation(cyclic(8), rng)

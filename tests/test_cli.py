@@ -25,6 +25,8 @@ from groupstab import cli
 from groupstab.cli import build_parser, main, parse_group_spec
 from groupstab.patterns import SHAPES
 
+import oracles
+
 
 def run_cli(*args, python=("-c", "from groupstab.cli import main; raise SystemExit(main())")):
     # The child imports the same groupstab as this process, installed or not.
@@ -273,6 +275,37 @@ def test_family_trend_linear_order_decay():
     for entry in report["timing"]:
         assert set(entry["stages"]) == {"build", "halfgraph", "census"}
         assert sum(entry["stages"].values()) <= entry["total_s"]
+
+
+EXAMPLES = Path(__file__).parents[1] / "examples"
+
+
+def test_nonabelian_example_family_matches_the_oracles(tmp_path):
+    """The checked-in non-abelian trend: every census density is the brute-force
+    total over |G|³, on groups where the census moves columns."""
+    config_path = EXAMPLES / "nonabelian_trend.json"
+    out = tmp_path / "trend.json"
+    assert main(["experiment", "trend", "--config", str(config_path), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    config = json.loads(config_path.read_text())
+    spec = GeneratorSpec.from_json(config["generator"])
+    assert [row["group"] for row in report["rows"]] == config["groups"] == ["D5", "D6", "H3", "Z2xD3"]
+    oracle_of = {
+        "square": (oracles.brute_square_counts, ()),
+        "lshape-right": (oracles.brute_lshape_right_counts, ()),
+        "rect23": (oracles.brute_rect23_counts, ()),
+        "bmz-left": (oracles.brute_corner_counts, ("bmz_left",)),
+    }
+    assert set(config["census"]) == set(oracle_of)
+    for row in report["rows"]:
+        group = parse_group_spec(row["group"])
+        assert not group.is_abelian
+        relation = instantiate_generator(spec, group, config["seed"])
+        for kind, (oracle, args) in oracle_of.items():
+            density = row["census_density"][kind]
+            assert Fraction(density["num"], density["den"]) == Fraction(
+                sum(oracle(relation, *args)), group.order**3
+            )
 
 
 def test_family_trend_needs_two_groups():

@@ -31,7 +31,7 @@ from groupstab import (
     subgroup,
     subgroups_up_to_index,
 )
-from groupstab.bits import mask_of
+from groupstab.bits import mask_of, permute_bits
 from groupstab.patterns import SHAPES, census
 from groupstab.relations import decode_tuple, encode_tuple
 
@@ -148,8 +148,8 @@ def test_censuses_match_brute_force_nonabelian():
             assert_censuses_match_oracles(random_relation(group, rng))
 
 
-# Z2xZ2xZ3 rotates three digits, D5 permutes for its reflections, and Z2xD3
-# is a product that is not cyclic in every factor.
+# Z2xZ2xZ3 rotates three digits; D5, H3 and Z2xD3 (a product that is not
+# cyclic in every factor) move columns.
 CENSUS_GROUPS = builtin_catalogue(12) + [
     dihedral(4), heisenberg(3),
     product(cyclic(2), cyclic(2), cyclic(3)), dihedral(5), product(cyclic(2), dihedral(3)),
@@ -163,6 +163,31 @@ def test_censuses_match_brute_force_property(data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     rel = random_relation(group, rng, proper_carriers=data.draw(st.booleans(), label="proper"))
     assert_censuses_match_oracles(rel, cap=data.draw(st.integers(1, 60), label="cap"))
+
+
+def test_census_never_permutes_bit_by_bit():
+    """Every move is a rotation or one column permutation per side length."""
+    rng = random.Random(77)
+    relations = [
+        random_relation(group, rng, proper_carriers=proper)
+        for group in (dihedral(5), heisenberg(3), product(cyclic(2), dihedral(3)))
+        for proper in (False, True)
+    ]
+    lifted = [random_relation(group, rng, arity=(1, 2)) for group in (cyclic(4), dihedral(3))]
+    with mock.patch("groupstab.patterns.permute_bits", wraps=permute_bits) as spy:
+        for rel in relations:
+            for kind, shape in SHAPES.items():
+                if shape.abelian_error:
+                    with pytest.raises(NonAbelianGroup):
+                        census(rel, kind)
+                    continue
+                census(rel, kind)
+                census(rel, kind, True, 40)
+        for rel in lifted:
+            for lift in ({}, {"coordinate": 0}, {"diagonal": True}):
+                census(rel, "square", **lift)
+                census(rel, "square", True, 40, **lift)
+    assert spy.call_count == 0
 
 
 @pytest.mark.parametrize("arity", [(1, 1), (2, 1), (2, 2)])

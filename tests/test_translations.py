@@ -19,7 +19,7 @@ from groupstab import (
     subgroup,
     translate_relation,
 )
-from groupstab.bits import iter_bits, mask_of, permute_bits
+from groupstab.bits import _column_permuter, iter_bits, mask_of, permute_bits
 from groupstab.groups import rotation_views, translation
 from groupstab.relations import decode_tuple, encode_tuple
 
@@ -147,6 +147,26 @@ def test_translate_relation_matches_pointwise_definition(data):
     )
 
 
+# Column counts on both sides of the tile sizes 8, 16, ..., 256, and any in 1..300.
+COLUMNS = st.sampled_from([7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256,
+                           257, 300]) | st.integers(1, 300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(COLUMNS, st.integers(0, 300), st.integers(0, 2**32), st.data())
+def test_column_permutation_is_permute_bits_row_by_row(size, count, seed, data):
+    rng = random.Random(seed)
+    empty = rng.random()
+    rows = [0 if rng.random() < empty else rng.getrandbits(size) for _ in range(count)]
+    permute = _column_permuter(rows, size)
+    for label in ("first", "second"):  # one permuter serves any number of maps
+        perm = data.draw(st.permutations(range(size)), label=f"{label} perm")
+        source = [0] * size
+        for j, target in enumerate(perm):
+            source[target] = j
+        assert permute(source) == [permute_bits(row, perm) for row in rows]
+
+
 Z2xD3 = product(cyclic(2), dihedral(3))
 VIEW_PAIRS = PAIRS + [(Z2xD3, reference(Z2xD3))]
 
@@ -166,24 +186,24 @@ def test_view_rotations_are_translations(pair, side, power, seed):
     group, ref = pair
     q = group.order
     rng = random.Random(seed)
-    views = rotation_views(group, side)
-    cyclic_digits = "cayley_table" not in group.recipe
-    # A product of cyclic groups serves every g; any other group every g in a
-    # cyclic subgroup of order >= 3, so an involution outside them permutes.
-    subgroups = [ref_powers(ref, h) for h in range(q)]
-    served = {g for powers in subgroups if cyclic_digits or len(powers) > 2 for g in powers}
-    assert set(views) == served
+    views = rotation_views(group)
+    # A product of cyclic groups serves every g in its index order; any other
+    # group (D_n, H_p, Z2×D3, D4 and D6 of the catalogue) gets no view.
+    if "cayley_table" in group.recipe:
+        assert views == {}
+        return
+    assert set(views) == set(range(q))
     for g, view in views.items():
-        assert (view.order is None) == cyclic_digits
-        order = list(range(q)) if view.order is None else view.order
-        assert sorted(order) == list(range(q))
-        to_view = [0] * q
-        for p, x in enumerate(order):
-            to_view[x] = p
         members = rng.getrandbits(q)
         powers = ref_powers(ref, g)
         moved = permute_bits(members, translation(group, **{side: powers[power % len(powers)]}))
-        rotated = permute_bits(members, to_view)
+        rotated = members
         for left, high, right, low in view.shifts(g, power):
             rotated = (rotated << left & high) | (rotated >> right & low)
-        assert rotated == permute_bits(moved, to_view)
+        assert rotated == moved
+
+
+def test_groups_outside_cyclic_products_get_no_view():
+    for group in (dihedral(5), heisenberg(3), Z2xD3):
+        assert group._cyclic_digits() is None
+        assert rotation_views(group) == {}
