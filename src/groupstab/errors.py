@@ -23,8 +23,11 @@ class AxiomViolation(ToolkitError):
         super().__init__(msg)
 
 
-class CrossGroupElement(ToolkitError):
-    """An element of one group was used in an operation of another."""
+class CrossGroupElement(ToolkitError, ValueError):
+    """An element of one group was used in an operation of another.
+
+    It is a ValueError too, like an element index out of range: both are an
+    element that the group does not have."""
 
 
 class BudgetExceeded(ToolkitError):

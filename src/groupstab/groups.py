@@ -5,8 +5,9 @@ so element bitsets line up across relations, censuses and covers. Every
 group is one FiniteGroup: a multiplication table and an inverse list on
 those indices, which `mul` and `inv` read. Groups come from three recipes:
 cyclic(n), product(...) of smaller groups (first factor most significant),
-and explicit Cayley tables. A Cayley table is validated exhaustively and
-kept from the start; dihedral and Heisenberg groups are built this way. A
+and explicit Cayley tables. A Cayley table is validated on load (Light's
+associativity test on a generating set) and kept from the start; dihedral
+and Heisenberg groups are built this way. A
 cyclic group or a product builds its table the first time anything reads
 it (`mul`, `inv`, a subgroup search, a census) and keeps it, so a large
 Z_n used only as an index space never holds n² entries.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -212,7 +214,8 @@ def product(*factors: FiniteGroup) -> FiniteGroup:
 
 
 def from_cayley_table(table: Sequence[Sequence[int]], name: str | None = None) -> FiniteGroup:
-    """Group given by an explicit Cayley table; axioms checked exhaustively."""
+    """Group given by an explicit Cayley table; axioms checked in
+    _validate_axioms, which names the first failing axiom with a witness."""
     q = len(table)
     if q < 1:
         raise ValueError("Cayley table must be non-empty")
@@ -220,10 +223,10 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: str | None = None) -
     for i, row in enumerate(table):
         if len(row) != q:
             raise ValueError(f"Cayley table row {i} has length {len(row)}, expected {q}")
-        row = [int(x) for x in row]
-        for x in row:
-            if not 0 <= x < q:
-                raise ValueError(f"Cayley table entry {x} out of range 0..{q - 1}")
+        row = list(map(int, row))
+        if min(row) < 0 or max(row) >= q:
+            bad = next(x for x in row if not 0 <= x < q)
+            raise ValueError(f"Cayley table entry {bad} out of range 0..{q - 1}")
         rows.append(row)
     digest = hashlib.sha256(
         b"\n".join(" ".join(map(str, r)).encode() for r in rows)
@@ -239,6 +242,14 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: str | None = None) -
 
 
 def _validate_axioms(t: list[list[int]]) -> None:
+    """Identity at index 0, then associativity by Light's test.
+
+    The b with (x·b)·y = x·(b·y) for all x, y are closed under the product
+    and include the identity, so they are the whole table once they contain
+    a generating set. So the test checks (x·a)·y = x·(a·y) only for the a of
+    one generating set, a row at a time: O(q²·|A|) lookups, not q³. Clifford
+    & Preston, The Algebraic Theory of Semigroups, Vol. 1 (1961).
+    """
     q = len(t)
     for j in range(q):
         if t[0][j] != j:
@@ -246,66 +257,100 @@ def _validate_axioms(t: list[list[int]]) -> None:
     for i in range(q):
         if t[i][0] != i:
             raise AxiomViolation("identity", (i, 0), f"{i}*0 = {t[i][0]}")
-    for a in range(q):
-        for b in range(q):
-            tab = t[a][b]
-            row_tab = t[tab]
-            ta = t[a]
-            tb = t[b]
-            for c in range(q):
-                if row_tab[c] != ta[tb[c]]:
-                    raise AxiomViolation(
-                        "associativity",
-                        (a, b, c),
-                        f"({a}*{b})*{c} = {row_tab[c]} but {a}*({b}*{c}) = {ta[tb[c]]}",
-                    )
+    for a in _generating_set(t):
+        ta = t[a]
+        for x, tx in enumerate(t):
+            left = t[tx[a]]
+            right = list(map(tx.__getitem__, ta))
+            if left != right:
+                c = next(c for c in range(q) if left[c] != right[c])
+                raise AxiomViolation(
+                    "associativity",
+                    (x, a, c),
+                    f"({x}*{a})*{c} = {left[c]} but {x}*({a}*{c}) = {right[c]}",
+                )
+
+
+def _generating_set(t: list[list[int]]) -> list[int]:
+    """Elements that generate the table as a magma under its product, picked
+    greedily in index order: an element joins only when the closure of 0 and
+    the earlier picks misses it. The closure grows one element at a time, and
+    each new element is multiplied on both sides with every element reached
+    before it, so each ordered pair is multiplied once: O(q²) in total."""
+    reached = [0]
+    seen = {0}
+    generators = []
+    done = 0
+    for g in range(len(t)):
+        if g in seen:
+            continue
+        generators.append(g)
+        seen.add(g)
+        reached.append(g)
+        while done < len(reached):
+            z = reached[done]
+            earlier = reached[:done + 1]
+            products = set(map(t[z].__getitem__, earlier))
+            products.update(map(itemgetter(z), map(t.__getitem__, earlier)))
+            products -= seen
+            seen |= products
+            reached += products
+            done += 1
+    return generators
 
 
 def _two_sided_inverses(t: list[list[int]]) -> list[int]:
-    q = len(t)
-    inv = [-1] * q
-    for a in range(q):
-        for b in range(q):
-            if t[a][b] == 0 and t[b][a] == 0:
-                inv[a] = b
-                break
-        if inv[a] < 0:
+    """The inverse of every element of an associative table with identity 0:
+    the first b with a·b = 0, which must also have b·a = 0 (in such a table
+    a two-sided inverse is the only b with a·b = 0)."""
+    inv = []
+    for a, row in enumerate(t):
+        b = row.index(0) if 0 in row else -1
+        if b < 0 or t[b][a] != 0:
             raise AxiomViolation("inverse", (a,), f"element {a} has no two-sided inverse")
+        inv.append(b)
     return inv
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n; index = flip*n + rotation, identity 0."""
+    """Dihedral group of order 2n; index = flip*n + rotation, identity 0.
+
+    x = (ex, rx) times y = (ey, ry) is (ex ^ ey, rx + ry) when ey = 0 and
+    (ex ^ ey, ry - rx) when ey = 1, rotations mod n; each half of a row is
+    a slice of one doubled range."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
-    q = 2 * n
-
-    def mul(x: int, y: int) -> int:
+    doubled = list(range(n)) * 2
+    table = []
+    for x in range(2 * n):
         ex, rx = divmod(x, n)
-        ey, ry = divmod(y, n)
-        rot = (ry - rx) % n if ey else (rx + ry) % n
-        return ((ex ^ ey) * n) + rot
-
-    table = [[mul(x, y) for y in range(q)] for x in range(q)]
+        same = map((ex * n).__add__, doubled[rx:rx + n])
+        flipped = map(((1 - ex) * n).__add__, doubled[n - rx:2 * n - rx])
+        table.append([*same, *flipped])
     return from_cayley_table(table, name=f"D{n}")
 
 
 def heisenberg(p: int) -> FiniteGroup:
-    """Upper unitriangular 3x3 matrices mod p; order p^3, non-abelian for p >= 2."""
+    """Upper unitriangular 3x3 matrices mod p; order p^3, non-abelian for p >= 2.
+
+    Index (a·p + b)·p + c holds the matrix with entries a, b above the
+    diagonal and c in the corner. x·y adds a and b, and adds c1 + c2 + a1·b2
+    in the corner, so each block of p entries of a row (fixed a2, b2) is a
+    slice of one doubled range."""
     if p < 2:
         raise ValueError(f"heisenberg modulus must be >= 2, got {p}")
-
-    def enc(a: int, b: int, c: int) -> int:
-        return (a * p + b) * p + c
-
-    def mul(x: int, y: int) -> int:
+    doubled = list(range(p)) * 2
+    table = []
+    for x in range(p**3):
         a1, r = divmod(x, p * p)
         b1, c1 = divmod(r, p)
-        a2, r = divmod(y, p * p)
-        b2, c2 = divmod(r, p)
-        return enc((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p)
-
-    table = [[mul(x, y) for y in range(p**3)] for x in range(p**3)]
+        row: list[int] = []
+        for a2 in range(p):
+            for b2 in range(p):
+                base = ((a1 + a2) % p * p + (b1 + b2) % p) * p
+                shift = (c1 + a1 * b2) % p
+                row += map(base.__add__, doubled[shift:shift + p])
+        table.append(row)
     return from_cayley_table(table, name=f"H{p}")
 
 
@@ -327,7 +372,7 @@ def make_group(recipe) -> FiniteGroup:
     if kind == "product":
         return product(*(make_group(f) for f in _read(list, recipe["factors"], "'factors'")))
     if kind == "cayley_table":
-        table = _read(lambda t: [[int(x) for x in row] for row in t], recipe["table"], "'table'")
+        table = _read(lambda t: [list(map(int, row)) for row in t], recipe["table"], "'table'")
         name = recipe.get("name")
         if not isinstance(name, (str, type(None))):
             raise ValueError(f"cannot read 'name' from {name!r}")
@@ -355,7 +400,7 @@ def parse_cayley_table(text: str, name: str | None = None) -> FiniteGroup:
     q = int(head[0])
     if len(lines) != q + 1:
         raise ValueError(f"expected {q} table rows, found {len(lines) - 1}")
-    table = [[int(x) for x in lines[1 + i].split()] for i in range(q)]
+    table = [list(map(int, lines[1 + i].split())) for i in range(q)]
     return from_cayley_table(table, name=name)
 
 

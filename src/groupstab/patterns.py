@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import and_
 
 from .bits import _column_permuter, iter_bits, mask_of, permute_bits
-from .errors import ArityUnsupported, NonAbelianGroup
+from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup
 from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, rotation_views, translation
 from .relations import Relation, _checked_coordinate, _lift_digit_map, _side_translation
 
@@ -60,7 +60,7 @@ def _checked_element(group: FiniteGroup, members: int, element: GroupElement | i
     """Index of the element, after checking it and the member mask against the group."""
     if isinstance(element, GroupElement):
         if element.group is not group:
-            raise ValueError(f"element of {element.group.name} used with {group.name}")
+            raise CrossGroupElement(f"element of {element.group.name} used with {group.name}")
         element = element.index
     if members >> group.order:
         raise ValueError(f"member mask has bits outside 0..{group.order - 1}")

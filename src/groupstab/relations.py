@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .bits import full_mask, iter_bits, mask_of, permute_bits
+from .bits import _column_permuter, full_mask, iter_bits, mask_of, permute_bits
 from .errors import (
     ArityMismatch,
     CarrierMismatch,
@@ -250,11 +250,11 @@ def density(relation: Relation, normalization: str = "group_power") -> Fraction:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def _unshift(group: FiniteGroup, arity: int, shift, side) -> list[int] | None:
-    """Permutation of G^arity undoing one side's shift, or None for no shift.
+def _shift_map(group: FiniteGroup, arity: int, shift, side) -> list[int] | None:
+    """Permutation of G^arity applying one side's shift, or None for no shift.
 
-    It is lifted from the per-coordinate inverse translations: x -> x·g^-1
-    undoes a right shift by g, x -> g^-1·x a left one.
+    It is lifted from the per-coordinate translations: x -> x·g for a right
+    shift by g, x -> g·x for a left one.
     """
     if shift is None:
         return None
@@ -283,7 +283,7 @@ def _unshift(group: FiniteGroup, arity: int, shift, side) -> list[int] | None:
     if len(sides) != arity:
         raise ArityMismatch(f"side tuple length {len(sides)} != arity {arity}")
     return _lift_digit_maps([
-        range(group.order) if s is None else _side_translation(group, group.inv(s), sd)
+        range(group.order) if s is None else _side_translation(group, s, sd)
         for s, sd in zip(shifts, sides)
     ])
 
@@ -305,18 +305,18 @@ def translate_relation(
     """
     group = relation.group
     dom, cod, rows = relation.domain, relation.codomain, list(relation.rows)
-    dinv = _unshift(group, dom.arity, domain_shift, domain_side)
-    cinv = _unshift(group, cod.arity, codomain_shift, codomain_side)
-    # The output is the image of S under the two undoing permutations.
-    if cinv is not None:
-        rows = [permute_bits(row, cinv) for row in rows]
-        cod = CarrierSet(group, cod.arity, permute_bits(cod.members, cinv))
-    if dinv is not None:
-        moved = [0] * len(rows)
-        for x, row in enumerate(rows):
-            moved[dinv[x]] = row
-        rows = moved
-        dom = CarrierSet(group, dom.arity, permute_bits(dom.members, dinv))
+    dmap = _shift_map(group, dom.arity, domain_shift, domain_side)
+    cmap = _shift_map(group, cod.arity, codomain_shift, codomain_side)
+    # Output (x, y) is input (dmap[x], cmap[y]). The codomain move takes
+    # column cmap[y] of every row, and of the carrier as one more row, to
+    # column y at once.
+    if cmap is not None:
+        *rows, members = _column_permuter([*rows, cod.members], cod.universe)(cmap)
+        cod = CarrierSet(group, cod.arity, members)
+    if dmap is not None:
+        rows = list(map(rows.__getitem__, dmap))
+        members = mask_of(x for x, source in enumerate(dmap) if dom.members >> source & 1)
+        dom = CarrierSet(group, dom.arity, members)
     return Relation(dom, cod, tuple(rows))
 
 

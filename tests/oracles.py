@@ -133,6 +133,23 @@ def brute_lshape_right_counts(relation: Relation) -> list[int]:
     )
 
 
+def brute_is_associative(table) -> bool:
+    """(a·b)·c = a·(b·c) for every triple of a Cayley table, one at a time."""
+    q = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(q)
+        for b in range(q)
+        for c in range(q)
+    )
+
+
+def brute_has_inverses(table) -> bool:
+    """Every element a has some b with a·b = b·a = 0."""
+    q = len(table)
+    return all(any(table[a][b] == 0 == table[b][a] for b in range(q)) for a in range(q))
+
+
 def brute_closure(group, seed: int) -> int:
     """Smallest subgroup mask containing the seed mask, by a fixed point.
 

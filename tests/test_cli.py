@@ -308,6 +308,33 @@ def test_nonabelian_example_family_matches_the_oracles(tmp_path):
             )
 
 
+def test_asymptotic_example_family_matches_the_oracles(tmp_path):
+    """The checked-in asymptotic trend, on its members of order <= 64: every
+    census density is the brute-force total over |G|³. The larger members
+    (up to H7, order 343) run only in the example."""
+    config = json.loads((EXAMPLES / "asymptotic_trend.json").read_text())
+    assert config["census"] == ["square", "lshape-right"]
+    orders = {name: parse_group_spec(name).order for name in config["groups"]}
+    assert max(orders.values()) == 343
+    small = [name for name in config["groups"] if orders[name] <= 64]
+    assert small == ["Z27", "D9", "H3", "D25"]
+    config_path = tmp_path / "small.json"
+    config_path.write_text(json.dumps(dict(config, groups=small)))
+    out = tmp_path / "trend.json"
+    assert main(["experiment", "trend", "--config", str(config_path), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    spec = GeneratorSpec.from_json(config["generator"])
+    oracle_of = {"square": oracles.brute_square_counts, "lshape-right": oracles.brute_lshape_right_counts}
+    for row in report["rows"]:
+        group = parse_group_spec(row["group"])
+        relation = instantiate_generator(spec, group, config["seed"])
+        for kind, oracle in oracle_of.items():
+            density = row["census_density"][kind]
+            assert Fraction(density["num"], density["den"]) == Fraction(
+                sum(oracle(relation)), group.order**3
+            )
+
+
 def test_family_trend_needs_two_groups():
     cfg = ExperimentConfig(groups=["Z9"], generator=GeneratorSpec("linear_order", {"width": 3}))
     with pytest.raises(ValueError):

@@ -32,6 +32,8 @@ from groupstab.groups import closure, parse_cayley_table
 
 from oracles import (
     brute_closure,
+    brute_has_inverses,
+    brute_is_associative,
     brute_subgroup_masks,
     ref_cyclic,
     ref_dihedral,
@@ -63,6 +65,65 @@ def test_bad_cayley_table_names_failing_axiom():
         from_cayley_table(table)
     assert err.value.axiom in ("associativity", "inverse")
     assert err.value.witness
+
+
+TABLE_GROUPS = [g for g in builtin_catalogue(16) if g.order >= 3] + [heisenberg(2)]
+
+
+@st.composite
+def swapped_group_tables(draw):
+    """A group table of order <= 16 with two entries of one row swapped, both
+    off the identity row and column."""
+    group = draw(st.sampled_from(TABLE_GROUPS), label="group")
+    table = [list(row) for row in group._mul_table()]
+    nonzero = st.integers(1, group.order - 1)
+    a, b = draw(nonzero, label="row"), draw(nonzero, label="column")
+    c = draw(nonzero.filter(lambda c: c != b), label="other column")
+    table[a][b], table[a][c] = table[a][c], table[a][b]
+    return table
+
+
+@st.composite
+def tables_with_identity(draw):
+    """A random table on <= 6 elements whose row and column 0 are the identity's."""
+    q = draw(st.integers(1, 6), label="order")
+    entry = st.integers(0, q - 1)
+    return [list(range(q))] + [[x] + draw(st.lists(entry, min_size=q - 1, max_size=q - 1))
+                               for x in range(1, q)]
+
+
+@st.composite
+def relabelled_group_tables(draw):
+    """A group table of order <= 16 with its elements renamed, 0 kept: a table
+    that both checks accept, with generators other than the catalogue's."""
+    group = draw(st.sampled_from(TABLE_GROUPS), label="group")
+    rename = [0] + draw(st.permutations(range(1, group.order)), label="renaming")
+    table = [[0] * group.order for _ in range(group.order)]
+    for a, row in enumerate(group._mul_table()):
+        for b, ab in enumerate(row):
+            table[rename[a]][rename[b]] = rename[ab]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(swapped_group_tables() | tables_with_identity() | relabelled_group_tables())
+def test_cayley_validation_matches_the_brute_force_axioms(table):
+    if not brute_is_associative(table):
+        expected = "associativity"
+    elif not brute_has_inverses(table):
+        expected = "inverse"
+    else:
+        expected = None
+    try:
+        group = from_cayley_table(table)
+    except AxiomViolation as err:
+        assert err.axiom == expected
+        if err.axiom == "associativity":
+            x, a, c = err.witness
+            assert table[table[x][a]][c] != table[x][table[a][c]]
+    else:
+        assert expected is None
+        assert group._mul_table() == table
 
 
 def test_identity_must_sit_at_index_zero():
@@ -120,11 +181,7 @@ def test_orders_from_digits_match_the_table_walk():
 def test_associativity_exhaustive_small_groups():
     for g in [cyclic(7), product(cyclic(2), cyclic(4)), dihedral(4), heisenberg(2)]:
         assert g.order <= 16
-        for a in range(g.order):
-            for b in range(g.order):
-                ab = g.mul(a, b)
-                for c in range(g.order):
-                    assert g.mul(ab, c) == g.mul(a, g.mul(b, c))
+        assert brute_is_associative(g._mul_table())
 
 
 def test_associativity_through_word_evaluation():
@@ -274,6 +331,8 @@ Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
          "product(cyclic(2),cayley_table(6,57197bee62ee))", "Z2xD3", "eab613874839"),
         (lambda: dihedral(4), "cayley_table(8,3bd0d8473998)", "D4", "72cd34ed2847"),
         (lambda: heisenberg(3), "cayley_table(27,5abd4659daf0)", "H3", "3489db715571"),
+        (lambda: dihedral(50), "cayley_table(100,eccffa0c7ffb)", "D50", "fcf461af4436"),
+        (lambda: heisenberg(5), "cayley_table(125,3ff98c4b007c)", "H5", "74445b639cc2"),
         (lambda: from_cayley_table(Z3_TABLE), "cayley_table(3,fc2cc19d9b4c)", "T3_fc2c", "3ce8a6773a05"),
     ],
 )

@@ -12,6 +12,7 @@ from groupstab import (
     ArityMismatch,
     ArityUnsupported,
     CarrierSet,
+    CrossGroupElement,
     NonAbelianGroup,
     ap_census,
     build_relation,
@@ -400,6 +401,19 @@ def test_ap_census_and_defect_reject_inputs_outside_the_group():
         comparability_defect(z4, 0b11, -1, "right")
     with pytest.raises(ValueError):
         comparability_defect(z4, 0b11, cyclic(5).element(1))
+
+
+def test_ap_census_and_defect_reject_elements_of_another_group():
+    z4, d4 = cyclic(4), dihedral(4)
+    for foreign in (cyclic(5).element(1), dihedral(4).element(1), cyclic(4).element(1)):
+        with pytest.raises(CrossGroupElement):
+            ap_census(z4, 0b11, 2, foreign)
+        with pytest.raises(CrossGroupElement):
+            comparability_defect(z4, 0b11, foreign)
+    with pytest.raises(CrossGroupElement):
+        comparability_defect(d4, 0b11, z4.element(1), "right")
+    # an element of the group itself is accepted
+    assert ap_census(z4, 0b11, 2, z4.element(1)) == (0b01, 1)
 
 
 def test_sidelength_coverage():

@@ -147,6 +147,33 @@ def test_translate_relation_matches_pointwise_definition(data):
     )
 
 
+MOVE_GROUPS = [cyclic(12), product(cyclic(2), cyclic(3), cyclic(2)), product(cyclic(2), dihedral(3)),
+               dihedral(5), dihedral(50), heisenberg(3), heisenberg(5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MOVE_GROUPS), st.data())
+def test_translate_relation_moves_columns_as_permute_bits_does(group, data):
+    """The codomain move of translate_relation against permuting each row and
+    the carrier bit by bit by the undoing map, on the abelian and the
+    permutation side of every group kind."""
+    m = data.draw(st.sampled_from([1, 2] if group.order <= 12 else [1]), label="m")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    rel = random_relation(group, rng, (1, m), proper_carriers=data.draw(st.booleans()))
+    shift, side = data.draw(shifts(group, m).filter(lambda s: s[0] is not None), label="shift")
+    per = shift if isinstance(shift, tuple) else (shift,)
+    sides = side if isinstance(side, tuple) else (side,) * m
+    undo = [0]
+    for s, sd in zip(per, sides):  # x -> x·s^-1 or s^-1·x per coordinate, first most significant
+        inverse = 0 if s is None else group.inv(s.index)
+        digit = translation(group, **{sd: inverse})
+        undo = [u * group.order + d for u in undo for d in digit]
+    out = translate_relation(rel, codomain_shift=shift, codomain_side=side)
+    assert out.rows == tuple(permute_bits(row, undo) for row in rel.rows)
+    assert out.codomain.members == permute_bits(rel.codomain.members, undo)
+    assert out.domain == rel.domain
+
+
 # Column counts on both sides of the tile sizes 8, 16, ..., 256, and any in 1..300.
 COLUMNS = st.sampled_from([7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256,
                            257, 300]) | st.integers(1, 300)
