@@ -372,7 +372,7 @@ def make_group(recipe) -> FiniteGroup:
     if kind == "product":
         return product(*(make_group(f) for f in _read(list, recipe["factors"], "'factors'")))
     if kind == "cayley_table":
-        table = _read(lambda t: [list(map(int, row)) for row in t], recipe["table"], "'table'")
+        table = _read(_int_rows, recipe["table"], "'table'")
         name = recipe.get("name")
         if not isinstance(name, (str, type(None))):
             raise ValueError(f"cannot read 'name' from {name!r}")
@@ -382,6 +382,15 @@ def make_group(recipe) -> FiniteGroup:
     if kind == "heisenberg":
         return heisenberg(_read(int, recipe["p"], "'p'"))
     raise ValueError(f"unknown group recipe kind: {kind!r}")
+
+
+def _int_rows(table) -> list[list[int]]:
+    """The rows of a recipe's table, each a list of ints. A row given as a
+    string is refused, not read digit by digit."""
+    rows = [list(row) for row in table if isinstance(row, (list, tuple))]
+    if len(rows) != len(table) or not all(isinstance(x, int) for row in rows for x in row):
+        raise TypeError("Cayley table rows must be lists of ints")
+    return rows
 
 
 def load_cayley_table(path) -> FiniteGroup:

@@ -25,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_, invert, mul, or_
 
 from .bits import iter_bits
 from .errors import BudgetExceeded
@@ -32,6 +33,7 @@ from .genlab import frac_json
 from .relations import Relation
 
 DEFAULT_EXACT_BUDGET = 10**6
+_CHUNK = 256  # a-tuples sampled per chunk; larger ones only take more memory
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 
@@ -250,13 +252,16 @@ def sample_halfgraphs(
     confidence: float = 0.95,
     worker_count: int = 1,
 ) -> HalfGraphReport:
-    """Monte Carlo estimate of |H_k| from uniform tuples of X^k × Y^k.
+    """Monte Carlo estimate of |H_k| from uniform a-tuples of X^k.
 
-    One uniform tuple per trial; the hit fraction estimates theta_carrier and
-    is rescaled to the group normalization. The two-sided interval is the
-    Hoeffding bound at the requested confidence. The sample budget is split
-    across `worker_count` streams with derived seeds, so the result depends
-    only on (seed, worker_count).
+    Each a-tuple is scored by the b-tuples that complete it, Π_j |T_j| / |Y|^k
+    (`_score_chunk`): the hit rate of a uniform tuple of X^k × Y^k averaged
+    over the b's, so by Rao-Blackwell no more variance. The mean score
+    estimates theta_carrier and is rescaled to the group normalization. The
+    T_j are disjoint subsets of Y, so a score lies in [0, k^-k], the range of
+    the two-sided Hoeffding interval at the requested confidence. The sample
+    budget is split across `worker_count` streams with derived seeds, so the
+    result depends only on (seed, worker_count).
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
@@ -266,38 +271,27 @@ def sample_halfgraphs(
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-    xs = relation.domain.member_indices()
-    ys = relation.codomain.member_indices()
-    rows = relation.rows
+    rows = [relation.rows[x] for x in relation.domain.member_indices()]
+    ny = relation.codomain.size
     group_denom, carrier_denom = _normalizers(relation, k)
-    if not xs or not ys:
+    if not rows or not ny:
         zero = Fraction(0)
         return HalfGraphReport(k, None, zero, (zero, zero), samples, zero, zero)
-    hits = 0
-    base = samples // worker_count
-    extra = samples % worker_count
+    score = 0
+    base, extra = divmod(samples, worker_count)
     for w in range(worker_count):
-        budget = base + (1 if w < extra else 0)
         rng = random.Random(derive_seed(seed, w))
-        for _ in range(budget):
-            a = [xs[rng.randrange(len(xs))] for _ in range(k)]
-            b = [ys[rng.randrange(len(ys))] for _ in range(k)]
-            ok = True
-            for i in range(k):
-                row = rows[a[i]]
-                for j in range(k):
-                    if bool(row >> b[j] & 1) != (i <= j):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                hits += 1
-    p_hat = Fraction(hits, samples)
-    eps = Fraction(math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples)))
+        left = base + (w < extra)
+        while left:
+            n = min(left, _CHUNK)
+            score += _score_chunk([rng.choices(rows, k=n) for _ in range(k)])
+            left -= n
+    p_hat = Fraction(score, samples * ny**k)
+    top = Fraction(1, k**k)
+    eps = top * Fraction(math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples)))
     scale = Fraction(carrier_denom, group_denom)
     lo = max(Fraction(0), p_hat - eps) * scale
-    hi = min(Fraction(1), p_hat + eps) * scale
+    hi = min(top, p_hat + eps) * scale
     return HalfGraphReport(
         k=k,
         exact_count=None,
@@ -307,6 +301,26 @@ def sample_halfgraphs(
         theta_group=p_hat * scale,
         theta_carrier=p_hat,
     )
+
+
+def _score_chunk(cols: list[list[int]]) -> int:
+    """Σ Π_j |T_j| over the a-tuples whose rows are cols[0][s], ..., cols[k-1][s].
+
+    T_j = P_j & ~U_{j+1} and T_k = P_k, from the prefix meets P_j and the
+    suffix unions U_j, each built by `map` over the whole chunk.
+    """
+    unions = [cols[-1]]  # U_k, U_{k-1}, ..., U_2
+    for col in cols[-2:0:-1]:
+        unions.append(list(map(or_, col, unions[-1])))
+    meet = cols[0]
+    sizes = []
+    for col in cols[1:]:
+        sizes.append(map(int.bit_count, map(and_, meet, map(invert, unions.pop()))))
+        meet = list(map(and_, meet, col))
+    prod = map(int.bit_count, meet)
+    for size in sizes:
+        prod = map(mul, prod, size)
+    return sum(prod)
 
 
 def theta_profile(

@@ -84,6 +84,27 @@ def test_halfgraph_estimate_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("mode, height", [("estimate", ["--k", "3"]), ("profile", ["--k-max", "3"])])
+def test_halfgraph_sampling_cli_is_reproducible_and_in_its_interval(capsys, mode, height, threads):
+    args = [
+        "halfgraph", mode, "--group", "Z8",
+        "--gen", '{"kind": "random_dense", "params": {"delta": 0.5, "seed": 11}}',
+        *height, "--samples", "700", "--seed", "4", "--threads", threads, "--budget", "100",
+    ]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    out = json.loads(first)
+    reports = out["profile"] if mode == "profile" else [out]
+    sampled = [r for r in reports if r["exact_count"] is None]
+    assert sampled and all(r["samples"] == 700 for r in sampled)
+    for r in sampled:
+        lo, hi, est = (Fraction(f["num"], f["den"]) for f in (*r["confidence_interval"], r["estimate"]))
+        assert lo <= est <= hi
+
+
 def test_patterns_census_cli(capsys):
     code = main([
         "patterns", "census", "--group", "Z4",
@@ -421,6 +442,7 @@ LINEAR = '"generator": {"kind": "linear_order"}'
          None),
         (["experiment", "run"], '{"groups": ["Z4", "D3"], "census": ["cube"], %s}' % LINEAR),
         (["experiment", "run"], '{"groups": ["Z4", "D3"], "census": [5], %s}' % LINEAR),
+        (["group", "info", "--group", '{"kind": "cayley_table", "table": ["01", "10"]}'], None),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):

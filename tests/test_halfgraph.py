@@ -1,5 +1,6 @@
 """halfgraph: exact counts, enumeration, sampling, theta profile."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from groupstab import (
     CarrierSet,
     Relation,
     build_relation,
+    builtin_catalogue,
     cayley_graph,
     count_halfgraphs_exact,
     cyclic,
@@ -27,6 +29,7 @@ from groupstab import (
     theta_profile,
 )
 from groupstab.bits import mask_of
+from groupstab.halfgraph import _CHUNK, _score_chunk
 
 from oracles import brute_halfgraph_count, brute_halfgraph_witnesses
 
@@ -250,6 +253,73 @@ def test_sampling_worker_partition_changes_only_stream():
     assert seq.samples == par.samples == 2000
     # same contract, deterministic per (seed, worker_count)
     assert par == sample_halfgraphs(rel, 2, 2000, seed=5, worker_count=4)
+
+
+SCORE_GROUPS = builtin_catalogue(8) + [dihedral(3)]
+
+
+@st.composite
+def score_cases(draw):
+    """(relation, k) on random carriers of a group of order <= 8, with
+    |X|^k·|Y|^k at most BRUTE_TUPLES, and a random relation between them."""
+    group = draw(st.sampled_from(SCORE_GROUPS), label="group")
+    k = draw(st.integers(1, 4), label="k")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    cells = int(BRUTE_TUPLES ** (1 / k))
+    nx = rng.randint(1, min(group.order, cells))
+    ny = rng.randint(1, min(group.order, cells // nx))
+    dom = CarrierSet(group, 1, mask_of(rng.sample(range(group.order), nx)))
+    cod = CarrierSet(group, 1, mask_of(rng.sample(range(group.order), ny)))
+    density = rng.choice((0.3, 0.5, 0.8))
+    return build_relation(dom, cod, predicate=lambda x, y: rng.random() < density), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(score_cases())
+def test_mean_score_over_all_a_tuples_is_theta_carrier(case):
+    rel, k = case
+    xs = rel.domain.member_indices()
+    ny = rel.codomain.size
+    tuples = list(itertools.product(xs, repeat=k))
+    cols = [[rel.rows[x] for x in col] for col in zip(*tuples)]
+    expected = Fraction(brute_halfgraph_count(rel, k), len(tuples) * ny**k)
+    assert Fraction(_score_chunk(cols), len(tuples) * ny**k) == expected
+    # the T_j are disjoint subsets of Y, so each score is at most (|Y|/k)^k
+    for a in random.Random(k).sample(tuples, min(len(tuples), 50)):
+        assert k**k * _score_chunk([[rel.rows[x]] for x in a]) <= ny**k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_equal_domain_rows_sample_the_exact_theta(k):
+    # every a-tuple scores the same, so each estimate is exact
+    z7 = cyclic(7)
+    rel = Relation(CarrierSet(z7, 1, 0b1011011), CarrierSet(z7, 1, 0b1101110),
+                   tuple(0b0101100 if x in (0, 1, 3, 4, 6) else 0 for x in range(7)))
+    exact = count_halfgraphs_exact(rel, k).theta_group
+    for seed in range(5):
+        for workers in (1, 3):
+            est = sample_halfgraphs(rel, k, 40, seed=seed, worker_count=workers)
+            assert est.estimate == est.theta_group == exact
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_sampling_across_chunk_boundaries(workers):
+    rel = linear_order_relation(cyclic(16), 6)
+    samples = 3 * _CHUNK + 1
+    est = sample_halfgraphs(rel, 2, samples, seed=3, worker_count=workers)
+    assert est == sample_halfgraphs(rel, 2, samples, seed=3, worker_count=workers)
+    assert est.samples == samples
+    lo, hi = est.confidence_interval
+    assert lo <= est.estimate <= hi
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sampled_interval_stays_in_the_score_range(k):
+    # a score lies in [0, k^-k]; on full carriers of arity 1 theta_group = theta_carrier
+    rel = random_relation(cyclic(6), random.Random(k))
+    for seed in range(5):
+        lo, hi = sample_halfgraphs(rel, k, 3, seed=seed).confidence_interval
+        assert 0 <= lo <= hi <= Fraction(1, k**k)
 
 
 def test_theta_profile_monotone_and_flags():
