@@ -114,6 +114,10 @@ class ExperimentConfig:
             raise ValueError(f"max_index must be >= 1, got {self.max_index}")
         if not 0 < self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 0 < self.confidence < 1:
+            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         for kind in self.census:
@@ -167,6 +171,8 @@ class ExperimentConfig:
 
 def _run_census(relation, kind: str, witnesses: int = 0) -> PatternCensus:
     """The census of one CLI kind, listing up to `witnesses` witness triples."""
+    if witnesses < 0:
+        raise ValueError(f"witnesses must be >= 0, got {witnesses}")
     return census(relation, kind.replace("-", "_"), witnesses > 0, witnesses or 1)
 
 
@@ -351,6 +357,7 @@ def _cmd_halfgraph(args) -> int:
         reports = theta_profile(
             relation, args.k_max, exact_budget=args.budget,
             samples=args.samples, seed=args.seed, confidence=args.confidence,
+            worker_count=args.threads,
         )
         _emit({"profile": [r.to_json() for r in reports]}, args.output)
         return 0

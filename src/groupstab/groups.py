@@ -10,7 +10,10 @@ associativity test on a generating set) and kept from the start; dihedral
 and Heisenberg groups are built this way. A
 cyclic group or a product builds its table the first time anything reads
 it (`mul`, `inv`, a subgroup search, a census) and keeps it, so a large
-Z_n used only as an index space never holds n² entries.
+Z_n used only as an index space never holds n² entries. The index of an
+element of a product of cyclic groups has one digit per factor
+(`FiniteGroup._cyclic_digits`): element orders are read from those digits,
+and a census moves its rows by rotating them (`patterns._row_mover`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .bits import _digit_shift, iter_bits, mask_of, permute_bits
+from .bits import iter_bits, mask_of, permute_bits
 from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement, _read
 
 DEFAULT_CLOSURE_BUDGET = 10**6
@@ -147,50 +150,6 @@ def translation(group: FiniteGroup, left: int = 0, right: int = 0) -> list[int]:
     table = group._mul_table()
     row = table[left]
     return [row[col[right]] for col in table]
-
-
-class RotationView:
-    """The digits of a product of cyclic groups' index order, in which translating
-    by any side length shifts digits of the indices.
-
-    Digit i of index p is p // weight % length for digits[i] = (weight, length).
-    For each g, y -> y·g adds steps[g][i] mod length to digit i of every index.
-    """
-
-    def __init__(self, digits, steps, size):
-        self.digits = digits
-        self.steps = steps
-        self.size = size
-        self._shifts: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-
-    def shifts(self, g: int, power: int) -> list[tuple[int, int, int, int]]:
-        """The bits._digit_shift of each digit that y -> y·g^power moves, for a
-        power of any sign."""
-        out = []
-        for i, ((weight, length), step) in enumerate(zip(self.digits, self.steps[g])):
-            step = step * power % length
-            if step:
-                key = (i, step)
-                if key not in self._shifts:
-                    self._shifts[key] = _digit_shift(self.size, weight, length, step)
-                out.append(self._shifts[key])
-        return out
-
-
-def rotation_views(group: FiniteGroup) -> dict[int, RotationView]:
-    """The rotation view of every side length g, or no views at all.
-
-    A product of cyclic groups (cyclic(n) included) has one view, its index
-    order with a digit per cyclic factor, and it serves every g. Any other
-    group gets none, whatever its structure: the census moves its bitsets by
-    permuting the columns of all rows at once (bits._column_permuter).
-    """
-    digits = group._cyclic_digits()
-    if digits is None:
-        return {}
-    q = group.order
-    steps = {g: tuple(g // w % n for w, n in digits) for g in range(q)}
-    return dict.fromkeys(range(q), RotationView(digits, steps, q))
 
 
 def cyclic(n: int) -> FiniteGroup:

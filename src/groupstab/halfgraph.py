@@ -330,17 +330,21 @@ def theta_profile(
     samples: int = 10_000,
     seed: int = 0,
     confidence: float = 0.95,
+    worker_count: int = 1,
 ) -> list[HalfGraphReport]:
     """Reports for k = 1..k_max; exact where the budget gate of
     count_halfgraphs_exact admits them, sampled beyond.
 
-    Sampled entries are flagged by exact_count being None. With the group
-    normalization theta_k is non-increasing in k.
+    Sampled entries are flagged by exact_count being None; the one at height
+    k is sample_halfgraphs with seed derive_seed(seed, k) over worker_count
+    streams. With the group normalization theta_k is non-increasing in k.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     return [
-        _exact_or_sampled(relation, k, exact_budget, samples, derive_seed(seed, k), confidence)
+        _exact_or_sampled(
+            relation, k, exact_budget, samples, derive_seed(seed, k), confidence, worker_count
+        )
         for k in range(1, k_max + 1)
     ]
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_
 
-from .bits import _column_permuter, iter_bits, mask_of, permute_bits
+from .bits import _column_permuter, _digit_shift, iter_bits, mask_of, permute_bits
 from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup
-from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, rotation_views, translation
+from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, translation
 from .relations import Relation, _checked_coordinate, _lift_digit_map, _side_translation
 
 DEFAULT_WITNESS_CAP = 10_000
@@ -143,12 +143,10 @@ def census(
     and codomain action. The meet of a triple is the AND over the points, and
     its popcount the number of b; the loop over a is one chain of map calls.
 
-    On a product of cyclic groups with a codomain of arity 1, every move is a
-    rotation in the index order (groups.rotation_views): each row shifts digit
-    by digit. Any other move, on any other group, on a codomain of arity above
-    1, or the two-sided move of rect23 on a non-abelian group, permutes the
-    columns of all rows at once (bits._column_permuter). Witnesses list the b
-    of each meet in ascending order, a by a and g by g.
+    The rows move through one _row_mover per census: a rotation digit by
+    digit on a product of cyclic groups with a codomain of arity 1, a move of
+    all columns at once everywhere else. Witnesses list the b of each meet in
+    ascending order, a by a and g by g.
     """
     if kind not in SHAPES:
         raise ValueError(f"unknown census kind {kind!r}")
@@ -171,11 +169,7 @@ def census(
     rows = relation.rows
     xs = relation.domain.member_indices()
     top = max(max(p[0] + p[1]) for p in shape.points)  # highest power of g in a point
-    views = rotation_views(group) if m == 1 else {}
-    permute = None if views else _column_permuter(rows, relation.codomain.universe)
-
-    def action(sides, powers, arity, lift):
-        return _lift_digit_map(translation(group, powers[sides[0]], powers[sides[1]]), arity, *lift)
+    move = _row_mover(group, rows, relation.codomain.universe, m, lifts[1])
 
     counts = [0] * q
     witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
@@ -188,15 +182,10 @@ def census(
         meets = None
         for dact, cact in shape.points:
             if cact not in moved:
-                if views:  # abelian: y -> y·g^-(lc+rc)
-                    src = rows
-                    for left, high, right, low in views[g].shifts(g, -sum(cact)):
-                        src = [(row << left & high) | (row >> right & low) for row in src]
-                    moved[cact] = src
-                else:  # column g^lc·y·g^rc of each row goes to column y
-                    moved[cact] = permute(action(cact, powers, m, lifts[1]))
+                moved[cact] = move(powers[cact[0]], powers[cact[1]])
             if dact not in dmaps:
-                dmaps[dact] = list(map(action(dact, powers, n, lifts[0]).__getitem__, xs))
+                dmap = translation(group, powers[dact[0]], powers[dact[1]])
+                dmaps[dact] = list(map(_lift_digit_map(dmap, n, *lifts[0]).__getitem__, xs))
             picked = map(moved[cact].__getitem__, dmaps[dact])
             meets = picked if meets is None else map(and_, meets, picked)
         meets = list(meets)
@@ -206,6 +195,40 @@ def census(
                 if meet:
                     _collect(witnesses, witness_cap, meet, a, g)
     return _finish(kind, counts, witnesses)
+
+
+def _row_mover(group: FiniteGroup, rows, size: int, arity: int, lift):
+    """The function move(left, right) -> the rows with column left·y·right moved
+    to column y, the map y -> left·y·right of G lifted to the arity of the
+    columns by lift = (coordinate, diagonal).
+
+    On a product of cyclic groups with columns of arity 1, column y·h goes to
+    column y for h = left·right. The index order has a digit per cyclic
+    factor (FiniteGroup._cyclic_digits), so each digit of every row rotates
+    by minus the digit of h (bits._digit_shift): two shifts and two masks a
+    row, the shifts kept per (digit, step). Any other group or arity permutes
+    the columns of all rows at once (bits._column_permuter, built here once).
+    """
+    digits = group._cyclic_digits() if arity == 1 else None
+    if digits is None:
+        permute = _column_permuter(rows, size)
+        return lambda left, right: permute(_lift_digit_map(translation(group, left, right), arity, *lift))
+    table = group._mul_table()
+    shifts: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+    def move(left: int, right: int) -> list[int]:
+        h = table[left][right]
+        out = rows
+        for weight, length in digits:
+            step = -(h // weight) % length
+            if step:
+                if (weight, step) not in shifts:
+                    shifts[weight, step] = _digit_shift(size, weight, length, step)
+                shl, high, shr, low = shifts[weight, step]
+                out = [(row << shl & high) | (row >> shr & low) for row in out]
+        return out
+
+    return move
 
 
 def square_census(

@@ -18,11 +18,13 @@ from groupstab import (
     instantiate_generator,
     run_experiment,
     run_family_trend,
+    sample_halfgraphs,
     sidelength_coverage,
     subgroups_up_to_index,
 )
 from groupstab import cli
 from groupstab.cli import build_parser, main, parse_group_spec
+from groupstab.halfgraph import derive_seed
 from groupstab.patterns import SHAPES
 
 import oracles
@@ -103,6 +105,27 @@ def test_halfgraph_sampling_cli_is_reproducible_and_in_its_interval(capsys, mode
     for r in sampled:
         lo, hi, est = (Fraction(f["num"], f["den"]) for f in (*r["confidence_interval"], r["estimate"]))
         assert lo <= est <= hi
+
+
+def test_halfgraph_profile_honours_threads(capsys):
+    """Each sampled height of the profile is the sampler at its derived seed,
+    over the --threads streams."""
+    spec = '{"kind": "random_dense", "params": {"delta": 0.5, "seed": 11}}'
+    profiles = {}
+    for threads in ("1", "3"):
+        assert main([
+            "halfgraph", "profile", "--group", "Z8", "--gen", spec, "--k-max", "3",
+            "--samples", "700", "--seed", "4", "--threads", threads, "--budget", "10",
+        ]) == 0
+        profiles[threads] = json.loads(capsys.readouterr().out)["profile"]
+    relation = instantiate_generator(GeneratorSpec.from_json(json.loads(spec)), cyclic(8), 4)
+    for k, three in enumerate(profiles["3"], start=1):
+        if three["exact_count"] is None:
+            expected = sample_halfgraphs(relation, k, 700, derive_seed(4, k), worker_count=3)
+            assert three == expected.to_json()
+    # k = 1 is exact; k = 2 and 3 are sampled, and k = 2 reads another estimate.
+    assert [r["exact_count"] is None for r in profiles["3"]] == [False, True, True]
+    assert profiles["1"][1] != profiles["3"][1]
 
 
 def test_patterns_census_cli(capsys):
@@ -368,14 +391,12 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("{not json")
     proc = run_cli("experiment", "run", "--config", str(bad))
     assert proc.returncode == 1
-    # row error: budget too small for exact counting and sampling disabled
+    # row error: L-shapes need an abelian group
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "groups": ["Z5"],
+        "groups": ["D3"],
         "generator": {"kind": "random_dense", "params": {"delta": 0.5, "seed": 0}},
-        "k": 3,
-        "exact_budget": 10,
-        "samples": 0,
+        "census": ["lshape"],
     }))
     proc = run_cli("experiment", "run", "--config", str(cfg))
     assert proc.returncode == 2
@@ -443,6 +464,11 @@ LINEAR = '"generator": {"kind": "linear_order"}'
         (["experiment", "run"], '{"groups": ["Z4", "D3"], "census": ["cube"], %s}' % LINEAR),
         (["experiment", "run"], '{"groups": ["Z4", "D3"], "census": [5], %s}' % LINEAR),
         (["group", "info", "--group", '{"kind": "cayley_table", "table": ["01", "10"]}'], None),
+        (["experiment", "run"], '{"groups": ["Z4"], "samples": 0, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "confidence": 1.5, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "confidence": 0, %s}' % LINEAR),
+        (["patterns", "census", "--group", "Z4", "--gen", '{"kind": "linear_order"}',
+          "--kind", "square", "--witnesses", "-1"], None),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):
