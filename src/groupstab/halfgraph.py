@@ -16,6 +16,13 @@ appended, so a branch is cut as soon as any T_j is empty, and a row that
 fails at a node fails at every node below it: each node tries only the
 rows that survived at its parent. A repeated row empties the T_j of its
 earlier copy, so the a_i come out distinct without bookkeeping.
+
+The exact count walks this way only to depth k-2. Two orders (u, v) and
+(v, u) of the last two rows leave the same T_j except T_{k-1}, so each
+node at depth k-2 sums over the unordered pairs of its surviving rows in
+closed form (`_node_pairs`, and `_root_pairs` at k = 2). At k = 3 that is
+one AND and popcount per pair. The enumeration needs the b-sets, so it
+walks to depth k.
 """
 
 from __future__ import annotations
@@ -100,9 +107,11 @@ def count_halfgraphs_exact(
     nothing), so the sum runs over tuples of distinct row values weighted by
     their multiplicities. The budget is charged for the injective ones,
     d·(d-1)···(d-k+1) over the d distinct non-empty rows, and checked before
-    any walking. The walk itself keeps T_1..T_m reduced by the rows chosen
-    after them (see `_split`) and cuts a branch as soon as one is empty; at
-    the last level the product of popcounts goes straight into the total.
+    any walking; with d < k it is 0 and so is the count. The walk keeps
+    T_1..T_m reduced by the rows chosen after them (see `_split`) and cuts
+    a branch as soon as one is empty. It stops at depth k-2 and adds, per
+    unordered pair of surviving rows, both orders at once (`_node_pairs`;
+    `_root_pairs` at k = 2).
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
@@ -117,38 +126,95 @@ def count_halfgraphs_exact(
     tuples = math.perm(d, k)
     if tuples > budget:
         raise BudgetExceeded(tuples, budget, "a-tuples")
+    if d < k:
+        return _exact_report(relation, k, 0)
     if k == 1:
         return _exact_report(relation, k, sum(w * v.bit_count() for v, w in zip(vals, weights)))
+    if k == 2:
+        return _exact_report(relation, k, _root_pairs(vals, weights))
     nots = [~v for v in vals]
     total = 0
 
     def rec(ts: list[int], weight: int, cands: list[int]) -> None:
         nonlocal total
-        if len(ts) < k - 1:
+        if len(ts) < k - 2:
             kids = _split(ts, vals, nots, cands)
             survivors = [c for c, _ in kids]
             for c, child in kids:
                 rec(child, weight * weights[c], survivors)
-            return
-        meet = ts[0]
-        for c in cands:
-            head = (meet & vals[c]).bit_count()
-            if not head:
-                continue
-            prod = weight * weights[c] * head
-            nr = nots[c]
-            for t in ts:
-                n = (t & nr).bit_count()
-                if not n:
-                    break
-                prod *= n
-            else:
-                total += prod
+        else:
+            total += weight * _node_pairs(ts, vals, nots, weights, cands)
 
     cands = list(range(d))
     for c in cands:
         rec([vals[c]], weights[c], cands)
     return _exact_report(relation, k, total)
+
+
+def _root_pairs(rows: list[int], weights: list[int]) -> int:
+    """|H_2| from the unordered pairs {u, v} of distinct rows.
+
+    The orders (u, v) and (v, u) share T_2 = r_u & r_v, of size g, and have
+    T_1 of size |r_u| - g and |r_v| - g, so the pair adds
+    w_u·w_v·g·(|r_u| + |r_v| - 2g).
+    """
+    sized = [(row, row.bit_count(), w) for row, w in zip(rows, weights)]
+    total = 0
+    for i, (ru, nu, wu) in enumerate(sized):
+        acc = 0
+        for rv, nv, wv in itertools.islice(sized, i + 1, None):
+            g = (ru & rv).bit_count()
+            if g:
+                acc += wv * g * (nu + nv - 2 * g)
+        total += wu * acc
+    return total
+
+
+def _node_pairs(ts: list[int], rows, nots, weights, cands: list[int]) -> int:
+    """Σ Π_j |T_j| over the a-tuples that extend a node by two rows.
+
+    `ts` holds T_m, ..., T_1 newest first. A candidate c survives when its
+    head h_c = T_m & r_c is neither empty nor all of T_m and every
+    T_j minus r_c (j < m) is non-empty. Appending u then v leaves
+    T_{m+2} = h_u & h_v of size g, T_{m+1} = h_u minus r_v of size |h_u| - g,
+    T_m minus (r_u | r_v) of size |T_m| - |h_u| - |h_v| + g, and T_j minus
+    (r_u | r_v) for j < m, of size |T_j∖r_u| - |(T_j∖r_u) & r_v|. Only
+    T_{m+1} differs from the order (v, u), so the unordered pair adds
+    w_u·w_v·g·(|h_u| + |h_v| - 2g)·(|T_m| - |h_u| - |h_v| + g)·Π_{j<m} |T_j∖r_u∖r_v|.
+    The pair u = v would add nothing (g = |h_u|), so a repeated row is
+    never paired with itself.
+    """
+    meet = ts[0]
+    size = meet.bit_count()
+    older = ts[1:]
+    survivors = []
+    for c in cands:
+        head = meet & rows[c]
+        n = head.bit_count()
+        if not n or n == size:
+            continue
+        nr = nots[c]
+        lows = []
+        for t in older:
+            t &= nr
+            if not t:
+                break
+            lows.append((t, t.bit_count()))
+        else:
+            survivors.append((head, n, weights[c], rows[c], lows))
+    total = 0
+    for i, (hu, nu, wu, _, lows) in enumerate(survivors):
+        acc = 0
+        rest = size - nu
+        for hv, nv, wv, rv, _ in itertools.islice(survivors, i + 1, None):
+            g = (hu & hv).bit_count()
+            if g:
+                prod = wv * g * (nu + nv - 2 * g) * (rest - nv + g)
+                for t, n in lows:
+                    prod *= n - (t & rv).bit_count()
+                acc += prod
+        total += wu * acc
+    return total
 
 
 def _split(ts: list[int], rows, nots, cands: list[int]) -> list[tuple[int, list[int]]]:
@@ -265,12 +331,7 @@ def sample_halfgraphs(
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if worker_count < 1:
-        raise ValueError(f"worker_count must be >= 1, got {worker_count}")
+    _check_sampling(samples, confidence, worker_count)
     rows = [relation.rows[x] for x in relation.domain.member_indices()]
     ny = relation.codomain.size
     group_denom, carrier_denom = _normalizers(relation, k)
@@ -301,6 +362,16 @@ def sample_halfgraphs(
         theta_group=p_hat * scale,
         theta_carrier=p_hat,
     )
+
+
+def _check_sampling(samples: int, confidence: float, worker_count: int) -> None:
+    """Refuse sampling parameters that no sampled height could use."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if worker_count < 1:
+        raise ValueError(f"worker_count must be >= 1, got {worker_count}")
 
 
 def _score_chunk(cols: list[list[int]]) -> int:
@@ -337,10 +408,13 @@ def theta_profile(
 
     Sampled entries are flagged by exact_count being None; the one at height
     k is sample_halfgraphs with seed derive_seed(seed, k) over worker_count
-    streams. With the group normalization theta_k is non-increasing in k.
+    streams. The sampling parameters are checked before any height, so they
+    are refused even when every height goes exact. With the group
+    normalization theta_k is non-increasing in k.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_sampling(samples, confidence, worker_count)
     return [
         _exact_or_sampled(
             relation, k, exact_budget, samples, derive_seed(seed, k), confidence, worker_count

@@ -469,6 +469,10 @@ LINEAR = '"generator": {"kind": "linear_order"}'
         (["experiment", "run"], '{"groups": ["Z4"], "confidence": 0, %s}' % LINEAR),
         (["patterns", "census", "--group", "Z4", "--gen", '{"kind": "linear_order"}',
           "--kind", "square", "--witnesses", "-1"], None),
+        # every height is exact here, and the sampling options are still checked
+        (["halfgraph", "profile", "--group", "Z9", "--gen",
+          '{"kind": "linear_order", "params": {"width": 3}}', "--k-max", "2",
+          "--samples", "0", "--confidence", "1.5"], None),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):

@@ -198,16 +198,28 @@ def kernel_cases(draw):
     return Relation(dom, cod, tuple(rows)), draw(st.integers(1, k_max), label="k")
 
 
-def _z5_into_four(rows):
+def _z5(rows, codomain=0b11111):
     z5 = cyclic(5)
-    return Relation(CarrierSet.full(z5, 1), CarrierSet(z5, 1, 0b1111), rows)
+    return Relation(CarrierSet.full(z5, 1), CarrierSet(z5, 1, codomain), rows)
 
 
-# height 4 on four nested rows, with an empty row and with a repeated one
+def _z5_into_four(rows):
+    return _z5(rows, codomain=0b1111)
+
+
+# height 4 on four nested rows, with an empty row and with a repeated one;
+# height 2 on two rows, each repeated; height 3 where the node of 0b0111 has
+# the one survivor 0b0001, so no pairs, and the node of 0b1111 has the pair
+# {0b0111, 0b0001}, each repeated; all rows equal; and a proper codomain
+# carrier that is not a prefix of the universe
 @settings(max_examples=100, deadline=None)
 @given(kernel_cases())
 @example((_z5_into_four((0b1111, 0b0111, 0, 0b0011, 0b0001)), 4))
 @example((_z5_into_four((0b1111, 0b0111, 0b0011, 0b0001, 0b0111)), 4))
+@example((_z5((0b00111, 0b01110, 0b00111, 0b01110, 0)), 2))
+@example((_z5_into_four((0b1111, 0b0111, 0b0001, 0b0111, 0b0001)), 3))
+@example((_z5((0b01101,) * 5), 2))
+@example((_z5((0b10110, 0b00100, 0b10010, 0b00110, 0b10100), codomain=0b10110), 3))
 def test_kernel_matches_brute_force_and_enumeration(case):
     rel, k = case
     expected = brute_halfgraph_count(rel, k)
@@ -222,6 +234,56 @@ def test_kernel_matches_brute_force_and_enumeration(case):
     with pytest.raises(BudgetExceeded) as err:
         count_halfgraphs_exact(rel, k, budget=charge - 1)
     assert err.value.required == charge
+
+
+# (group, arity) for carriers of 9-14 elements, past the brute force's reach
+WIDE_CARRIERS = [(cyclic(n), 1) for n in range(9, 15)] + [
+    (dihedral(5), 1), (dihedral(6), 1), (dihedral(7), 1), (cyclic(3), 2)]
+
+
+def _transpose(rel):
+    return build_relation(rel.codomain, rel.domain, pairs=[(y, x) for x, y in rel.pairs()])
+
+
+@st.composite
+def wide_cases(draw):
+    """(relation, k) on carriers of 9-14 elements, k = 2..4: random rows of
+    density 1/4 to 1/2, or nested prefixes of one ordering of Y, with repeats
+    and empty rows as in kernel_cases."""
+    group, arity = draw(st.sampled_from(WIDE_CARRIERS), label="carriers")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    dom = cod = CarrierSet.full(group, arity)
+    if draw(st.booleans(), label="proper"):
+        dom = CarrierSet(group, arity, mask_of(x for x in range(dom.universe) if rng.random() < 0.8) | 1)
+    ys = cod.member_indices()
+    xs = dom.member_indices()
+    rng.shuffle(xs)
+    distinct = rng.randint(1, len(xs))
+    if draw(st.booleans(), label="nested"):
+        rng.shuffle(ys)
+        pool = [mask_of(ys[:n]) for n in rng.sample(range(1, len(ys) + 1), distinct)]
+    else:
+        density = rng.choice((0.25, 0.5))
+        pool = [mask_of(y for y in ys if rng.random() < density) for _ in range(distinct)]
+    rows = [0] * dom.universe
+    for i, x in enumerate(xs):
+        rows[x] = pool[i] if i < len(pool) else rng.choice(pool + [0])
+    return Relation(dom, cod, tuple(rows)), draw(st.integers(2, 4), label="k")
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_cases())
+def test_kernel_matches_enumeration_and_transpose_on_wide_carriers(case):
+    rel, k = case
+    limit = 10**6
+    count = count_halfgraphs_exact(rel, k).exact_count
+    witnesses = enumerate_halfgraphs(rel, k, limit)
+    assert count == len(witnesses) < limit
+    # reversing both index tuples turns a half-graph of S into one of S^T
+    flipped = _transpose(rel)
+    assert count_halfgraphs_exact(flipped, k).exact_count == count
+    reversed_witnesses = sorted(w[2 * k - 1:k - 1:-1] + w[k - 1::-1] for w in witnesses)
+    assert enumerate_halfgraphs(flipped, k, limit) == reversed_witnesses
 
 
 def test_sampling_deterministic_and_zero_on_stable_input():
