@@ -6,7 +6,7 @@ reduce to AND/ANDNOT/popcount on these masks.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 
@@ -43,25 +43,24 @@ def _digit_shift(size: int, weight: int, length: int, step: int) -> tuple[int, i
     """(left, high, right, low) such that ((m << left) & high) | ((m >> right) & low)
     adds step mod length to the digit p // weight % length of every bit p of a mask
     m on 0..size-1, leaving the other digits; weight·length must divide size."""
-    span = weight * length
-    repeat = full_mask(size) // full_mask(span)  # bit 0 of every digit block
-    high = (full_mask((length - step) * weight) << step * weight) * repeat
-    low = full_mask(step * weight) * repeat
-    return step * weight, high, (length - step) * weight, low
+    low = _tile(full_mask(step * weight), weight * length, size) & full_mask(size)
+    return step * weight, full_mask(size) ^ low, (length - step) * weight, low
 
 
 def _column_permuter(rows, size: int):
-    """The function source -> the rows with column source[y] moved to column y,
-    for a permutation source of 0..size-1; the rows lie in 0..size-1. That is
-    [permute_bits(row, perm) for row in rows] for perm the inverse of source,
-    with every column moved at once.
+    """(stride, permute): permute(source) is the row matrix with column source[y]
+    moved to column y, for a permutation source of 0..size-1; the rows lie in
+    0..size-1. The matrix comes as row-major little-endian bytes, row i in
+    bytes i·stride..i·stride+stride-1 and read back by int.from_bytes it is
+    permute_bits(rows[i], perm) for perm the inverse of source. stride is the
+    padded tile width in bytes; the columns from size on are 0.
 
     The row matrix is cut into t×t tiles, t the least power of two >= 8 and >=
     the smaller of the row count and size: bands of t rows, blocks of t
     columns. A tile is packed into one int, its row i in bits i·t..i·t+t-1,
     and transposed here, once, so that every column of a band is a
     byte-aligned t-bit chunk. Each call lists a band's chunks in the order
-    source gives, transposes the tiles back and joins each row's pieces.
+    source gives, transposes the tiles back and interleaves their rows.
     """
     t = max(8, 1 << (min(len(rows), size) - 1).bit_length())
     width = t // 8  # bytes per tile row
@@ -77,21 +76,24 @@ def _column_permuter(rows, size: int):
             tile = b"".join(map(bytes.__getitem__, band, repeat(slice(k * width, (k + 1) * width))))
             columns = _transpose(int.from_bytes(tile, "little"), swaps).to_bytes(t * width, "little")
             chunks += map(columns.__getitem__, cuts)
-        bands.append((cuts[:len(band)], chunks))
+        bands.append((len(band), chunks))
 
-    def permute(source) -> list[int]:
-        out: list[int] = []
-        for row_cuts, chunks in bands:
+    def permute(source) -> bytes:
+        out: list[bytes] = []
+        for count, chunks in bands:
             moved = b"".join(map(chunks.__getitem__, source)) + padding
-            parts = []
-            for k in range(blocks):
-                tile = int.from_bytes(moved[k * t * width:(k + 1) * t * width], "little")
-                parts.append(map(_transpose(tile, swaps).to_bytes(t * width, "little").__getitem__, row_cuts))
-            pieces = parts[0] if blocks == 1 else map(b"".join, zip(*parts))
-            out += map(int.from_bytes, pieces, repeat("little"))
-        return out
+            tiles = [
+                _transpose(int.from_bytes(moved[k * t * width:(k + 1) * t * width], "little"), swaps)
+                .to_bytes(t * width, "little")
+                for k in range(blocks)
+            ]
+            if blocks == 1:
+                out.append(tiles[0][:count * width])
+            else:
+                out += chain.from_iterable(zip(*(map(tile.__getitem__, cuts[:count]) for tile in tiles)))
+        return b"".join(out)
 
-    return permute
+    return blocks * width, permute
 
 
 def _transpose_swaps(w: int) -> list[tuple[int, int]]:
@@ -118,7 +120,8 @@ def _transpose(matrix: int, swaps: list[tuple[int, int]]) -> int:
 
 
 def _tile(pattern: int, period: int, size: int) -> int:
-    """The period-bit pattern repeated over size bits, size / period a power of two."""
+    """The period-bit pattern repeated over at least size bits: over exactly size
+    bits when size / period is a power of two."""
     while period < size:
         pattern |= pattern << period
         period *= 2

@@ -13,7 +13,7 @@ it (`mul`, `inv`, a subgroup search, a census) and keeps it, so a large
 Z_n used only as an index space never holds n² entries. The index of an
 element of a product of cyclic groups has one digit per factor
 (`FiniteGroup._cyclic_digits`): element orders are read from those digits,
-and a census moves its rows by rotating them (`patterns._row_mover`).
+and a census moves its relation by rotating them (`patterns._matrix_mover`).
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ translation-comparability defects.
 A shape is a list of points ((ld, rd), (lc, rc)); a triple (a, b, g)
 matches it when every pair (g^ld·a·g^rd, g^lc·b·g^rc) lies in S. Every
 census kind is one entry of SHAPES, and `census` counts the matches of any
-of them: for each g it ANDs the rows of the points, each row a translated
-copy of a row of S, and popcounts the meet.
+of them. It holds S as one int, row after row, and each point as one
+moved copy of it: for each g it ANDs the copies of the points and
+popcounts the meet.
 Every census counts ordered triples including the degenerate g = identity
 slice; nontrivial_count excludes it. For carriers of arity above one the
 side length acts on a single designated coordinate (default: the last),
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import and_
+from functools import lru_cache, partial
+from itertools import islice
+from typing import Iterator
 
-from .bits import _column_permuter, _digit_shift, iter_bits, mask_of, permute_bits
+from .bits import _column_permuter, _digit_shift, mask_of, permute_bits
 from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup
 from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, translation
 from .relations import Relation, _checked_coordinate, _lift_digit_map, _side_translation
@@ -79,16 +82,6 @@ def _finish(kind, counts, witnesses) -> PatternCensus:
     )
 
 
-def _collect(witnesses, cap, meet, a, g) -> None:
-    """Append (a, b, g) for the b of meet, ascending, up to cap."""
-    if witnesses is None or len(witnesses) >= cap:
-        return
-    for b in iter_bits(meet):
-        witnesses.append((a, b, g))
-        if len(witnesses) >= cap:
-            return
-
-
 _SQUARE = (((0, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, 1), (0, 1)))
 _CORNERS = {
     "naive": (((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (1, 0))),
@@ -136,17 +129,19 @@ def census(
 ) -> PatternCensus:
     """Per-g counts of the triples (a, b, g) whose points of SHAPES[kind] all lie in S.
 
-    For each g, the domain map a -> g^ld·a·g^rd is built once per distinct
-    action and lifted to the domain by (coordinate, diagonal) where the shape
-    lifts it. A point allows the b whose g^lc·b·g^rc lies in row dmap[a]: that
-    is row dmap[a] of the rows moved by y -> g^-lc·y·g^-rc, built once per g
-    and codomain action. The meet of a triple is the AND over the points, and
-    its popcount the number of b; the loop over a is one chain of map calls.
+    S is held as one int F, bit a·W + b for the pair (a, b), W the row stride
+    of _matrix_mover. A point with domain action a -> g^ld·a·g^rd and
+    codomain action b -> g^lc·b·g^rc, each lifted by (coordinate, diagonal)
+    where the shape lifts it, is one int too: the copy of F whose bit
+    (a, b) is the bit of F at the acted-on pair. Then counts[g] is the
+    popcount of the AND of the copies, and the loop over g stops ANDing once
+    the meet is empty. Rows outside the domain carrier are 0, and every
+    shape has the identity point, whose copy is F: so the meet lies in the
+    carriers. Each translation map is built once per g, and each codomain
+    move once per g and action.
 
-    The rows move through one _row_mover per census: a rotation digit by
-    digit on a product of cyclic groups with a codomain of arity 1, a move of
-    all columns at once everywhere else. Witnesses list the b of each meet in
-    ascending order, a by a and g by g.
+    Witnesses list the set bits of each meet in ascending order, decoded
+    as (a, b) = divmod(bit, W): g by g, then a, then b.
     """
     if kind not in SHAPES:
         raise ValueError(f"unknown census kind {kind!r}")
@@ -158,18 +153,15 @@ def census(
     for lifted, carrier in zip(shape.lifted, carriers):
         if not lifted and carrier.arity != 1:
             raise ArityUnsupported(shape.arity_error)
-    # Checked up front, after every arity check: a rotated move builds no codomain map.
+    # Checked up front, after every arity check: a census that moves nothing would not check it.
     for lifted, carrier in zip(shape.lifted, carriers):
         if lifted and not diagonal:
             _checked_coordinate(carrier.arity, coordinate)
     lifts = [(coordinate, diagonal) if lifted else (None, False) for lifted in shape.lifted]
     q = group.order
     table = group._mul_table()
-    n, m = relation.domain.arity, relation.codomain.arity
-    rows = relation.rows
-    xs = relation.domain.member_indices()
     top = max(max(p[0] + p[1]) for p in shape.points)  # highest power of g in a point
-    move = _row_mover(group, rows, relation.codomain.universe, m, lifts[1])
+    stride, whole, columns, gather = _matrix_mover(relation, lifts)
 
     counts = [0] * q
     witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
@@ -177,58 +169,107 @@ def census(
         powers = [0, g]
         for _ in range(top - 1):
             powers.append(table[powers[-1]][g])
-        dmaps = {(0, 0): xs}  # per domain action, dmap[a] for the a of xs
-        moved = {(0, 0): rows}  # per codomain action, the moved rows
-        meets = None
+        maps = {(0, 0): None}  # per (left, right), the map x -> left·x·right; None for the identity
+        moved = {}  # per codomain action, F with its columns moved
+        meet = whole
         for dact, cact in shape.points:
-            if cact not in moved:
-                moved[cact] = move(powers[cact[0]], powers[cact[1]])
-            if dact not in dmaps:
-                dmap = translation(group, powers[dact[0]], powers[dact[1]])
-                dmaps[dact] = list(map(_lift_digit_map(dmap, n, *lifts[0]).__getitem__, xs))
-            picked = map(moved[cact].__getitem__, dmaps[dact])
-            meets = picked if meets is None else map(and_, meets, picked)
-        meets = list(meets)
-        counts[g] = sum(map(int.bit_count, meets))
-        if witnesses is not None:
-            for a, meet in zip(xs, meets):
-                if meet:
-                    _collect(witnesses, witness_cap, meet, a, g)
+            dpair = (powers[dact[0]], powers[dact[1]])
+            cpair = (powers[cact[0]], powers[cact[1]])
+            if dpair == cpair == (0, 0):
+                continue
+            for pair in (dpair, cpair):
+                if pair not in maps:
+                    maps[pair] = translation(group, *pair)
+            if cpair not in moved:
+                moved[cpair] = columns(maps[cpair])
+            meet &= gather(moved[cpair], maps[dpair])
+            if not meet:
+                break
+        counts[g] = meet.bit_count()
+        if meet and witnesses is not None and len(witnesses) < witness_cap:
+            bits = islice(_ascending_bits(meet), witness_cap - len(witnesses))
+            witnesses += [(bit // stride, bit % stride, g) for bit in bits]
     return _finish(kind, counts, witnesses)
 
 
-def _row_mover(group: FiniteGroup, rows, size: int, arity: int, lift):
-    """The function move(left, right) -> the rows with column left·y·right moved
-    to column y, the map y -> left·y·right of G lifted to the arity of the
-    columns by lift = (coordinate, diagonal).
+def _ascending_bits(mask: int) -> Iterator[int]:
+    """The set bits of mask in ascending order, in time linear in its length."""
+    text = format(mask, "b")
+    top = len(text) - 1
+    i = text.rfind("1")
+    while i >= 0:
+        yield top - i
+        i = text.rfind("1", 0, i)
 
-    On a product of cyclic groups with columns of arity 1, column y·h goes to
-    column y for h = left·right. The index order has a digit per cyclic
-    factor (FiniteGroup._cyclic_digits), so each digit of every row rotates
-    by minus the digit of h (bits._digit_shift): two shifts and two masks a
-    row, the shifts kept per (digit, step). Any other group or arity permutes
-    the columns of all rows at once (bits._column_permuter, built here once).
+
+def _matrix_mover(relation: Relation, lifts):
+    """(stride, whole, columns, gather) for the relation's row matrix, whose
+    domain and codomain maps lift by lifts = ((coordinate, diagonal) per side).
+
+    whole is S as one int with row stride `stride` bits: bit a·stride + b
+    for the pair (a, b). For maps dmap and cmap of G, None for the identity,
+    gather(columns(cmap), dmap) is the copy of S as one int with bit
+    (a, b) set iff (dmap[a], cmap[b]) lies in S, the maps lifted. The
+    columns step can be shared by copies with one codomain map.
+
+    On a product of cyclic groups the stride is |Y| and the index of the
+    pair (a, b) has a digit per cyclic factor and coordinate
+    (FiniteGroup._cyclic_digits). The map x -> x·h adds the digits of h
+    (h = map[0]), so a copy rotates each acted-on digit of whole by minus
+    the digit of h (bits._digit_shift): two shifts and two masks per digit.
+    Every other group moves the columns of all rows at once
+    (bits._column_permuter, built here once) into row-major bytes, with the
+    padded tile width as stride; a domain map joins their rows in its
+    order, and one int.from_bytes makes the copy.
     """
-    digits = group._cyclic_digits() if arity == 1 else None
+    group = relation.group
+    n, m = relation.domain.arity, relation.codomain.arity
+    rows = relation.rows
+    size = relation.codomain.universe
+    digits = group._cyclic_digits()
     if digits is None:
-        permute = _column_permuter(rows, size)
-        return lambda left, right: permute(_lift_digit_map(translation(group, left, right), arity, *lift))
-    table = group._mul_table()
-    shifts: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        stride, permute = _column_permuter(rows, size)
+        cuts = [slice(x * stride, (x + 1) * stride) for x in range(len(rows))]
+        data = b"".join(row.to_bytes(stride, "little") for row in rows)
 
-    def move(left: int, right: int) -> list[int]:
-        h = table[left][right]
-        out = rows
-        for weight, length in digits:
+        def columns(cmap) -> bytes:
+            return data if cmap is None else permute(_lift_digit_map(cmap, m, *lifts[1]))
+
+        def gather(matrix: bytes, dmap) -> int:
+            if dmap is not None:
+                slices = map(cuts.__getitem__, _lift_digit_map(dmap, n, *lifts[0]))
+                matrix = b"".join(map(matrix.__getitem__, slices))
+            return int.from_bytes(matrix, "little")
+
+        return stride * 8, int.from_bytes(data, "little"), columns, gather
+
+    q = group.order
+    total = len(rows) * size
+
+    def places(arity: int, lift, scale: int) -> list[tuple[int, int, int]]:
+        """(weight, weight in the pair index, length) of each acted-on digit."""
+        coordinate, diagonal = lift
+        acted = range(arity) if diagonal else [_checked_coordinate(arity, coordinate)]
+        return [(w, w * scale * q ** (arity - 1 - c), length) for c in acted for w, length in digits]
+
+    domain_places, codomain_places = places(n, lifts[0], size), places(m, lifts[1], 1)
+    # The masks are as long as the matrix: keep the few that one side length reuses.
+    shift = lru_cache(maxsize=16)(partial(_digit_shift, total))
+
+    def rotate(matrix: int, digit_places, digit_map) -> int:
+        if digit_map is None:
+            return matrix
+        h = digit_map[0]
+        for weight, scaled, length in digit_places:
             step = -(h // weight) % length
             if step:
-                if (weight, step) not in shifts:
-                    shifts[weight, step] = _digit_shift(size, weight, length, step)
-                shl, high, shr, low = shifts[weight, step]
-                out = [(row << shl & high) | (row >> shr & low) for row in out]
-        return out
+                shl, high, shr, low = shift(scaled, length, step)
+                matrix = (matrix << shl & high) | (matrix >> shr & low)
+        return matrix
 
-    return move
+    whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
+    return (size, whole, lambda cmap: rotate(whole, codomain_places, cmap),
+            lambda matrix, dmap: rotate(matrix, domain_places, dmap))
 
 
 def square_census(
@@ -299,6 +340,8 @@ def ap_census(
 
 def sidelength_coverage(relation: Relation, sub: Subgroup) -> CoverageReport:
     """Which g in the subgroup appear as the side of at least one square in S."""
+    if sub.parent is not relation.group:
+        raise CrossGroupElement(f"subgroup of {sub.parent.name} used with {relation.group.name}")
     return _coverage(square_census(relation).count_by_sidelength, sub)
 
 

@@ -311,7 +311,11 @@ def translate_relation(
     # column cmap[y] of every row, and of the carrier as one more row, to
     # column y at once.
     if cmap is not None:
-        *rows, members = _column_permuter([*rows, cod.members], cod.universe)(cmap)
+        stride, permute = _column_permuter([*rows, cod.members], cod.universe)
+        moved = permute(cmap)
+        *rows, members = (
+            int.from_bytes(moved[i:i + stride], "little") for i in range(0, len(moved), stride)
+        )
         cod = CarrierSet(group, cod.arity, members)
     if dmap is not None:
         rows = list(map(rows.__getitem__, dmap))

@@ -191,12 +191,24 @@ def test_census_never_permutes_bit_by_bit():
     assert spy.call_count == 0
 
 
-@pytest.mark.parametrize("arity", [(1, 1), (2, 1), (2, 2)])
+# D3 keeps the ids arity0..arity2. Z4 and Z2xZ3 rotate the lifted digits;
+# Z2xD3 (t = 16) moves columns through several tile bands at (2, 1) and
+# several tile blocks at (1, 2).
+LIFTED_CASES = [
+    *(pytest.param(dihedral(3), arity, id=f"arity{i}") for i, arity in enumerate([(1, 1), (2, 1), (2, 2)])),
+    *(pytest.param(group, arity, id=f"{group.name}-{arity[0]}{arity[1]}")
+      for group in (cyclic(4), product(cyclic(2), cyclic(3)))
+      for arity in [(1, 1), (2, 1), (1, 2), (2, 2)]),
+    *(pytest.param(product(cyclic(2), dihedral(3)), arity, id=f"Z2xD3-{arity[0]}{arity[1]}")
+      for arity in [(2, 1), (1, 2)]),
+]
+
+
+@pytest.mark.parametrize("group, arity", LIFTED_CASES)
 @pytest.mark.parametrize(
     "lift", [{}, {"coordinate": 0}, {"coordinate": 1}, {"coordinate": 5}, {"diagonal": True}]
 )
-def test_lifted_censuses_match_pointwise_definition(arity, lift):
-    group = dihedral(3)
+def test_lifted_censuses_match_pointwise_definition(group, arity, lift):
     mul = group.mul
     rel = random_relation(group, random.Random(31), arity=arity)
 
@@ -414,6 +426,15 @@ def test_ap_census_and_defect_reject_elements_of_another_group():
         comparability_defect(d4, 0b11, z4.element(1), "right")
     # an element of the group itself is accepted
     assert ap_census(z4, 0b11, 2, z4.element(1)) == (0b01, 1)
+
+
+def test_sidelength_coverage_rejects_a_subgroup_of_another_group():
+    z4 = cyclic(4)
+    rel = full_relation(z4)
+    for other in (cyclic(8), cyclic(2), cyclic(4)):  # larger, smaller, equal but built separately
+        with pytest.raises(CrossGroupElement):
+            sidelength_coverage(rel, subgroup(other, [0]))
+    assert sidelength_coverage(rel, subgroup(z4, [0])).missing_fraction == 0
 
 
 def test_sidelength_coverage():

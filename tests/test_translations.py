@@ -25,7 +25,7 @@ from groupstab import (
 from groupstab import bits, patterns
 from groupstab.bits import _column_permuter, _digit_shift, iter_bits, mask_of, permute_bits
 from groupstab.groups import translation
-from groupstab.patterns import _row_mover
+from groupstab.patterns import _matrix_mover
 from groupstab.relations import decode_tuple, encode_tuple
 
 from oracles import brute_closure, ref_cyclic, ref_dihedral, ref_heisenberg, ref_product
@@ -190,13 +190,18 @@ def test_column_permutation_is_permute_bits_row_by_row(size, count, seed, data):
     rng = random.Random(seed)
     empty = rng.random()
     rows = [0 if rng.random() < empty else rng.getrandbits(size) for _ in range(count)]
-    permute = _column_permuter(rows, size)
+    stride, permute = _column_permuter(rows, size)
+    assert stride * 8 >= size
     for label in ("first", "second"):  # one permuter serves any number of maps
         perm = data.draw(st.permutations(range(size)), label=f"{label} perm")
         source = [0] * size
         for j, target in enumerate(perm):
             source[target] = j
-        assert permute(source) == [permute_bits(row, perm) for row in rows]
+        moved = permute(source)
+        assert len(moved) == stride * count
+        assert [int.from_bytes(moved[i:i + stride], "little") for i in range(0, len(moved), stride)] == [
+            permute_bits(row, perm) for row in rows
+        ]
 
 
 def test_bits_public_functions_are_the_four_helpers():
@@ -217,51 +222,79 @@ LIFTS = {1: [(None, False)], 2: [(None, False), (0, False), (1, False), (None, T
 
 @st.composite
 def mover_cases(draw):
-    """(group, oracle group, arity, lift, rows) for a codomain of arity 1 or 2."""
+    """(group, oracle group, relation, lifts) for carriers of arity 1 or 2 and a
+    lift per side."""
     group, ref = draw(st.sampled_from(MOVER_PAIRS), label="group")
-    arity = draw(st.sampled_from([1, 2] if group.order <= 12 else [1]), label="arity")
-    lift = draw(st.sampled_from(LIFTS[arity]), label="lift")
+    arities = [1, 2] if group.order <= 12 else [1]
+    n, m = (draw(st.sampled_from(arities), label=side) for side in ("n", "m"))
+    lifts = [draw(st.sampled_from(LIFTS[arity]), label="lift") for arity in (n, m)]
     rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
-    rows = [rng.getrandbits(group.order**arity) for _ in range(draw(st.integers(0, 20), label="rows"))]
-    return group, ref, arity, lift, rows
+    rel = random_relation(group, rng, (n, m), proper_carriers=draw(st.booleans(), label="proper"))
+    return group, ref, rel, lifts
 
 
 @settings(max_examples=150, deadline=None)
 @given(mover_cases(), st.data())
 def test_row_moves_are_translations(case, data):
-    """move(l, r) moves column l·y·r of every row to column y: each row permuted
-    bit by bit by the inverse of the lifted map, from the oracle group."""
-    group, ref, arity, lift, rows = case
+    """gather(columns(cmap), dmap) is S as one int with row dmap[a] of S in row a,
+    column cmap[b] of it moved to column b: each row picked by the lifted
+    domain map and permuted bit by bit by the inverse of the lifted codomain
+    map, both from the oracle group. None stands for the identity."""
+    group, ref, rel, lifts = case
     q = group.order
-    move = _row_mover(group, rows, q**arity, arity, lift)
-    coordinate, diagonal = lift
-    for label in ("first", "second"):  # one mover serves any number of moves
-        left, right = (data.draw(st.integers(0, q - 1), label=f"{label} {side}") for side in ("l", "r"))
+    stride, whole, columns, gather = _matrix_mover(rel, lifts)
+    assert stride >= rel.codomain.universe
+
+    def lifted(arity, lift, pair):
+        """The lifted map of x -> l·x·r on G^arity from the oracle group."""
+        left, right = pair
         digit = [ref.mul(ref.mul(left, y), right) for y in range(q)]
+        coordinate, diagonal = lift
         shifted = range(arity) if diagonal else [arity - 1 if coordinate is None else coordinate]
-        inverse = [0] * q**arity
+        out = []
         for y in range(q**arity):
             coords = list(decode_tuple(group, arity, y))
             for i in shifted:
                 coords[i] = digit[coords[i]]
-            inverse[encode_tuple(group, coords)] = y
-        assert move(left, right) == [permute_bits(row, inverse) for row in rows]
+            out.append(encode_tuple(group, coords))
+        return out
+
+    def joined(rows):
+        return sum(row << a * stride for a, row in enumerate(rows))
+
+    assert whole == joined(rel.rows)
+    for label in ("first", "second"):  # one mover serves any number of moves
+        pairs = [data.draw(st.none() | st.tuples(*[st.integers(0, q - 1)] * 2), label=f"{label} {side}")
+                 for side in ("domain", "codomain")]
+        dsource, csource = (
+            range(carrier.universe) if pair is None else lifted(carrier.arity, lift, pair)
+            for pair, carrier, lift in zip(pairs, (rel.domain, rel.codomain), lifts)
+        )
+        inverse = [0] * len(csource)
+        for y, source in enumerate(csource):
+            inverse[source] = y
+        expected = joined(permute_bits(rel.rows[x], inverse) for x in dsource)
+        dmap, cmap = (None if pair is None else translation(group, *pair) for pair in pairs)
+        assert gather(columns(cmap), dmap) == expected
 
 
-def test_only_cyclic_products_at_arity_one_rotate():
-    """Products of cyclic groups at arity 1 never build a column permuter; D_n,
-    H_p, Z2×D3, the Cayley tables of the catalogue and every move at arity 2
-    never rotate."""
-    for (group, _), arity in itertools.product(MOVER_PAIRS, (1, 2)):
+def test_only_cyclic_products_rotate():
+    """Products of cyclic groups rotate at every arity and never build a column
+    permuter; D_n, H_p, Z2×D3 and the Cayley tables of the catalogue build one
+    permuter per census and never rotate."""
+    arities = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    for (group, _), (n, m) in itertools.product(MOVER_PAIRS, arities):
         q = group.order
-        rng = random.Random(q)
-        rows = [rng.getrandbits(q**arity) for _ in range(5)]
+        if max(n, m) > 1 and q > 12:
+            continue
+        rel = random_relation(group, random.Random(q), (n, m))
         with mock.patch.object(patterns, "_column_permuter", wraps=_column_permuter) as permuters, \
                 mock.patch.object(patterns, "_digit_shift", wraps=_digit_shift) as shifts:
-            move = _row_mover(group, rows, q**arity, arity, (None, False))
+            _, _, columns, gather = _matrix_mover(rel, [(None, False)] * 2)
             for left in range(q):
-                move(left, q - 1)
-        if arity == 1 and "cayley_table" not in group.recipe:
+                move = translation(group, left, q - 1)
+                gather(columns(move), move)
+        if "cayley_table" not in group.recipe:
             assert (permuters.call_count, shifts.call_count > 0) == (0, q > 1), group.name
         else:
-            assert (permuters.call_count, shifts.call_count) == (1, 0), (group.name, arity)
+            assert (permuters.call_count, shifts.call_count) == (1, 0), (group.name, n, m)
