@@ -18,6 +18,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _ascending_bits(mask: int) -> Iterator[int]:
+    """The set bits of mask in ascending order, in time linear in its length:
+    iter_bits steps through the whole int once per bit, which is quadratic
+    on wide masks but quicker on masks of a machine word or two."""
+    text = format(mask, "b")
+    top = len(text) - 1
+    i = text.rfind("1")
+    while i >= 0:
+        yield top - i
+        i = text.rfind("1", 0, i)
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:

@@ -117,13 +117,12 @@ def greedy_box_cover(
         after = _miss_over(rows, union, xs)
         missed += after[0] - before[0]
         over += after[1] - before[1]
-    symdiff, _, overcount = _cover_errors(rows, union, denom)
     return BoxCover(
         boxes=tuple(boxes),
         # Boxes lie inside the checked carriers, so the union needs no re-check.
         union=Relation._from_fitting_rows(relation.domain, relation.codomain, tuple(union)),
-        symdiff_error=symdiff,
-        overcount_error=overcount,
+        symdiff_error=Fraction(missed + over, denom),
+        overcount_error=Fraction(over, denom),
     )
 
 

@@ -18,7 +18,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,6 +90,13 @@ def parse_fraction(value) -> Fraction:
     return as_fraction(value)
 
 
+# How each scalar field of an experiment config file is read.
+_CONFIG_READERS = {
+    "k": int, "epsilon": parse_fraction, "max_index": int, "samples": int, "seed": int,
+    "confidence": float, "exact_budget": int, "threads": int,
+}
+
+
 @dataclass
 class ExperimentConfig:
     """A sweep over groups with one generator and fixed probe parameters."""
@@ -135,38 +142,23 @@ class ExperimentConfig:
         if output is not None and not isinstance(output, str):
             raise ValueError(f"config 'output' must be a path string, got {output!r}")
 
-        def read(key, default, convert=int):
-            return _read(convert, obj.get(key, default), f"config {key!r}")
-
-        return ExperimentConfig(
-            groups=list(obj["groups"]),
-            generator=GeneratorSpec.from_json(obj["generator"]),
-            k=read("k", 2),
-            epsilon=read("epsilon", "1/10", parse_fraction),
-            max_index=read("max_index", 4),
-            census=list(obj.get("census", ["square"])),
-            samples=read("samples", 10_000),
-            seed=read("seed", 0),
-            confidence=read("confidence", 0.95, float),
-            exact_budget=read("exact_budget", DEFAULT_EXACT_BUDGET),
-            threads=read("threads", 1),
-            output=output,
-        )
+        groups = list(obj["groups"])
+        generator = GeneratorSpec.from_json(obj["generator"])
+        # Only the keys given are read; the dataclass supplies every default.
+        given = {key: _read(convert, obj[key], f"config {key!r}")
+                 for key, convert in _CONFIG_READERS.items() if key in obj}
+        if "census" in obj:
+            given["census"] = list(obj["census"])
+        return ExperimentConfig(groups, generator, output=output, **given)
 
     def echo(self) -> dict:
-        return {
-            "groups": [g if isinstance(g, (str, dict)) else g.name for g in self.groups],
-            "generator": self.generator.to_json(),
-            "k": self.k,
-            "epsilon": frac_json(self.epsilon),
-            "max_index": self.max_index,
-            "census": list(self.census),
-            "samples": self.samples,
-            "seed": self.seed,
-            "confidence": self.confidence,
-            "exact_budget": self.exact_budget,
-            "threads": self.threads,
-        }
+        """Every field but output, in field order, as the report echoes it."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output"}
+        out["groups"] = [g if isinstance(g, (str, dict)) else g.name for g in self.groups]
+        out["generator"] = self.generator.to_json()
+        out["epsilon"] = frac_json(self.epsilon)
+        out["census"] = list(self.census)
+        return out
 
 
 def _run_census(relation, kind: str, witnesses: int = 0) -> PatternCensus:
@@ -396,12 +388,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.budget is not None:
-        config.exact_budget = args.budget
-    if args.threads is not None:
-        config.threads = args.threads
+    # Through replace, so the overrides pass the same checks as the file's values.
+    overrides = {"seed": args.seed, "exact_budget": args.budget, "threads": args.threads}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     report = run_family_trend(config) if args.mode == "trend" else run_experiment(config)
     _emit(report, args.output or config.output)
     return 2 if report["row_errors"] else 0

@@ -440,11 +440,6 @@ class Subgroup:
 def subgroup(group: FiniteGroup, members: Iterable[int] | int) -> Subgroup:
     """Validate a member set as a subgroup and wrap it."""
     mask = members if isinstance(members, int) else mask_of(members)
-    _validate_subgroup_mask(group, mask)
-    return Subgroup(group, mask, group.order // mask.bit_count())
-
-
-def _validate_subgroup_mask(group: FiniteGroup, mask: int) -> None:
     if not mask & 1:
         raise ValueError("subgroup must contain the identity (index 0)")
     if mask >> group.order:
@@ -460,6 +455,7 @@ def _validate_subgroup_mask(group: FiniteGroup, mask: int) -> None:
         for b in elems:
             if not mask >> row[b] & 1:
                 raise ValueError(f"subgroup not closed under product at ({a}, {b})")
+    return Subgroup(group, mask, group.order // len(elems))
 
 
 def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
@@ -537,7 +533,6 @@ def subgroups_up_to_index(
         size = mask.bit_count()
         index = group.order // size
         if index <= max_index:
-            _validate_subgroup_mask(group, mask)
             out.append(Subgroup(group, mask, index))
     out.sort(key=lambda s: (s.index_in_parent, tuple(s.member_indices())))
     return out

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
-from typing import Iterator
 
-from .bits import _column_permuter, _digit_shift, mask_of, permute_bits
+from .bits import _ascending_bits, _column_permuter, _digit_shift, mask_of, permute_bits
 from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup
 from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, translation
-from .relations import Relation, _checked_coordinate, _lift_digit_map, _side_translation
+from .relations import Relation, _acted_coordinates, _lift_digit_map, _side_translation
 
 DEFAULT_WITNESS_CAP = 10_000
 
@@ -137,8 +136,9 @@ def census(
     popcount of the AND of the copies, and the loop over g stops ANDing once
     the meet is empty. Rows outside the domain carrier are 0, and every
     shape has the identity point, whose copy is F: so the meet lies in the
-    carriers. Each translation map is built once per g, and each codomain
-    move once per g and action.
+    carriers. The mover names each action by its pair of elements, (g^ld,
+    g^rd) or (g^lc, g^rc), and each codomain move is made once per g and
+    pair.
 
     Witnesses list the set bits of each meet in ascending order, decoded
     as (a, b) = divmod(bit, W): g by g, then a, then b.
@@ -149,14 +149,9 @@ def census(
     group = relation.group
     if shape.abelian_error and not group.is_abelian:
         raise NonAbelianGroup(shape.abelian_error)
-    carriers = (relation.domain, relation.codomain)
-    for lifted, carrier in zip(shape.lifted, carriers):
+    for lifted, carrier in zip(shape.lifted, (relation.domain, relation.codomain)):
         if not lifted and carrier.arity != 1:
             raise ArityUnsupported(shape.arity_error)
-    # Checked up front, after every arity check: a census that moves nothing would not check it.
-    for lifted, carrier in zip(shape.lifted, carriers):
-        if lifted and not diagonal:
-            _checked_coordinate(carrier.arity, coordinate)
     lifts = [(coordinate, diagonal) if lifted else (None, False) for lifted in shape.lifted]
     q = group.order
     table = group._mul_table()
@@ -169,20 +164,16 @@ def census(
         powers = [0, g]
         for _ in range(top - 1):
             powers.append(table[powers[-1]][g])
-        maps = {(0, 0): None}  # per (left, right), the map x -> left·x·right; None for the identity
-        moved = {}  # per codomain action, F with its columns moved
+        moved = {}  # per codomain pair, F with its columns moved
         meet = whole
         for dact, cact in shape.points:
             dpair = (powers[dact[0]], powers[dact[1]])
             cpair = (powers[cact[0]], powers[cact[1]])
             if dpair == cpair == (0, 0):
                 continue
-            for pair in (dpair, cpair):
-                if pair not in maps:
-                    maps[pair] = translation(group, *pair)
             if cpair not in moved:
-                moved[cpair] = columns(maps[cpair])
-            meet &= gather(moved[cpair], maps[dpair])
+                moved[cpair] = columns(cpair)
+            meet &= gather(moved[cpair], dpair)
             if not meet:
                 break
         counts[g] = meet.bit_count()
@@ -192,38 +183,36 @@ def census(
     return _finish(kind, counts, witnesses)
 
 
-def _ascending_bits(mask: int) -> Iterator[int]:
-    """The set bits of mask in ascending order, in time linear in its length."""
-    text = format(mask, "b")
-    top = len(text) - 1
-    i = text.rfind("1")
-    while i >= 0:
-        yield top - i
-        i = text.rfind("1", 0, i)
-
-
 def _matrix_mover(relation: Relation, lifts):
     """(stride, whole, columns, gather) for the relation's row matrix, whose
-    domain and codomain maps lift by lifts = ((coordinate, diagonal) per side).
+    domain and codomain moves lift by lifts = ((coordinate, diagonal) per side).
 
     whole is S as one int with row stride `stride` bits: bit a·stride + b
-    for the pair (a, b). For maps dmap and cmap of G, None for the identity,
-    gather(columns(cmap), dmap) is the copy of S as one int with bit
-    (a, b) set iff (dmap[a], cmap[b]) lies in S, the maps lifted. The
-    columns step can be shared by copies with one codomain map.
+    for the pair (a, b). A move is named by a pair (left, right) of
+    elements, the map x -> left·x·right of G, with (0, 0) for the identity.
+    gather(columns(cpair), dpair) is the copy of S as one int with bit
+    (a, b) set iff (dmap[a], cmap[b]) lies in S, for dmap and cmap the
+    pairs' maps lifted. The columns step can be shared by copies with one
+    codomain pair. Both lifts are resolved (relations._acted_coordinates)
+    before any work, so a bad coordinate raises here.
 
     On a product of cyclic groups the stride is |Y| and the index of the
     pair (a, b) has a digit per cyclic factor and coordinate
-    (FiniteGroup._cyclic_digits). The map x -> x·h adds the digits of h
-    (h = map[0]), so a copy rotates each acted-on digit of whole by minus
-    the digit of h (bits._digit_shift): two shifts and two masks per digit.
-    Every other group moves the columns of all rows at once
-    (bits._column_permuter, built here once) into row-major bytes, with the
-    padded tile width as stride; a domain map joins their rows in its
-    order, and one int.from_bytes makes the copy.
+    (FiniteGroup._cyclic_digits). The map x -> left·x·right is x -> x·h for
+    h = left·right, one table lookup, and adds the digits of h; so a copy
+    rotates each acted-on digit of whole by minus the digit of h
+    (bits._digit_shift): two shifts and two masks per digit, and no
+    translation map is built. Every other group builds the pair's
+    translation map and lifts it, keeping the last few lifted maps per
+    side, which cover the pairs of one side length. It moves the columns
+    of all rows at once (bits._column_permuter, built here once) into
+    row-major bytes, with the padded tile width as stride; a domain map
+    joins their rows in its order, and one int.from_bytes makes the copy.
     """
     group = relation.group
     n, m = relation.domain.arity, relation.codomain.arity
+    domain_acted = _acted_coordinates(n, *lifts[0])
+    codomain_acted = _acted_coordinates(m, *lifts[1])
     rows = relation.rows
     size = relation.codomain.universe
     digits = group._cyclic_digits()
@@ -232,34 +221,39 @@ def _matrix_mover(relation: Relation, lifts):
         cuts = [slice(x * stride, (x + 1) * stride) for x in range(len(rows))]
         data = b"".join(row.to_bytes(stride, "little") for row in rows)
 
-        def columns(cmap) -> bytes:
-            return data if cmap is None else permute(_lift_digit_map(cmap, m, *lifts[1]))
+        def lifter(arity: int, acted):
+            """pair -> its lifted map, keeping the few pairs of one side length."""
+            return lru_cache(maxsize=4)(
+                lambda pair: _lift_digit_map(translation(group, *pair), arity, acted)
+            )
 
-        def gather(matrix: bytes, dmap) -> int:
-            if dmap is not None:
-                slices = map(cuts.__getitem__, _lift_digit_map(dmap, n, *lifts[0]))
+        domain_map, codomain_map = lifter(n, domain_acted), lifter(m, codomain_acted)
+
+        def columns(cpair) -> bytes:
+            return data if cpair == (0, 0) else permute(codomain_map(cpair))
+
+        def gather(matrix: bytes, dpair) -> int:
+            if dpair != (0, 0):
+                slices = map(cuts.__getitem__, domain_map(dpair))
                 matrix = b"".join(map(matrix.__getitem__, slices))
             return int.from_bytes(matrix, "little")
 
         return stride * 8, int.from_bytes(data, "little"), columns, gather
 
     q = group.order
+    table = group._mul_table()
     total = len(rows) * size
 
-    def places(arity: int, lift, scale: int) -> list[tuple[int, int, int]]:
+    def places(arity: int, acted, scale: int) -> list[tuple[int, int, int]]:
         """(weight, weight in the pair index, length) of each acted-on digit."""
-        coordinate, diagonal = lift
-        acted = range(arity) if diagonal else [_checked_coordinate(arity, coordinate)]
         return [(w, w * scale * q ** (arity - 1 - c), length) for c in acted for w, length in digits]
 
-    domain_places, codomain_places = places(n, lifts[0], size), places(m, lifts[1], 1)
+    domain_places, codomain_places = places(n, domain_acted, size), places(m, codomain_acted, 1)
     # The masks are as long as the matrix: keep the few that one side length reuses.
     shift = lru_cache(maxsize=16)(partial(_digit_shift, total))
 
-    def rotate(matrix: int, digit_places, digit_map) -> int:
-        if digit_map is None:
-            return matrix
-        h = digit_map[0]
+    def rotate(matrix: int, digit_places, pair) -> int:
+        h = table[pair[0]][pair[1]]
         for weight, scaled, length in digit_places:
             step = -(h // weight) % length
             if step:
@@ -268,8 +262,8 @@ def _matrix_mover(relation: Relation, lifts):
         return matrix
 
     whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
-    return (size, whole, lambda cmap: rotate(whole, codomain_places, cmap),
-            lambda matrix, dmap: rotate(matrix, domain_places, dmap))
+    return (size, whole, lambda cpair: rotate(whole, codomain_places, cpair),
+            lambda matrix, dpair: rotate(matrix, domain_places, dpair))
 
 
 def square_census(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .bits import _column_permuter, full_mask, iter_bits, mask_of, permute_bits
+from .bits import _ascending_bits, _column_permuter, full_mask, iter_bits, mask_of, permute_bits
 from .errors import (
     ArityMismatch,
     CarrierMismatch,
@@ -60,7 +60,9 @@ def coordinate_action(
     diagonal=True every coordinate is acted on simultaneously. The default
     coordinate is the last one (the least significant digit).
     """
-    return _lift_digit_map(_side_translation(group, g, side), arity, coordinate, diagonal)
+    return _lift_digit_map(
+        _side_translation(group, g, side), arity, _acted_coordinates(arity, coordinate, diagonal)
+    )
 
 
 def _side_translation(group: FiniteGroup, g: int, side: str) -> list[int]:
@@ -72,27 +74,22 @@ def _side_translation(group: FiniteGroup, g: int, side: str) -> list[int]:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _lift_digit_map(
-    digit_map: Sequence[int], arity: int, coordinate: int | None = None, diagonal: bool = False
-) -> list[int]:
-    """Permutation of G^arity indices applying a map of G to one coordinate.
-
-    The designated coordinate defaults to the last one; diagonal=True maps
-    every coordinate at once and ignores `coordinate`.
-    """
+def _acted_coordinates(arity: int, coordinate: int | None, diagonal: bool) -> Sequence[int]:
+    """The coordinates of G^arity that a lifted map of G acts on: every one
+    with diagonal=True, which ignores `coordinate`, else the designated one,
+    the last by default, after checking it."""
     if diagonal:
-        return _lift_digit_maps([digit_map] * arity)
-    maps = [range(len(digit_map))] * arity
-    maps[_checked_coordinate(arity, coordinate)] = digit_map
-    return _lift_digit_maps(maps)
-
-
-def _checked_coordinate(arity: int, coordinate: int | None) -> int:
-    """The designated coordinate, the last one by default, after checking it."""
+        return range(arity)
     coord = arity - 1 if coordinate is None else coordinate
     if not 0 <= coord < arity:
         raise ArityMismatch(f"coordinate {coord} invalid for arity {arity}")
-    return coord
+    return [coord]
+
+
+def _lift_digit_map(digit_map: Sequence[int], arity: int, acted: Sequence[int]) -> list[int]:
+    """Permutation of G^arity indices applying a map of G to the acted coordinates."""
+    identity = range(len(digit_map))
+    return _lift_digit_maps([digit_map if c in acted else identity for c in range(arity)])
 
 
 def _lift_digit_maps(digit_maps: Sequence[Sequence[int]]) -> list[int]:
@@ -135,7 +132,7 @@ class CarrierSet:
         return power_size(self.group, self.arity)
 
     def member_indices(self) -> list[int]:
-        return list(iter_bits(self.members))
+        return list(_ascending_bits(self.members))
 
 
 @dataclass(frozen=True)

@@ -473,6 +473,8 @@ LINEAR = '"generator": {"kind": "linear_order"}'
         (["halfgraph", "profile", "--group", "Z9", "--gen",
           '{"kind": "linear_order", "params": {"width": 3}}', "--k-max", "2",
           "--samples", "0", "--confidence", "1.5"], None),
+        # a command-line override passes the same checks as the file's value
+        (["experiment", "run", "--threads", "0"], '{"groups": ["Z4"], %s}' % LINEAR),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):

@@ -219,6 +219,17 @@ def test_subgroup_enumeration_complete_vs_brute_force():
         assert got == expected, g.name
 
 
+def test_searched_subgroups_pass_the_subgroup_check():
+    """The search returns closures unchecked; each must still be accepted by
+    subgroup(), which checks identity, divisibility, inverses and products."""
+    groups = builtin_catalogue(24) + [dihedral(5), dihedral(8), heisenberg(3),
+                                      product(cyclic(2), dihedral(3))]
+    for g in groups:
+        for s in subgroups_up_to_index(g, g.order):
+            checked = subgroup(g, s.members)
+            assert (checked.members, checked.index_in_parent) == (s.members, s.index_in_parent), g.name
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_closure_matches_fixed_point_oracle(data):

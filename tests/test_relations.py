@@ -211,6 +211,15 @@ def test_load_rejects_wrong_group():
         parse_relation(text, cyclic(7))
 
 
+def test_member_indices_list_the_carrier_in_ascending_order():
+    assert CarrierSet.full(cyclic(300), 2).member_indices() == list(range(90000))
+    rng = random.Random(8)
+    for width in (0, 1, 63, 64, 65, 1000):
+        members = rng.getrandbits(width)
+        carrier = CarrierSet(cyclic(1000), 1, members)
+        assert carrier.member_indices() == [i for i in range(1000) if members >> i & 1]
+
+
 def test_coordinate_action_shapes():
     z3 = cyclic(3)
     perm = coordinate_action(z3, 2, 1, "right")  # act on last coordinate

@@ -236,10 +236,12 @@ def mover_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(mover_cases(), st.data())
 def test_row_moves_are_translations(case, data):
-    """gather(columns(cmap), dmap) is S as one int with row dmap[a] of S in row a,
-    column cmap[b] of it moved to column b: each row picked by the lifted
+    """gather(columns(cpair), dpair) is S as one int with row dmap[a] of S in
+    row a, column cmap[b] of it moved to column b, for dmap and cmap the
+    lifted maps x -> l·x·r of the pairs (l, r): each row picked by the lifted
     domain map and permuted bit by bit by the inverse of the lifted codomain
-    map, both from the oracle group. None stands for the identity."""
+    map, both from the oracle group. A drawn None stands for the identity,
+    the pair (0, 0)."""
     group, ref, rel, lifts = case
     q = group.order
     stride, whole, columns, gather = _matrix_mover(rel, lifts)
@@ -274,14 +276,15 @@ def test_row_moves_are_translations(case, data):
         for y, source in enumerate(csource):
             inverse[source] = y
         expected = joined(permute_bits(rel.rows[x], inverse) for x in dsource)
-        dmap, cmap = (None if pair is None else translation(group, *pair) for pair in pairs)
-        assert gather(columns(cmap), dmap) == expected
+        dpair, cpair = ((0, 0) if pair is None else pair for pair in pairs)
+        assert gather(columns(cpair), dpair) == expected
 
 
 def test_only_cyclic_products_rotate():
     """Products of cyclic groups rotate at every arity and never build a column
-    permuter; D_n, H_p, Z2×D3 and the Cayley tables of the catalogue build one
-    permuter per census and never rotate."""
+    permuter, and their censuses build no translation map; D_n, H_p, Z2×D3
+    and the Cayley tables of the catalogue build one permuter per census and
+    never rotate."""
     arities = [(1, 1), (2, 1), (1, 2), (2, 2)]
     for (group, _), (n, m) in itertools.product(MOVER_PAIRS, arities):
         q = group.order
@@ -292,9 +295,15 @@ def test_only_cyclic_products_rotate():
                 mock.patch.object(patterns, "_digit_shift", wraps=_digit_shift) as shifts:
             _, _, columns, gather = _matrix_mover(rel, [(None, False)] * 2)
             for left in range(q):
-                move = translation(group, left, q - 1)
+                move = (left, q - 1)
                 gather(columns(move), move)
         if "cayley_table" not in group.recipe:
             assert (permuters.call_count, shifts.call_count > 0) == (0, q > 1), group.name
+            kinds = [kind for kind, shape in patterns.SHAPES.items()
+                     if all(lifted or arity == 1 for lifted, arity in zip(shape.lifted, (n, m)))]
+            with mock.patch.object(patterns, "translation", wraps=translation) as translations:
+                for kind in kinds:
+                    patterns.census(rel, kind)
+            assert translations.call_count == 0, (group.name, n, m)
         else:
             assert (permuters.call_count, shifts.call_count) == (1, 0), (group.name, n, m)
