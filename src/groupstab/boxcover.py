@@ -138,12 +138,6 @@ def _miss_over(rows, union, xs) -> tuple[int, int]:
     return missed, over
 
 
-def _cover_errors(rows, union, denom: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(symdiff, missed, overcount) of the union rows against S's rows, over denom."""
-    missed, over = _miss_over(rows, union, range(len(rows)))
-    return Fraction(missed + over, denom), Fraction(missed, denom), Fraction(over, denom)
-
-
 def box_union_stability_check(
     cover: BoxCover, budget: int = DEFAULT_EXACT_BUDGET
 ) -> tuple[int, int]:
@@ -166,4 +160,6 @@ def cover_error(
     denom = relation.group.order ** (
         relation.domain.arity + relation.codomain.arity
     )
-    return _cover_errors(relation.rows, cover.union.rows, denom)
+    rows = relation.rows
+    missed, over = _miss_over(rows, cover.union.rows, range(len(rows)))
+    return Fraction(missed + over, denom), Fraction(missed, denom), Fraction(over, denom)

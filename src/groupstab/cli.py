@@ -163,8 +163,6 @@ class ExperimentConfig:
 
 def _run_census(relation, kind: str, witnesses: int = 0) -> PatternCensus:
     """The census of one CLI kind, listing up to `witnesses` witness triples."""
-    if witnesses < 0:
-        raise ValueError(f"witnesses must be >= 0, got {witnesses}")
     return census(relation, kind.replace("-", "_"), witnesses > 0, witnesses or 1)
 
 

@@ -438,24 +438,21 @@ class Subgroup:
 
 
 def subgroup(group: FiniteGroup, members: Iterable[int] | int) -> Subgroup:
-    """Validate a member set as a subgroup and wrap it."""
+    """Validate a member set as a subgroup and wrap it.
+
+    A set holding the identity is a subgroup exactly when it is its own
+    `closure`.
+    """
     mask = members if isinstance(members, int) else mask_of(members)
     if not mask & 1:
         raise ValueError("subgroup must contain the identity (index 0)")
     if mask >> group.order:
         raise ValueError("subgroup members exceed the element universe")
-    elems = list(iter_bits(mask))
-    if group.order % len(elems):
-        raise ValueError(f"subgroup size {len(elems)} does not divide order {group.order}")
-    table = group._mul_table()
-    for a in elems:
-        if not mask >> group.inv(a) & 1:
-            raise ValueError(f"subgroup not closed under inverse at element {a}")
-        row = table[a]
-        for b in elems:
-            if not mask >> row[b] & 1:
-                raise ValueError(f"subgroup not closed under product at ({a}, {b})")
-    return Subgroup(group, mask, group.order // len(elems))
+    added = closure(group, mask) & ~mask
+    if added:
+        low = (added & -added).bit_length() - 1
+        raise ValueError(f"members are not closed under the product: closure adds element {low}")
+    return Subgroup(group, mask, group.order // mask.bit_count())
 
 
 def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
@@ -467,6 +464,8 @@ def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
     |subgroup|·|seed| table lookups.
     """
     mask = seed if isinstance(seed, int) else mask_of(seed)
+    if mask >> group.order:
+        raise ValueError("closure seed exceeds the element universe")
     gens = [s for s in iter_bits(mask) if s]
     table = group._mul_table()
     seen = bytearray(group.order)

@@ -7,19 +7,20 @@ is forced by the iff condition, so no dedup is needed.
 
 For a fixed a-tuple the admissible b_j form the pairwise disjoint sets
 T_j = (AND_{i<=j} Row(a_i)) minus (OR_{i>j} Row(a_i)), so the b-choices
-multiply and |H_k| sums prod_j |T_j| over a-tuples. The exact kernel and
-the enumeration grow the a-tuple one row at a time and keep T_1..T_m
-reduced by the rows chosen after them: appending row r sets T_j to
-T_j & ~r for every j <= m and adds T_{m+1} = P_m & r, where the prefix
-meet P_m is T_m as it stood before r. A T_j only shrinks as rows are
-appended, so a branch is cut as soon as any T_j is empty, and a row that
-fails at a node fails at every node below it: each node tries only the
-rows that survived at its parent. A repeated row empties the T_j of its
-earlier copy, so the a_i come out distinct without bookkeeping.
+multiply and |H_k| sums prod_j |T_j| over a-tuples. One walk, `_walk`,
+grows the a-tuple one row at a time for both the exact count and the
+enumeration, and one rule, `_split`, decides which rows extend a node:
+appending row r sets T_j to T_j & ~r for every j <= m and adds
+T_{m+1} = P_m & r, where the prefix meet P_m is T_m as it stood before r.
+A T_j only shrinks as rows are appended, so a branch is cut as soon as any
+T_j is empty, and a row that fails at a node fails at every node below it:
+each node tries only the rows that survived at its parent. A repeated row
+empties the T_j of its earlier copy, so the a_i come out distinct without
+bookkeeping.
 
-The exact count walks this way only to depth k-2. Two orders (u, v) and
-(v, u) of the last two rows leave the same T_j except T_{k-1}, so each
-node at depth k-2 sums over the unordered pairs of its surviving rows in
+The exact count walks only to depth k-2. Two orders (u, v) and (v, u) of
+the last two rows leave the same T_j except T_{k-1}, so each node at depth
+k-2 sums over the unordered pairs of the rows `_split` lets through, in
 closed form (`_node_pairs`, and `_root_pairs` at k = 2). At k = 3 that is
 one AND and popcount per pair. The enumeration needs the b-sets, so it
 walks to depth k.
@@ -107,11 +108,10 @@ def count_halfgraphs_exact(
     nothing), so the sum runs over tuples of distinct row values weighted by
     their multiplicities. The budget is charged for the injective ones,
     d·(d-1)···(d-k+1) over the d distinct non-empty rows, and checked before
-    any walking; with d < k it is 0 and so is the count. The walk keeps
-    T_1..T_m reduced by the rows chosen after them (see `_split`) and cuts
-    a branch as soon as one is empty. It stops at depth k-2 and adds, per
-    unordered pair of surviving rows, both orders at once (`_node_pairs`;
-    `_root_pairs` at k = 2).
+    any walking; with d < k it is 0 and so is the count. The a-tuples grow
+    through `_walk`, whose one pruning rule is `_split`, to depth k-2, and
+    each node there adds, per unordered pair of the rows that extend it,
+    both orders at once (`_node_pairs`; `_root_pairs` at k = 2).
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
@@ -126,28 +126,15 @@ def count_halfgraphs_exact(
     tuples = math.perm(d, k)
     if tuples > budget:
         raise BudgetExceeded(tuples, budget, "a-tuples")
-    if d < k:
-        return _exact_report(relation, k, 0)
     if k == 1:
         return _exact_report(relation, k, sum(w * v.bit_count() for v, w in zip(vals, weights)))
     if k == 2:
         return _exact_report(relation, k, _root_pairs(vals, weights))
     nots = [~v for v in vals]
-    total = 0
-
-    def rec(ts: list[int], weight: int, cands: list[int]) -> None:
-        nonlocal total
-        if len(ts) < k - 2:
-            kids = _split(ts, vals, nots, cands)
-            survivors = [c for c, _ in kids]
-            for c, child in kids:
-                rec(child, weight * weights[c], survivors)
-        else:
-            total += weight * _node_pairs(ts, vals, nots, weights, cands)
-
-    cands = list(range(d))
-    for c in cands:
-        rec([vals[c]], weights[c], cands)
+    total = sum(
+        math.prod(weights[c] for c in path) * _node_pairs(ts, vals, nots, weights, cands)
+        for path, ts, cands in _walk(vals, nots, range(d), k - 2)
+    )
     return _exact_report(relation, k, total)
 
 
@@ -173,9 +160,9 @@ def _root_pairs(rows: list[int], weights: list[int]) -> int:
 def _node_pairs(ts: list[int], rows, nots, weights, cands: list[int]) -> int:
     """Σ Π_j |T_j| over the a-tuples that extend a node by two rows.
 
-    `ts` holds T_m, ..., T_1 newest first. A candidate c survives when its
-    head h_c = T_m & r_c is neither empty nor all of T_m and every
-    T_j minus r_c (j < m) is non-empty. Appending u then v leaves
+    `ts` holds T_m, ..., T_1 newest first. The rows that may come next are
+    the candidates `_split` lets through, each with its head
+    h_c = T_m & r_c and its T's reduced by r_c. Appending u then v leaves
     T_{m+2} = h_u & h_v of size g, T_{m+1} = h_u minus r_v of size |h_u| - g,
     T_m minus (r_u | r_v) of size |T_m| - |h_u| - |h_v| + g, and T_j minus
     (r_u | r_v) for j < m, of size |T_j∖r_u| - |(T_j∖r_u) & r_v|. Only
@@ -184,29 +171,16 @@ def _node_pairs(ts: list[int], rows, nots, weights, cands: list[int]) -> int:
     The pair u = v would add nothing (g = |h_u|), so a repeated row is
     never paired with itself.
     """
-    meet = ts[0]
-    size = meet.bit_count()
-    older = ts[1:]
-    survivors = []
-    for c in cands:
-        head = meet & rows[c]
-        n = head.bit_count()
-        if not n or n == size:
-            continue
-        nr = nots[c]
-        lows = []
-        for t in older:
-            t &= nr
-            if not t:
-                break
-            lows.append((t, t.bit_count()))
-        else:
-            survivors.append((head, n, weights[c], rows[c], lows))
+    size = ts[0].bit_count()
+    kids = _split(ts, rows, nots, cands)
+    survivors = [(child[0], child[0].bit_count(), weights[c], rows[c]) for c, child in kids]
     total = 0
-    for i, (hu, nu, wu, _, lows) in enumerate(survivors):
+    for i, (hu, nu, wu, _) in enumerate(survivors):
+        # T_j∖r_u for j < m with their sizes; there are none at m = 1
+        lows = [(t, t.bit_count()) for t in kids[i][1][2:]] if len(ts) > 1 else ()
         acc = 0
         rest = size - nu
-        for hv, nv, wv, rv, _ in itertools.islice(survivors, i + 1, None):
+        for hv, nv, wv, rv in itertools.islice(survivors, i + 1, None):
             g = (hu & hv).bit_count()
             if g:
                 prod = wv * g * (nu + nv - 2 * g) * (rest - nv + g)
@@ -217,24 +191,46 @@ def _node_pairs(ts: list[int], rows, nots, weights, cands: list[int]) -> int:
     return total
 
 
+def _walk(rows, nots, roots, depth: int):
+    """(path, ts, cands) for every a-tuple `path` of length `depth` that
+    `_split` lets grow from `roots`, in lexicographic order of paths.
+
+    A root c starts as T_1 = rows[c] with every root as a candidate; each
+    node below grows through `_split`. `ts` holds the path's T's newest
+    first and `cands` the rows that survived at the path's parent, the only
+    ones that can extend it.
+    """
+    if depth == 1:
+        roots = list(roots)
+        for c in roots:
+            yield (c,), [rows[c]], roots
+        return
+    for path, ts, cands in _walk(rows, nots, roots, depth - 1):
+        kids = _split(ts, rows, nots, cands)
+        survivors = [c for c, _ in kids]
+        for c, child in kids:
+            yield path + (c,), child, survivors
+
+
 def _split(ts: list[int], rows, nots, cands: list[int]) -> list[tuple[int, list[int]]]:
     """The candidates that extend an a-tuple, each with its reduced T's.
 
     `ts` holds T_m, ..., T_1 newest first, so ts[0] is the prefix meet. A
     candidate c, with row rows[c] and complement nots[c], survives when
     ts[0] & row and every t & ~row are non-empty; its T's are then
-    [ts[0] & row] + [t & ~row for t in ts]. Survivors keep the order of
-    `cands`.
+    [ts[0] & row] + [t & ~row for t in ts]. The head h = ts[0] & row lies
+    in ts[0], so ts[0] & ~row is ts[0] ^ h, non-empty iff h != ts[0].
+    Survivors keep the order of `cands`.
     """
-    meet = ts[0]
+    meet, *older = ts
     out = []
     for c in cands:
         head = meet & rows[c]
-        if not head:
+        if not head or head == meet:
             continue
         nr = nots[c]
-        child = [head]
-        for t in ts:
+        child = [head, meet ^ head]
+        for t in older:
             t &= nr
             if not t:
                 break
@@ -268,40 +264,26 @@ def is_halfgraph(relation: Relation, witness: tuple[int, ...]) -> bool:
 def enumerate_halfgraphs(relation: Relation, k: int, limit: int) -> list[tuple[int, ...]]:
     """Up to `limit` witnesses, lexicographic in (a_1..a_k, b_1..b_k).
 
-    The a-tuple grows over member indices under the kernel's pruning
-    (`_split`), and each full a-tuple yields the product of its T_j.
+    The a-tuples grow over member indices through `_walk`, the exact
+    count's walk and pruning rule (`_split`), and each full a-tuple yields
+    the product of its T_j.
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    out: list[tuple[int, ...]] = []
-    if not limit:
-        return out
     rows = relation.rows
     nots = [~row for row in rows]
     xs = [x for x in relation.domain.member_indices() if rows[x]]
-
-    def rec(a: tuple[int, ...], ts: list[int], cands: list[int]) -> bool:
-        if len(a) == k:
-            for bs in itertools.product(*(list(iter_bits(t)) for t in reversed(ts))):
-                witness = a + bs
-                if not is_halfgraph(relation, witness):
-                    raise AssertionError(f"witness {witness} failed re-verification")
-                out.append(witness)
-                if len(out) >= limit:
-                    return True
-            return False
-        kids = _split(ts, rows, nots, cands)
-        survivors = [c for c, _ in kids]
-        for c, child in kids:
-            if rec(a + (c,), child, survivors):
-                return True
-        return False
-
-    for x in xs:
-        if rec((x,), [rows[x]], xs):
-            break
+    witnesses = (
+        a + bs
+        for a, ts, _ in _walk(rows, nots, xs, k)
+        for bs in itertools.product(*(iter_bits(t) for t in reversed(ts)))
+    )
+    out = list(itertools.islice(witnesses, limit))
+    for witness in out:
+        if not is_halfgraph(relation, witness):
+            raise AssertionError(f"witness {witness} failed re-verification")
     return out
 
 
@@ -340,7 +322,7 @@ def sample_halfgraphs(
         return HalfGraphReport(k, None, zero, (zero, zero), samples, zero, zero)
     score = 0
     base, extra = divmod(samples, worker_count)
-    for w in range(worker_count):
+    for w in range(min(worker_count, samples)):  # streams past `samples` draw nothing
         rng = random.Random(derive_seed(seed, w))
         left = base + (w < extra)
         while left:

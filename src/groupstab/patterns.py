@@ -143,6 +143,8 @@ def census(
     Witnesses list the set bits of each meet in ascending order, decoded
     as (a, b) = divmod(bit, W): g by g, then a, then b.
     """
+    if witness_cap < 0:
+        raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
     if kind not in SHAPES:
         raise ValueError(f"unknown census kind {kind!r}")
     shape = SHAPES[kind]

@@ -221,13 +221,35 @@ def test_subgroup_enumeration_complete_vs_brute_force():
 
 def test_searched_subgroups_pass_the_subgroup_check():
     """The search returns closures unchecked; each must still be accepted by
-    subgroup(), which checks identity, divisibility, inverses and products."""
+    subgroup(), which checks the identity and that the set is its own closure."""
     groups = builtin_catalogue(24) + [dihedral(5), dihedral(8), heisenberg(3),
                                       product(cyclic(2), dihedral(3))]
     for g in groups:
         for s in subgroups_up_to_index(g, g.order):
             checked = subgroup(g, s.members)
             assert (checked.members, checked.index_in_parent) == (s.members, s.index_in_parent), g.name
+
+
+def test_subgroup_accepts_exactly_the_subgroups():
+    for g in builtin_catalogue(8) + [dihedral(3)]:
+        expected = brute_subgroup_masks(g)
+        for mask in range(1, 1 << g.order, 2):  # every mask holding the identity
+            if mask in expected:
+                sub = subgroup(g, mask)
+                assert (sub.members, sub.index_in_parent) == (mask, g.order // mask.bit_count())
+            else:
+                low = min(iter_bits(closure(g, mask) & ~mask))
+                with pytest.raises(ValueError, match=f"adds element {low}$"):
+                    subgroup(g, mask)
+
+
+@pytest.mark.parametrize("seed", [1 << 4, 1 << 7 | 1, -1])
+def test_closure_refuses_seed_bits_outside_the_group(seed):
+    z4 = cyclic(4)
+    with pytest.raises(ValueError, match="the element universe"):
+        closure(z4, seed)
+    with pytest.raises(ValueError, match="the element universe"):
+        subgroup(z4, seed | 1)
 
 
 @settings(max_examples=300, deadline=None)

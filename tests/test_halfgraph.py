@@ -1,9 +1,12 @@
 """halfgraph: exact counts, enumeration, sampling, theta profile."""
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from operator import and_, or_
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,8 +31,9 @@ from groupstab import (
     subgroup,
     theta_profile,
 )
+import groupstab.halfgraph as halfgraph
 from groupstab.bits import mask_of
-from groupstab.halfgraph import _CHUNK, _score_chunk
+from groupstab.halfgraph import _CHUNK, _score_chunk, _walk, derive_seed
 
 from oracles import brute_halfgraph_count, brute_halfgraph_witnesses
 
@@ -133,6 +137,8 @@ def test_budget_guard():
     ((0b11, 0b11, 0b10, 0, 0b01), 2),  # 3 distinct non-empty rows of 5
     ((0b11, 0b11, 0b10, 0, 0b01), 4),  # fewer rows than k: nothing to walk
     ((1, 2, 4, 8, 16, 3, 5, 6), 3),
+    ((0b11, 0b01), 3),  # 2 nested rows: the root 0b11 has one row to pair
+    ((0b111, 0b011, 0b001), 5),  # the walk reaches depth 3 and finds no pair
 ])
 def test_budget_gate_charges_injective_tuples_of_distinct_rows(rows, k):
     carrier = CarrierSet.full(cyclic(len(rows)), 1)
@@ -236,6 +242,67 @@ def test_kernel_matches_brute_force_and_enumeration(case):
     assert err.value.required == charge
 
 
+# (group, domain arity, codomain arity) for the walk property test
+WALK_CARRIERS = [
+    (cyclic(4), 1, 1),
+    (cyclic(6), 1, 1),
+    (dihedral(3), 1, 1),
+    (cyclic(3), 2, 1),
+    (cyclic(3), 1, 2),
+    (cyclic(2), 2, 2),
+]
+
+
+@st.composite
+def walk_cases(draw):
+    """(rows, roots, depth): rows over full or proper carriers, each drawn
+    from a pool of at most 5 masks (so rows repeat, and some are empty),
+    with the members whose rows are non-empty as roots, ascending."""
+    group, dom_arity, cod_arity = draw(st.sampled_from(WALK_CARRIERS), label="carriers")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    dom = CarrierSet.full(group, dom_arity)
+    cod = CarrierSet.full(group, cod_arity)
+    if draw(st.booleans(), label="proper"):
+        dom = CarrierSet(group, dom_arity, mask_of(x for x in range(dom.universe) if rng.random() < 0.7) | 1)
+        cod = CarrierSet(group, cod_arity, mask_of(y for y in range(cod.universe) if rng.random() < 0.7) | 1)
+    pool = [rng.randrange(cod.members + 1) & cod.members for _ in range(rng.randint(1, 5))]
+    rows = [0] * dom.universe
+    for x in dom.member_indices():
+        rows[x] = rng.choice(pool)
+    roots = [x for x in dom.member_indices() if rows[x]]
+    return rows, roots, draw(st.integers(1, 4), label="depth")
+
+
+def _walk_nodes(rows, roots, depth):
+    """(path, T_depth..T_1) for every tuple of roots whose T's are all
+    non-empty, where T_j is the meet of the rows up to a_j minus the union
+    of the rows after it; listed in lexicographic order of paths."""
+    nodes = []
+    for path in itertools.product(roots, repeat=depth):
+        ts = [
+            functools.reduce(and_, (rows[a] for a in path[:j + 1]))
+            & ~functools.reduce(or_, (rows[a] for a in path[j + 1:]), 0)
+            for j in range(depth)
+        ]
+        if all(ts):
+            nodes.append((path, ts[::-1]))
+    return nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+def test_walk_yields_the_tuples_whose_ts_are_non_empty(case):
+    rows, roots, depth = case
+    walked = list(_walk(rows, [~row for row in rows], roots, depth))
+    expected = _walk_nodes(rows, roots, depth)
+    assert [(path, ts) for path, ts, _ in walked] == expected
+    assert all(len(set(path)) == depth for path, _ in expected)
+    # a node's candidates are the roots that extend its parent
+    grown = {path for path, _ in expected}
+    for path, _, cands in walked:
+        assert cands == [c for c in roots if path[:-1] + (c,) in grown]
+
+
 # (group, arity) for carriers of 9-14 elements, past the brute force's reach
 WIDE_CARRIERS = [(cyclic(n), 1) for n in range(9, 15)] + [
     (dihedral(5), 1), (dihedral(6), 1), (dihedral(7), 1), (cyclic(3), 2)]
@@ -315,6 +382,15 @@ def test_sampling_worker_partition_changes_only_stream():
     assert seq.samples == par.samples == 2000
     # same contract, deterministic per (seed, worker_count)
     assert par == sample_halfgraphs(rel, 2, 2000, seed=5, worker_count=4)
+
+
+def test_sampler_builds_no_stream_that_draws_nothing():
+    # streams past `samples` draw 0 a-tuples, so none of them is seeded
+    rel = linear_order_relation(cyclic(8), 5)
+    with mock.patch.object(halfgraph, "derive_seed", wraps=derive_seed) as seeds:
+        report = sample_halfgraphs(rel, 2, 10, 3, worker_count=10**5)
+    assert seeds.call_count <= 10
+    assert report == sample_halfgraphs(rel, 2, 10, 3, worker_count=10)
 
 
 SCORE_GROUPS = builtin_catalogue(8) + [dihedral(3)]

@@ -353,6 +353,23 @@ def test_square_witnesses_verify_and_cap():
             assert rel.has_pair(*p)
 
 
+@pytest.mark.parametrize("call", [
+    lambda rel, cap: square_census(rel, True, cap),
+    lambda rel, cap: corner_census(rel, "naive", True, cap),
+    lambda rel, cap: corner_census(rel, "bmz_left", True, cap),
+    lambda rel, cap: rect23_census(rel, True, cap),
+    lambda rel, cap: lshape_census(rel, True, cap),
+    lambda rel, cap: census(rel, "lshape_right", False, cap),
+])
+def test_census_refuses_a_negative_witness_cap_before_any_work(call):
+    rel = cayley_graph(cyclic(4), mask_of([0, 2]))
+    with mock.patch("groupstab.patterns._matrix_mover") as mover:
+        with pytest.raises(ValueError, match="witness_cap must be >= 0, got -1"):
+            call(rel, -1)
+    assert not mover.called
+    assert call(rel, 0).witnesses in ([], None)
+
+
 def test_square_diagonal_action_mode():
     z3 = cyclic(3)
     rng = random.Random(15)
