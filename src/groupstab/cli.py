@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.exact_budget < 0:
+            raise ValueError(f"exact_budget must be >= 0, got {self.exact_budget}")
         for kind in self.census:
             if kind not in CENSUS_KINDS:
                 raise ValueError(f"unknown census kind {kind!r}")
@@ -394,18 +396,23 @@ def _cmd_experiment(args) -> int:
     return 2 if report["row_errors"] else 0
 
 
+def _common_options(budget_help: str) -> argparse.ArgumentParser:
+    """The options every single command shares; only the help of --budget varies."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    common.add_argument("--threads", type=int, default=1, help="worker streams for sampling")
+    common.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET, help=budget_help)
+    common.add_argument("--output", help="write JSON here instead of stdout")
+    return common
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupstab",
         description="Half-graph censuses and pattern counting on finite groups",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker streams for sampling")
-    common.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET,
-                        help="work budget for exact kernels")
-    common.add_argument("--output", help="write JSON here instead of stdout")
+    common = _common_options("work budget for exact kernels")
     rel = argparse.ArgumentParser(add_help=False)
     rel.add_argument("--group", required=True, help='group spec, e.g. Z6, Z2xZ2, D4, or JSON')
     rel.add_argument("--gen", help="generator spec as JSON")
@@ -419,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     gi.add_argument("--group", required=True)
     gi.set_defaults(func=_cmd_group_info)
 
-    p = sub.add_parser("subgroups", parents=[common], help="enumerate subgroups")
+    search = _common_options("cap on the candidate closures of the subgroup search")
+    p = sub.add_parser("subgroups", parents=[search], help="enumerate subgroups")
     p.add_argument("--group", required=True)
     p.add_argument("--max-index", type=int, default=4)
     p.set_defaults(func=_cmd_subgroups)

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the one reader of JSON fields."""
+"""Exception types shared across the toolkit, the one reader of JSON fields,
+and the one check of a work budget."""
 
 from __future__ import annotations
 
@@ -74,3 +75,9 @@ def _read(convert, value, what: str):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"cannot read {what} from {value!r}") from exc
+
+
+def _check_budget(budget: int) -> None:
+    """A work budget below 0 is a ValueError, raised before any work; 0 is valid."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")

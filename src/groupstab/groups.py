@@ -25,8 +25,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .bits import iter_bits, mask_of, permute_bits
-from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement, _read
+from .bits import iter_bits, mask_of
+from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement, _check_budget, _read
 
 DEFAULT_CLOSURE_BUDGET = 10**6
 
@@ -482,18 +482,30 @@ def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
 
 
 def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_CLOSURE_BUDGET) -> list[int]:
-    """Every subgroup mask, found by closing known subgroups with one extra generator.
+    """Every subgroup mask, ascending: the walk of `_subgroups_above` from {e}.
+
+    The budget counts candidate closures; a negative budget is a ValueError.
+    """
+    _check_budget(budget)
+    return _subgroups_above(group, 1, 0, budget)
+
+
+def _subgroups_above(group: FiniteGroup, base: int, base_gens: int, budget: int) -> list[int]:
+    """Every subgroup mask containing the subgroup `base`, which `base_gens`
+    generates, ascending; found by closing known subgroups with one extra
+    generator.
 
     Each subgroup keeps the generating set it was first closed from, and is
     extended by one element g per left coset g·h: <h, g> = <h, g·x> for x
-    in h, so the other elements of the coset give nothing new. The budget
-    counts these candidate closures.
+    in h, so the other elements of the coset give nothing new. Any subgroup
+    K above the base is reached, by adding K's elements one at a time. The
+    budget counts these candidate closures.
     """
     order = group.order
     full = (1 << order) - 1
     table = group._mul_table()
-    generators = {1: 0}
-    frontier = [1]
+    generators = {base: base_gens}
+    frontier = [base]
     closures = 0
     while frontier:
         h = frontier.pop()
@@ -521,14 +533,54 @@ def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_CLOSURE_BUDGET) -> l
     return sorted(generators)
 
 
+def _power_subgroup(group: FiniteGroup, max_index: int) -> tuple[int, int]:
+    """(P, a generating set of P) for P = <g^e : g in G>, e = lcm(1..max_index).
+
+    If [G:H] = i then G/core(H) embeds in S_i, whose exponent divides e, so
+    g^e lies in H: P is in every subgroup of index <= max_index (Holt, Eick
+    & O'Brien, Handbook of Computational Group Theory, 2005, on low-index
+    subgroups). g^e = g^(e mod |G|) by Lagrange, so P is trivial once
+    max_index reaches |G|; g^e is found by square-and-multiply on the
+    table. A power joins the generating set only when the P built so far
+    misses it, so P at least doubles each time and there are at most
+    log2|P| generators, each costing one closure.
+    """
+    e = math.lcm(*range(1, min(max_index, group.order) + 1)) % group.order
+    members, gens = 1, 0
+    if not e:
+        return members, gens
+    table = group._mul_table()
+    for g in range(1, group.order):
+        # g in P puts g^e in P too
+        if members >> g & 1:
+            continue
+        power, square, n = 0, g, e
+        while n:
+            if n & 1:
+                power = table[power][square]
+            square = table[square][square]
+            n >>= 1
+        if not members >> power & 1:
+            gens |= 1 << power
+            members = closure(group, gens)
+    return members, gens
+
+
 def subgroups_up_to_index(
     group: FiniteGroup, max_index: int, budget: int = DEFAULT_CLOSURE_BUDGET
 ) -> list[Subgroup]:
-    """All subgroups of index <= max_index, ascending index then lexicographic members."""
+    """All subgroups of index <= max_index, ascending index then lexicographic members.
+
+    Every such subgroup contains the power subgroup P of `_power_subgroup`,
+    so the search walks up from P, not from {e}. The budget counts the
+    walk's candidate closures, and a negative budget is a ValueError; the at
+    most log2|P| closures that build P are not charged.
+    """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
+    _check_budget(budget)
     out = []
-    for mask in all_subgroups(group, budget=budget):
+    for mask in _subgroups_above(group, *_power_subgroup(group, max_index), budget):
         size = mask.bit_count()
         index = group.order // size
         if index <= max_index:
@@ -538,15 +590,19 @@ def subgroups_up_to_index(
 
 
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[int]:
-    """Partition of the universe into left cosets g*H, identity block first."""
+    """Partition of the universe into left cosets g*H, identity block first;
+    each block is read off the representative's table row."""
     if sub.parent is not group:
         raise CrossGroupElement(f"subgroup of {sub.parent.name} used with {group.name}")
+    table = group._mul_table()
+    members = sub.member_indices()
     seen = 0
     blocks = []
     for rep in range(group.order):
         if seen >> rep & 1:
             continue
-        block = permute_bits(sub.members, translation(group, left=rep))
+        row = table[rep]
+        block = mask_of(row[x] for x in members)
         blocks.append(block)
         seen |= block
     return blocks

@@ -36,7 +36,7 @@ from fractions import Fraction
 from operator import and_, invert, mul, or_
 
 from .bits import iter_bits
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, _check_budget
 from .genlab import frac_json
 from .relations import Relation
 
@@ -108,13 +108,15 @@ def count_halfgraphs_exact(
     nothing), so the sum runs over tuples of distinct row values weighted by
     their multiplicities. The budget is charged for the injective ones,
     d·(d-1)···(d-k+1) over the d distinct non-empty rows, and checked before
-    any walking; with d < k it is 0 and so is the count. The a-tuples grow
-    through `_walk`, whose one pruning rule is `_split`, to depth k-2, and
-    each node there adds, per unordered pair of the rows that extend it,
-    both orders at once (`_node_pairs`; `_root_pairs` at k = 2).
+    any walking; with d < k it is 0 and so is the count. A negative budget
+    is a ValueError. The a-tuples grow through `_walk`, whose one pruning
+    rule is `_split`, to depth k-2, and each node there adds, per unordered
+    pair of the rows that extend it, both orders at once (`_node_pairs`;
+    `_root_pairs` at k = 2).
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
+    _check_budget(budget)
     mult: dict[int, int] = {}
     for x in relation.domain.member_indices():
         row = relation.rows[x]
@@ -390,12 +392,13 @@ def theta_profile(
 
     Sampled entries are flagged by exact_count being None; the one at height
     k is sample_halfgraphs with seed derive_seed(seed, k) over worker_count
-    streams. The sampling parameters are checked before any height, so they
-    are refused even when every height goes exact. With the group
-    normalization theta_k is non-increasing in k.
+    streams. The budget and the sampling parameters are checked before any
+    height, so they are refused even when every height goes exact. With the
+    group normalization theta_k is non-increasing in k.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_budget(exact_budget)
     _check_sampling(samples, confidence, worker_count)
     return [
         _exact_or_sampled(

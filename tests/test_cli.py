@@ -475,6 +475,11 @@ LINEAR = '"generator": {"kind": "linear_order"}'
           "--samples", "0", "--confidence", "1.5"], None),
         # a command-line override passes the same checks as the file's value
         (["experiment", "run", "--threads", "0"], '{"groups": ["Z4"], %s}' % LINEAR),
+        # a negative budget is refused before any work, whatever it caps
+        (["subgroups", "--group", "Z6", "--max-index", "4", "--budget", "-1"], None),
+        (["halfgraph", "count", "--group", "Z6", "--gen", '{"kind": "linear_order"}',
+          "--k", "2", "--budget", "-5"], None),
+        (["experiment", "run"], '{"groups": ["Z4"], "exact_budget": -1, %s}' % LINEAR),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):

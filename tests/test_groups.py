@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from groupstab import (
     AxiomViolation,
+    BudgetExceeded,
     CrossGroupElement,
     builtin_catalogue,
     count_halfgraphs_exact,
@@ -28,7 +29,7 @@ from groupstab import (
     subgroups_up_to_index,
 )
 from groupstab.bits import iter_bits, mask_of
-from groupstab.groups import closure, parse_cayley_table
+from groupstab.groups import all_subgroups, closure, parse_cayley_table
 
 from oracles import (
     brute_closure,
@@ -273,6 +274,54 @@ def test_elementary_abelian_subgroup_counts_up_to_index_four(p, n, expected):
     subs = subgroups_up_to_index(g, 4)
     assert len(subs) == expected
     assert all(s.index_in_parent <= 4 for s in subs)
+
+
+LATTICE_GROUPS = builtin_catalogue(24) + [
+    dihedral(5), dihedral(8), dihedral(12), dihedral(16), heisenberg(3),
+    product(cyclic(2), dihedral(3)),
+]
+
+
+@pytest.mark.parametrize("g", LATTICE_GROUPS, ids=lambda g: g.name)
+def test_search_from_the_power_subgroup_is_the_lattice_cut_at_each_index(g):
+    """The search starts at P = <g^e>, e = lcm(1..m), and must still list every
+    subgroup of index <= m of the whole lattice, in (index, members) order."""
+    lattice = brute_subgroup_masks(g) if g.order <= 16 else all_subgroups(g)
+    for m in range(1, g.order + 1):
+        cut = [(g.order // mask.bit_count(), mask) for mask in lattice
+               if mask.bit_count() * m >= g.order]
+        expected = sorted(cut, key=lambda pair: (pair[0], tuple(iter_bits(pair[1]))))
+        got = [(s.index_in_parent, s.members) for s in subgroups_up_to_index(g, m)]
+        assert got == expected, m
+
+
+def test_search_charges_only_the_closures_above_the_power_subgroup():
+    # In Z64 at index <= 4, P = <g^12> = <4> has order 16 and is built from
+    # one uncharged closure; the walk then closes P with 1, 2 and 3. From {e}
+    # the same search charged 119 closures.
+    z64 = cyclic(64)
+    subs = subgroups_up_to_index(z64, 4, budget=3)
+    assert [(s.index_in_parent, s.members) for s in subs] == [
+        (1, (1 << 64) - 1), (2, mask_of(range(0, 64, 2))), (4, mask_of(range(0, 64, 4)))
+    ]
+    with pytest.raises(BudgetExceeded) as err:
+        subgroups_up_to_index(z64, 4, budget=2)
+    assert (err.value.required, err.value.budget) == (3, 2)
+    # H5 has exponent 5, so at index <= 4 P is the whole group: nothing to charge
+    assert [s.index_in_parent for s in subgroups_up_to_index(heisenberg(5), 4, budget=0)] == [1]
+
+
+@pytest.mark.parametrize("search", [
+    lambda g, budget: all_subgroups(g, budget=budget),
+    lambda g, budget: subgroups_up_to_index(g, 4, budget=budget),
+])
+def test_negative_search_budget_is_refused_before_any_work(search):
+    z64 = cyclic(64)
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        search(z64, -1)
+    assert z64._table is None  # the table is built on first use
+    # a budget of 0 is valid: in Z2 no walk needs a charged closure
+    assert len(search(cyclic(2), 0)) == 2
 
 
 def test_subgroups_sorted_by_index_then_members():
