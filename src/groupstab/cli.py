@@ -84,7 +84,7 @@ def parse_group_spec(spec) -> FiniteGroup:
 def parse_fraction(value) -> Fraction:
     if isinstance(value, dict):
         num, den = value["num"], value["den"]
-        if not (isinstance(num, int) and isinstance(den, int) and den):
+        if not (type(num) is int and type(den) is int and den):
             raise ValueError(f"a rational needs integer num and non-zero den, got {value!r}")
         return Fraction(num, den)
     return as_fraction(value)
@@ -285,9 +285,9 @@ def run_family_trend(config: ExperimentConfig) -> dict:
 
 def _load_relation_arg(args) -> tuple[FiniteGroup, "Relation"]:
     group = parse_group_spec(args.group)
-    if getattr(args, "relation_file", None):
+    if args.relation_file:
         return group, load_relation(args.relation_file, group)
-    if getattr(args, "gen", None):
+    if args.gen:
         spec = GeneratorSpec.from_json(json.loads(args.gen))
         return group, instantiate_generator(spec, group, args.seed)
     raise ValueError("provide --gen SPEC or --relation-file PATH")
@@ -339,21 +339,20 @@ def _cmd_subgroups(args) -> int:
 def _cmd_halfgraph(args) -> int:
     _, relation = _load_relation_arg(args)
     if args.mode == "count":
-        report = count_halfgraphs_exact(relation, args.k, budget=args.budget)
+        report = count_halfgraphs_exact(relation, args.k, budget=args.budget).to_json()
     elif args.mode == "estimate":
         report = sample_halfgraphs(
             relation, args.k, args.samples, args.seed, args.confidence,
             worker_count=args.threads,
-        )
+        ).to_json()
     else:
         reports = theta_profile(
             relation, args.k_max, exact_budget=args.budget,
             samples=args.samples, seed=args.seed, confidence=args.confidence,
             worker_count=args.threads,
         )
-        _emit({"profile": [r.to_json() for r in reports]}, args.output)
-        return 0
-    _emit(report.to_json(), args.output)
+        report = {"profile": [r.to_json() for r in reports]}
+    _emit(report, args.output)
     return 0
 
 
@@ -382,7 +381,7 @@ def _cmd_gen(args) -> int:
     group = parse_group_spec(args.group)
     spec = GeneratorSpec.from_json(json.loads(args.spec))
     relation = instantiate_generator(spec, group, args.seed)
-    _emit(dump_relation(relation), args.out or args.output)
+    _emit(dump_relation(relation), args.output)
     return 0
 
 
@@ -396,14 +395,23 @@ def _cmd_experiment(args) -> int:
     return 2 if report["row_errors"] else 0
 
 
-def _common_options(budget_help: str) -> argparse.ArgumentParser:
-    """The options every single command shares; only the help of --budget varies."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker streams for sampling")
-    common.add_argument("--budget", type=int, default=DEFAULT_EXACT_BUDGET, help=budget_help)
-    common.add_argument("--output", help="write JSON here instead of stdout")
-    return common
+# The options several commands take, each declared once by its dest, the flag
+# without "--". A command takes exactly the options its handler reads.
+_OPTIONS = {
+    "group": {"required": True, "help": "group spec, e.g. Z6, Z2xZ2, D4, or JSON"},
+    "seed": {"type": int, "default": 0, "help": "base RNG seed"},
+    "budget": {"type": int, "default": DEFAULT_EXACT_BUDGET, "help": "work budget for exact kernels"},
+    "threads": {"type": int, "default": 1, "help": "worker streams for sampling"},
+    "k": {"type": int, "default": 2},
+    "output": {"help": "write the result here instead of stdout"},
+}
+
+
+def _add(parser: argparse.ArgumentParser, *dests: str, **settings) -> argparse.ArgumentParser:
+    """Add the named _OPTIONS to the parser, settings replacing declared ones."""
+    for dest in dests:
+        parser.add_argument("--" + dest, **{**_OPTIONS[dest], **settings})
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,41 +420,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Half-graph censuses and pattern counting on finite groups",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = _common_options("work budget for exact kernels")
-    rel = argparse.ArgumentParser(add_help=False)
-    rel.add_argument("--group", required=True, help='group spec, e.g. Z6, Z2xZ2, D4, or JSON')
+    # Shared groups of options are parents, whose actions are copied, not added again.
+    rel = _add(argparse.ArgumentParser(add_help=False), "group", "seed", "output")
     rel.add_argument("--gen", help="generator spec as JSON")
     rel.add_argument("--relation-file", help="relation in the save format")
+    sampling = _add(argparse.ArgumentParser(add_help=False), "threads")
+    sampling.add_argument("--samples", type=int, default=10_000)
+    sampling.add_argument("--confidence", type=float, default=0.95)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="group inspection")
-    gsub = p.add_subparsers(dest="mode", required=True)
-    gi = gsub.add_parser("info", parents=[common])
-    gi.add_argument("--group", required=True)
-    gi.set_defaults(func=_cmd_group_info)
+    gi = p.add_subparsers(dest="mode", required=True).add_parser("info")
+    _add(gi, "group", "output").set_defaults(func=_cmd_group_info)
 
-    search = _common_options("cap on the candidate closures of the subgroup search")
-    p = sub.add_parser("subgroups", parents=[search], help="enumerate subgroups")
-    p.add_argument("--group", required=True)
+    p = _add(sub.add_parser("subgroups", help="enumerate subgroups"), "group", "output")
     p.add_argument("--max-index", type=int, default=4)
+    _add(p, "budget", help="cap on the candidate closures of the subgroup search")
     p.set_defaults(func=_cmd_subgroups)
 
     p = sub.add_parser("halfgraph", help="half-graph counting and estimation")
     hsub = p.add_subparsers(dest="mode", required=True)
-    for mode in ("count", "estimate", "profile"):
-        hp = hsub.add_parser(mode, parents=[common, rel])
-        if mode == "profile":
-            hp.add_argument("--k-max", type=int, default=3)
-        else:
-            hp.add_argument("--k", type=int, default=2)
-        hp.add_argument("--samples", type=int, default=10_000)
-        hp.add_argument("--confidence", type=float, default=0.95)
-        hp.set_defaults(func=_cmd_halfgraph)
+    _add(hsub.add_parser("count", parents=[rel]), "k", "budget").set_defaults(func=_cmd_halfgraph)
+    _add(hsub.add_parser("estimate", parents=[rel, sampling]), "k").set_defaults(func=_cmd_halfgraph)
+    hp = _add(hsub.add_parser("profile", parents=[rel, sampling]), "budget")
+    hp.add_argument("--k-max", type=int, default=3)
+    hp.set_defaults(func=_cmd_halfgraph)
 
     p = sub.add_parser("patterns", help="pattern censuses")
-    psub = p.add_subparsers(dest="mode", required=True)
-    pc = psub.add_parser("census", parents=[common, rel])
+    pc = p.add_subparsers(dest="mode", required=True).add_parser("census", parents=[rel])
     pc.add_argument("--kind", required=True, choices=CENSUS_KINDS + ("ap",))
     pc.add_argument("--witnesses", type=int, default=0, help="cap on listed witnesses")
     pc.add_argument("--set", help="comma-separated element indices (ap census)")
@@ -454,16 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--h", type=int, help="progression step element (ap census)")
     pc.set_defaults(func=_cmd_patterns)
 
-    p = sub.add_parser("boxcover", parents=[common, rel], help="greedy box cover")
+    p = sub.add_parser("boxcover", parents=[rel], help="greedy box cover")
     p.add_argument("--epsilon", default="0.05")
     p.add_argument("--max-boxes", type=int, default=16)
     p.add_argument("--purity", default="1")
     p.set_defaults(func=_cmd_boxcover)
 
-    p = sub.add_parser("gen", parents=[common], help="materialize a generator spec")
-    p.add_argument("--group", required=True)
+    p = _add(sub.add_parser("gen", help="materialize a generator spec"), "group", "seed")
     p.add_argument("--spec", required=True, help="generator spec as JSON")
-    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--output", "--out", **_OPTIONS["output"])
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("experiment", help="experiment harness")
@@ -471,11 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in ("run", "trend"):
         ep = esub.add_parser(mode)
         ep.add_argument("--config", required=True, help="experiment config JSON file")
-        ep.add_argument("--seed", type=int, default=None)
-        ep.add_argument("--budget", type=int, default=None)
-        ep.add_argument("--threads", type=int, default=None)
-        ep.add_argument("--output", help="write the report here")
-        ep.set_defaults(func=_cmd_experiment)
+        _add(ep, "seed", "budget", "threads", default=None)  # None keeps the config's value
+        _add(ep, "output").set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -70,8 +70,10 @@ class IndexOutOfRange(ToolkitError):
 
 def _read(convert, value, what: str):
     """convert(value) for one field of parsed JSON; a value of the wrong type
-    or form is a ValueError that names the field."""
+    or form, a JSON boolean among them, is a ValueError that names the field."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"cannot read {what} from {value!r}") from exc

@@ -10,7 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .bits import full_mask, iter_bits, mask_of
-from .errors import IndexOutOfRange, _read
+from .errors import IndexOutOfRange, _check_budget, _read
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_index, left_cosets
 from .relations import CarrierSet, Relation, build_relation, cayley_graph
 
@@ -18,11 +18,11 @@ from .relations import CarrierSet, Relation, build_relation, cayley_graph
 def as_fraction(value) -> Fraction:
     """Exact rational from int/Fraction/str; floats are read with decimal
     semantics (0.01 means 1/100, not the nearest binary double). Any other
-    value, an infinity or a zero denominator is a ValueError."""
+    value, a bool, an infinity or a zero denominator is a ValueError."""
     if isinstance(value, Fraction):
         return value
     try:
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, float):
             return Fraction(Decimal(str(value)))
@@ -86,11 +86,14 @@ def sidon_set(group: FiniteGroup, budget: int | None = None) -> int:
     The strict (ordered) difference condition matters in even groups, where
     x - y = y - x can hold for x != y: allowing such a pair already breaks
     3-stability of the Cayley graph. budget optionally caps the number of
-    chosen elements. The result is re-verified against the all-pairs
-    difference test before returning.
+    chosen elements; below 0 it is a ValueError, and 0 chooses none. The
+    result is re-verified against the all-pairs difference test before
+    returning.
     """
     if group.recipe != f"cyclic({group.order})":
         raise ValueError("greedy Sidon construction expects a cyclic group")
+    if budget is not None:
+        _check_budget(budget)
     n = group.order
     chosen: list[int] = []
     diffs: set[int] = set()

@@ -132,21 +132,28 @@ class GroupElement:
     index: int
 
     def __post_init__(self) -> None:
-        _check_index(self.group, self.index)
+        _element_index(self.group, self.index)
 
     def __repr__(self) -> str:
         return f"{self.group.name}[{self.index}]"
 
 
-def _check_index(group: FiniteGroup, index: int) -> None:
-    if not 0 <= index < group.order:
-        raise ValueError(f"element index {index} out of range for order {group.order}")
+def _element_index(group: FiniteGroup, element: GroupElement | int) -> int:
+    """The index of an element of the group, given as a GroupElement or as an
+    index; the one element check. An index out of range is a ValueError, a
+    GroupElement of another group a CrossGroupElement."""
+    if isinstance(element, GroupElement):
+        if element.group is not group:
+            raise CrossGroupElement(f"element of {element.group.name} used with {group.name}")
+        return element.index
+    if not 0 <= element < group.order:
+        raise ValueError(f"element index {element} out of range for order {group.order}")
+    return element
 
 
 def translation(group: FiniteGroup, left: int = 0, right: int = 0) -> list[int]:
     """The map x -> left·x·right as a list; every translation map is built here."""
-    _check_index(group, left)
-    _check_index(group, right)
+    left, right = _element_index(group, left), _element_index(group, right)
     table = group._mul_table()
     row = table[left]
     return [row[col[right]] for col in table]
@@ -345,9 +352,9 @@ def make_group(recipe) -> FiniteGroup:
 
 def _int_rows(table) -> list[list[int]]:
     """The rows of a recipe's table, each a list of ints. A row given as a
-    string is refused, not read digit by digit."""
+    string is refused, not read digit by digit, and so is a bool entry."""
     rows = [list(row) for row in table if isinstance(row, (list, tuple))]
-    if len(rows) != len(table) or not all(isinstance(x, int) for row in rows for x in row):
+    if len(rows) != len(table) or not all(type(x) is int for row in rows for x in row):
         raise TypeError("Cayley table rows must be lists of ints")
     return rows
 
@@ -397,10 +404,10 @@ def evaluate(group: FiniteGroup, word: Iterable[tuple[GroupElement, int]]) -> Gr
     return group.element(acc)
 
 
-def element_order(group: FiniteGroup, a: int) -> int:
+def element_order(group: FiniteGroup, a: GroupElement | int) -> int:
     """Order of element a. On a product of cyclic groups it is read from the
     digits, lcm of n_i / gcd(a_i, n_i), and no table is built."""
-    _check_index(group, a)
+    a = _element_index(group, a)
     digits = group._cyclic_digits()
     if digits is not None:
         return math.lcm(*(n // math.gcd(a // w % n, n) for w, n in digits))

@@ -23,7 +23,7 @@ from itertools import islice
 
 from .bits import _ascending_bits, _column_permuter, _digit_shift, mask_of, permute_bits
 from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup
-from .groups import FiniteGroup, GroupElement, Subgroup, _check_index, translation
+from .groups import FiniteGroup, GroupElement, Subgroup, _element_index, translation
 from .relations import Relation, _acted_coordinates, _lift_digit_map, _side_translation
 
 DEFAULT_WITNESS_CAP = 10_000
@@ -60,14 +60,10 @@ class CoverageReport:
 
 def _checked_element(group: FiniteGroup, members: int, element: GroupElement | int) -> int:
     """Index of the element, after checking it and the member mask against the group."""
-    if isinstance(element, GroupElement):
-        if element.group is not group:
-            raise CrossGroupElement(f"element of {element.group.name} used with {group.name}")
-        element = element.index
+    index = _element_index(group, element)
     if members >> group.order:
         raise ValueError(f"member mask has bits outside 0..{group.order - 1}")
-    _check_index(group, element)
-    return element
+    return index
 
 
 def _finish(kind, counts, witnesses) -> PatternCensus:

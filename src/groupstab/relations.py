@@ -22,7 +22,7 @@ from .errors import (
     EmptyCarrier,
     PairOutsideCarrier,
 )
-from .groups import FiniteGroup, GroupElement, translation
+from .groups import FiniteGroup, GroupElement, _element_index, translation
 
 _HEX_RE = re.compile(r"[0-9a-fA-F]+")
 
@@ -49,7 +49,7 @@ def decode_tuple(group: FiniteGroup, arity: int, index: int) -> tuple[int, ...]:
 def coordinate_action(
     group: FiniteGroup,
     arity: int,
-    g: int,
+    g: GroupElement | int,
     side: str = "right",
     coordinate: int | None = None,
     diagonal: bool = False,
@@ -60,6 +60,7 @@ def coordinate_action(
     diagonal=True every coordinate is acted on simultaneously. The default
     coordinate is the last one (the least significant digit).
     """
+    g = _element_index(group, g)
     return _lift_digit_map(
         _side_translation(group, g, side), arity, _acted_coordinates(arity, coordinate, diagonal)
     )

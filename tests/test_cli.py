@@ -87,12 +87,14 @@ def test_halfgraph_estimate_deterministic(capsys):
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
-@pytest.mark.parametrize("mode, height", [("estimate", ["--k", "3"]), ("profile", ["--k-max", "3"])])
+@pytest.mark.parametrize(
+    "mode, height", [("estimate", ["--k", "3"]), ("profile", ["--k-max", "3", "--budget", "100"])]
+)
 def test_halfgraph_sampling_cli_is_reproducible_and_in_its_interval(capsys, mode, height, threads):
     args = [
         "halfgraph", mode, "--group", "Z8",
         "--gen", '{"kind": "random_dense", "params": {"delta": 0.5, "seed": 11}}',
-        *height, "--samples", "700", "--seed", "4", "--threads", threads, "--budget", "100",
+        *height, "--samples", "700", "--seed", "4", "--threads", threads,
     ]
     assert main(args) == 0
     first = capsys.readouterr().out
@@ -148,6 +150,75 @@ def test_patterns_census_kinds_are_the_registry_plus_ap():
     census = subcommand(subcommand(build_parser(), "patterns"), "census")
     kind = next(a for a in census._actions if a.dest == "kind")
     assert list(kind.choices) == [k.replace("_", "-") for k in SHAPES] + ["ap"]
+
+
+def _leaf_commands(parser, words=()):
+    """(words, parser) for each command the parser runs, such as ("halfgraph", "count")."""
+    action = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if action is None:
+        yield words, parser
+        return
+    for name, child in action.choices.items():
+        yield from _leaf_commands(child, (*words, name))
+
+
+RELATION_OPTIONS = {"--group": None, "--seed": 0, "--output": None, "--gen": None, "--relation-file": None}
+SAMPLING_OPTIONS = {"--threads": 1, "--samples": 10_000, "--confidence": 0.95}
+EXPERIMENT_OPTIONS = {"--config": None, "--seed": None, "--budget": None, "--threads": None, "--output": None}
+
+
+def test_each_command_takes_exactly_the_options_it_reads():
+    """Each command's options, as flag -> default; spellings of one option are joined by "/"."""
+    taken = {
+        " ".join(words): {"/".join(a.option_strings): a.default for a in parser._actions
+                          if a.option_strings != ["-h", "--help"]}
+        for words, parser in _leaf_commands(build_parser())
+    }
+    assert taken == {
+        "group info": {"--group": None, "--output": None},
+        "subgroups": {"--group": None, "--output": None, "--max-index": 4, "--budget": 10**6},
+        "halfgraph count": {**RELATION_OPTIONS, "--k": 2, "--budget": 10**6},
+        "halfgraph estimate": {**RELATION_OPTIONS, **SAMPLING_OPTIONS, "--k": 2},
+        "halfgraph profile": {**RELATION_OPTIONS, **SAMPLING_OPTIONS, "--budget": 10**6, "--k-max": 3},
+        "patterns census": {**RELATION_OPTIONS, "--kind": None, "--witnesses": 0, "--set": None,
+                            "--m": 3, "--h": None},
+        "boxcover": {**RELATION_OPTIONS, "--epsilon": "0.05", "--max-boxes": 16, "--purity": "1"},
+        "gen": {"--group": None, "--seed": 0, "--spec": None, "--output/--out": None},
+        "experiment run": EXPERIMENT_OPTIONS,
+        "experiment trend": EXPERIMENT_OPTIONS,
+    }
+    assert sum(map(len, taken.values())) == 64
+
+
+SPEC = '{"kind": "linear_order"}'
+
+
+@pytest.mark.parametrize("command, option", [
+    (["group", "info", "--group", "Z4"], ["--seed", "3"]),
+    (["group", "info", "--group", "Z4"], ["--threads", "2"]),
+    (["group", "info", "--group", "Z4"], ["--budget", "5"]),
+    (["subgroups", "--group", "Z4"], ["--seed", "3"]),
+    (["subgroups", "--group", "Z4"], ["--threads", "2"]),
+    (["halfgraph", "count", "--group", "Z4", "--gen", SPEC], ["--threads", "2"]),
+    (["halfgraph", "count", "--group", "Z4", "--gen", SPEC], ["--samples", "5"]),
+    (["halfgraph", "count", "--group", "Z4", "--gen", SPEC], ["--confidence", "0.5"]),
+    (["halfgraph", "estimate", "--group", "Z4", "--gen", SPEC], ["--budget", "5"]),
+    (["patterns", "census", "--group", "Z4", "--gen", SPEC, "--kind", "square"], ["--threads", "2"]),
+    (["patterns", "census", "--group", "Z4", "--gen", SPEC, "--kind", "square"], ["--budget", "5"]),
+    (["boxcover", "--group", "Z4", "--gen", SPEC], ["--threads", "2"]),
+    (["boxcover", "--group", "Z4", "--gen", SPEC], ["--budget", "5"]),
+    (["gen", "--group", "Z4", "--spec", SPEC], ["--threads", "2"]),
+    (["gen", "--group", "Z4", "--spec", SPEC], ["--budget", "5"]),
+])
+def test_an_option_the_command_does_not_read_is_bad_usage(capsys, command, option):
+    assert main(command) == 0
+    capsys.readouterr()
+    assert main([*command, *option]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: groupstab")
+    assert err.splitlines()[-1] == f"groupstab: error: unrecognized arguments: {' '.join(option)}"
+    assert "Traceback" not in err
 
 
 def test_patterns_ap_cli(capsys):
@@ -480,6 +551,23 @@ LINEAR = '"generator": {"kind": "linear_order"}'
         (["halfgraph", "count", "--group", "Z6", "--gen", '{"kind": "linear_order"}',
           "--k", "2", "--budget", "-5"], None),
         (["experiment", "run"], '{"groups": ["Z4"], "exact_budget": -1, %s}' % LINEAR),
+        (["gen", "--group", "Z12", "--spec", '{"kind": "sidon_cayley", "params": {"budget": -1}}'],
+         None),
+        # a JSON boolean is not a number
+        (["experiment", "run"], '{"groups": ["Z4"], "k": true, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "max_index": true, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "epsilon": true, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "epsilon": {"num": true, "den": 2}, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "samples": true, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "threads": true, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4"], "seed": false, %s}' % LINEAR),
+        (["halfgraph", "count", "--group", "Z4",
+          "--gen", '{"kind": "linear_order", "params": {"width": true}}'], None),
+        (["halfgraph", "count", "--group", "Z4",
+          "--gen", '{"kind": "random_dense", "params": {"delta": true}}'], None),
+        (["group", "info", "--group", '{"kind": "cayley_table", "table": [[0, true], [true, 0]]}'],
+         None),
+        (["group", "info", "--group", '{"kind": "cyclic", "n": true}'], None),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):

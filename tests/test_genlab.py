@@ -98,6 +98,15 @@ def test_sidon_budget_caps_size():
     assert sidon_set(g, budget=2).bit_count() == 2
 
 
+def test_negative_sidon_budget_is_refused_and_zero_chooses_none():
+    g = cyclic(12)
+    assert sidon_set(g, budget=0) == 0
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        sidon_set(g, budget=-1)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        instantiate_generator(GeneratorSpec("sidon_cayley", {"budget": -1}), g)
+
+
 def test_sidon_cayley_is_three_stable_spotcheck():
     g = cyclic(13)
     rel = cayley_graph(g, sidon_set(g), "left")

@@ -22,7 +22,9 @@ from groupstab import (
     translate_relation,
 )
 from groupstab.bits import full_mask, mask_of
+from groupstab.errors import CrossGroupElement
 from groupstab.groups import element_order
+from groupstab.patterns import ap_census, comparability_defect
 from groupstab.relations import coordinate_action, decode_tuple, encode_tuple
 
 
@@ -240,3 +242,32 @@ def test_coordinate_action_shapes():
 def test_raw_element_indices_are_checked(call):
     with pytest.raises(ValueError, match="out of range"):
         call()
+
+
+def test_group_element_arguments_are_their_index_and_foreign_ones_are_refused():
+    """element_order, coordinate_action, ap_census and comparability_defect
+    read a GroupElement of their group as its index, and refuse one of another
+    group, even an equal one built separately, with CrossGroupElement."""
+    d4, z12 = dihedral(4), cyclic(12)
+    for group, arity in ((d4, 1), (z12, 2), (product(cyclic(2), cyclic(6)), 2)):
+        for a in (1, 3, group.order - 1):
+            elem = group.element(a)
+            assert element_order(group, elem) == element_order(group, a)
+            for side in ("left", "right"):
+                assert coordinate_action(group, arity, elem, side) == coordinate_action(
+                    group, arity, a, side
+                )
+                assert comparability_defect(group, 0b1011, elem, side) == comparability_defect(
+                    group, 0b1011, a, side
+                )
+            assert ap_census(group, 0b1011, 3, elem) == ap_census(group, 0b1011, 3, a)
+    for foreign in (cyclic(12).element(3), d4.element(3)):
+        for call in (
+            lambda: element_order(z12, foreign),
+            lambda: coordinate_action(z12, 1, foreign),
+            lambda: coordinate_action(z12, 2, foreign, "left", diagonal=True),
+            lambda: ap_census(z12, 0b11, 2, foreign),
+            lambda: comparability_defect(z12, 0b11, foreign),
+        ):
+            with pytest.raises(CrossGroupElement, match="used with Z12"):
+                call()
