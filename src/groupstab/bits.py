@@ -2,6 +2,13 @@
 
 Bit i of a mask stands for element index i; all kernels in this package
 reduce to AND/ANDNOT/popcount on these masks.
+
+iter_bits peels the lowest set bit off masks narrower than _SCAN_WIDTH, a
+pass over the whole int per bit, and writes wider masks out once in binary
+to find each 1 with str.rfind, linear in the width. Timed at densities 0.02
+to 1, peeling is faster up to a few words (twice as fast at 8-16 bits) and
+the two are within 20% from 512 bits; the cut is at 1 024 bits, where the
+scan draws level, and at 10 000 bits the scan is 4 times faster.
 """
 
 from __future__ import annotations
@@ -10,18 +17,18 @@ from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 
+_SCAN_WIDTH = 1024
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _ascending_bits(mask: int) -> Iterator[int]:
-    """The set bits of mask in ascending order, in time linear in its length:
-    iter_bits steps through the whole int once per bit, which is quadratic
-    on wide masks but quicker on masks of a machine word or two."""
+    """Yield set bit positions in ascending order: peeled off one at a time
+    below _SCAN_WIDTH bits, where that is quicker, and scanned from there on."""
+    if mask.bit_length() < _SCAN_WIDTH:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
     text = format(mask, "b")
     top = len(text) - 1
     i = text.rfind("1")

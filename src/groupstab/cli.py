@@ -1,7 +1,7 @@
 """Command-line front end and experiment harness.
 
 Subcommands: group info, subgroups, halfgraph count|estimate|profile,
-patterns census, boxcover, gen, experiment run, experiment trend. Reports
+patterns census|ap, boxcover, gen, experiment run, experiment trend. Reports
 are JSON with exact rationals as {"num": ..., "den": ...}; timing lives in
 a segregated block so re-running a config byte-reproduces everything else.
 
@@ -47,9 +47,9 @@ from .halfgraph import (
 from .patterns import SHAPES, PatternCensus, _coverage, ap_census, census, square_census
 from .relations import density, dump_relation, load_relation
 
-_CYCLIC_RE = re.compile(r"[CZ](\d+)$", re.IGNORECASE)
-_DIHEDRAL_RE = re.compile(r"D(\d+)$", re.IGNORECASE)
-_HEISENBERG_RE = re.compile(r"H(\d+)$", re.IGNORECASE)
+# A shorthand factor: a letter naming the family, then its parameter.
+_SHORTHAND_RE = re.compile(r"([CZDH])(\d+)", re.IGNORECASE)
+_FAMILIES = {"C": cyclic, "Z": cyclic, "D": dihedral, "H": heisenberg}
 
 # The CLI and config names of the census kinds: SHAPES' names with hyphens.
 CENSUS_KINDS = tuple(kind.replace("_", "-") for kind in SHAPES)
@@ -69,30 +69,15 @@ def parse_group_spec(spec) -> FiniteGroup:
     if "x" in s.lower():
         parts = re.split("[xX]", s)
         return product(*(parse_group_spec(p) for p in parts))
-    m = _CYCLIC_RE.fullmatch(s)
+    m = _SHORTHAND_RE.fullmatch(s)
     if m:
-        return cyclic(int(m.group(1)))
-    m = _DIHEDRAL_RE.fullmatch(s)
-    if m:
-        return dihedral(int(m.group(1)))
-    m = _HEISENBERG_RE.fullmatch(s)
-    if m:
-        return heisenberg(int(m.group(1)))
+        return _FAMILIES[m.group(1).upper()](int(m.group(2)))
     raise ValueError(f"unrecognized group spec {spec!r}")
-
-
-def parse_fraction(value) -> Fraction:
-    if isinstance(value, dict):
-        num, den = value["num"], value["den"]
-        if not (type(num) is int and type(den) is int and den):
-            raise ValueError(f"a rational needs integer num and non-zero den, got {value!r}")
-        return Fraction(num, den)
-    return as_fraction(value)
 
 
 # How each scalar field of an experiment config file is read.
 _CONFIG_READERS = {
-    "k": int, "epsilon": parse_fraction, "max_index": int, "samples": int, "seed": int,
+    "k": int, "epsilon": as_fraction, "max_index": int, "samples": int, "seed": int,
     "confidence": float, "exact_budget": int, "threads": int,
 }
 
@@ -356,17 +341,17 @@ def _cmd_halfgraph(args) -> int:
     return 0
 
 
-def _cmd_patterns(args) -> int:
-    group = parse_group_spec(args.group)
-    if args.kind == "ap":
-        if args.set is None or args.h is None:
-            raise ValueError("--kind ap needs --set and --h")
-        members = mask_of(int(x) for x in args.set.split(","))
-        mask, count = ap_census(group, members, args.m, args.h)
-        _emit({"kind": "ap", "members": list(iter_bits(mask)), "count": count}, args.output)
-        return 0
+def _cmd_census(args) -> int:
     _, relation = _load_relation_arg(args)
     _emit(_run_census(relation, args.kind, args.witnesses).to_json(), args.output)
+    return 0
+
+
+def _cmd_ap(args) -> int:
+    group = parse_group_spec(args.group)
+    members = mask_of(int(x) for x in args.set.split(","))
+    mask, count = ap_census(group, members, args.m, args.h)
+    _emit({"kind": "ap", "members": list(iter_bits(mask)), "count": count}, args.output)
     return 0
 
 
@@ -448,13 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
     hp.set_defaults(func=_cmd_halfgraph)
 
     p = sub.add_parser("patterns", help="pattern censuses")
-    pc = p.add_subparsers(dest="mode", required=True).add_parser("census", parents=[rel])
-    pc.add_argument("--kind", required=True, choices=CENSUS_KINDS + ("ap",))
+    psub = p.add_subparsers(dest="mode", required=True)
+    pc = psub.add_parser("census", parents=[rel])
+    pc.add_argument("--kind", required=True, choices=CENSUS_KINDS)
     pc.add_argument("--witnesses", type=int, default=0, help="cap on listed witnesses")
-    pc.add_argument("--set", help="comma-separated element indices (ap census)")
-    pc.add_argument("--m", type=int, default=3, help="progression length (ap census)")
-    pc.add_argument("--h", type=int, help="progression step element (ap census)")
-    pc.set_defaults(func=_cmd_patterns)
+    pc.set_defaults(func=_cmd_census)
+    pa = _add(psub.add_parser("ap"), "group")
+    pa.add_argument("--set", required=True, help="comma-separated element indices")
+    pa.add_argument("--m", type=int, default=3, help="progression length")
+    pa.add_argument("--h", type=int, required=True, help="progression step element")
+    _add(pa, "output").set_defaults(func=_cmd_ap)
 
     p = sub.add_parser("boxcover", parents=[rel], help="greedy box cover")
     p.add_argument("--epsilon", default="0.05")

@@ -70,10 +70,14 @@ class IndexOutOfRange(ToolkitError):
 
 def _read(convert, value, what: str):
     """convert(value) for one field of parsed JSON; a value of the wrong type
-    or form, a JSON boolean among them, is a ValueError that names the field."""
+    or form, a JSON boolean among them, is a ValueError that names the field.
+    An int is read from an integral number or a numeric string, never by
+    dropping a fractional part."""
     try:
         if isinstance(value, bool):
             raise TypeError("a boolean is not a number")
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("an integer has no fractional part")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"cannot read {what} from {value!r}") from exc

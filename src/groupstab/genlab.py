@@ -16,11 +16,18 @@ from .relations import CarrierSet, Relation, build_relation, cayley_graph
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from int/Fraction/str; floats are read with decimal
-    semantics (0.01 means 1/100, not the nearest binary double). Any other
-    value, a bool, an infinity or a zero denominator is a ValueError."""
+    """Exact rational from int/Fraction/str, or from the reports' own
+    {"num": ..., "den": ...} form with int num and non-zero int den; floats
+    are read with decimal semantics (0.01 means 1/100, not the nearest binary
+    double). Any other value, a bool, an infinity or a zero denominator is a
+    ValueError."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, dict):
+        num, den = value.get("num"), value.get("den")
+        if type(num) is int and type(den) is int and den:
+            return Fraction(num, den)
+        raise ValueError(f"a rational needs integer num and non-zero den, got {value!r}")
     try:
         if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
@@ -128,20 +135,13 @@ def _is_sidon(group: FiniteGroup, elems: list[int]) -> bool:
 def random_dense(
     domain: CarrierSet, codomain: CarrierSet, delta, seed: int
 ) -> Relation:
-    """Each carrier pair kept independently with probability delta; seeded."""
+    """Each carrier pair kept independently with probability delta; seeded, one
+    draw per pair, domain members ascending, then codomain members ascending."""
     d = float(as_fraction(delta))
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {delta}")
-    rng = random.Random(seed)
-    rows = [0] * domain.universe
-    ys = codomain.member_indices()
-    for x in domain.member_indices():
-        row = 0
-        for y in ys:
-            if rng.random() < d:
-                row |= 1 << y
-        rows[x] = row
-    return Relation(domain, codomain, tuple(rows))
+    draw = random.Random(seed).random
+    return build_relation(domain, codomain, predicate=lambda x, y: draw() < d)
 
 
 def perturb_relation(relation: Relation, eta, seed: int) -> Relation:
@@ -204,7 +204,8 @@ def instantiate_generator(spec: GeneratorSpec, group: FiniteGroup, default_seed:
         if pairs == "diagonal":
             pairs = [(i, i) for i in range(sub.index_in_parent)]
         else:
-            pairs = _read(lambda ps: [(int(i), int(j)) for i, j in ps], pairs, "'pairs'")
+            coset = lambda i: _read(int, i, "'pairs'")
+            pairs = _read(lambda ps: [(coset(i), coset(j)) for i, j in ps], pairs, "'pairs'")
         return coset_box_set(group, sub, pairs)
     if spec.kind == "sidon_cayley":
         budget = params.get("budget")

@@ -488,15 +488,6 @@ def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
     return mask_of(reached)
 
 
-def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_CLOSURE_BUDGET) -> list[int]:
-    """Every subgroup mask, ascending: the walk of `_subgroups_above` from {e}.
-
-    The budget counts candidate closures; a negative budget is a ValueError.
-    """
-    _check_budget(budget)
-    return _subgroups_above(group, 1, 0, budget)
-
-
 def _subgroups_above(group: FiniteGroup, base: int, base_gens: int, budget: int) -> list[int]:
     """Every subgroup mask containing the subgroup `base`, which `base_gens`
     generates, ascending; found by closing known subgroups with one extra
@@ -506,7 +497,8 @@ def _subgroups_above(group: FiniteGroup, base: int, base_gens: int, budget: int)
     extended by one element g per left coset g·h: <h, g> = <h, g·x> for x
     in h, so the other elements of the coset give nothing new. Any subgroup
     K above the base is reached, by adding K's elements one at a time. The
-    budget counts these candidate closures.
+    budget counts these candidate closures. From base {e} the walk lists the
+    whole lattice, which is subgroups_up_to_index(group, |G|).
     """
     order = group.order
     full = (1 << order) - 1
@@ -579,9 +571,11 @@ def subgroups_up_to_index(
     """All subgroups of index <= max_index, ascending index then lexicographic members.
 
     Every such subgroup contains the power subgroup P of `_power_subgroup`,
-    so the search walks up from P, not from {e}. The budget counts the
-    walk's candidate closures, and a negative budget is a ValueError; the at
-    most log2|P| closures that build P are not charged.
+    so the search walks up from P, not from {e}. At max_index >= |G|, P is
+    {e}, so subgroups_up_to_index(group, group.order) is the whole subgroup
+    lattice. The budget counts the walk's candidate closures, and a negative
+    budget is a ValueError; the at most log2|P| closures that build P are
+    not charged.
     """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
 
-from .bits import _ascending_bits, _column_permuter, _digit_shift, mask_of, permute_bits
+from .bits import _column_permuter, _digit_shift, iter_bits, mask_of, permute_bits
 from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup
 from .groups import FiniteGroup, GroupElement, Subgroup, _element_index, translation
 from .relations import Relation, _acted_coordinates, _lift_digit_map, _side_translation
@@ -176,7 +176,7 @@ def census(
                 break
         counts[g] = meet.bit_count()
         if meet and witnesses is not None and len(witnesses) < witness_cap:
-            bits = islice(_ascending_bits(meet), witness_cap - len(witnesses))
+            bits = islice(iter_bits(meet), witness_cap - len(witnesses))
             witnesses += [(bit // stride, bit % stride, g) for bit in bits]
     return _finish(kind, counts, witnesses)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .bits import _ascending_bits, _column_permuter, full_mask, iter_bits, mask_of, permute_bits
+from .bits import _column_permuter, full_mask, iter_bits, mask_of, permute_bits
 from .errors import (
     ArityMismatch,
     CarrierMismatch,
@@ -133,7 +133,7 @@ class CarrierSet:
         return power_size(self.group, self.arity)
 
     def member_indices(self) -> list[int]:
-        return list(_ascending_bits(self.members))
+        return list(iter_bits(self.members))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,13 +144,25 @@ def test_patterns_census_cli(capsys):
 
 
 def test_patterns_census_kinds_are_the_registry_plus_ap():
-    def subcommand(parser, name):
-        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return action.choices[name]
+    """`patterns census --kind` is the registry alone; the AP census is its own command."""
+    def subcommands(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
-    census = subcommand(subcommand(build_parser(), "patterns"), "census")
-    kind = next(a for a in census._actions if a.dest == "kind")
-    assert list(kind.choices) == [k.replace("_", "-") for k in SHAPES] + ["ap"]
+    patterns = subcommands(build_parser())["patterns"]
+    assert list(subcommands(patterns)) == ["census", "ap"]
+    kind = next(a for a in subcommands(patterns)["census"]._actions if a.dest == "kind")
+    assert list(kind.choices) == [k.replace("_", "-") for k in SHAPES]
+
+
+def test_ap_is_not_a_census_kind(capsys):
+    argv = ["patterns", "census", "--group", "Z10", "--gen", '{"kind": "linear_order"}', "--kind"]
+    assert main([*argv, "square"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "ap"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: groupstab patterns census")
+    assert "argument --kind: invalid choice: 'ap'" in err.splitlines()[-1]
 
 
 def _leaf_commands(parser, words=()):
@@ -180,14 +193,14 @@ def test_each_command_takes_exactly_the_options_it_reads():
         "halfgraph count": {**RELATION_OPTIONS, "--k": 2, "--budget": 10**6},
         "halfgraph estimate": {**RELATION_OPTIONS, **SAMPLING_OPTIONS, "--k": 2},
         "halfgraph profile": {**RELATION_OPTIONS, **SAMPLING_OPTIONS, "--budget": 10**6, "--k-max": 3},
-        "patterns census": {**RELATION_OPTIONS, "--kind": None, "--witnesses": 0, "--set": None,
-                            "--m": 3, "--h": None},
+        "patterns census": {**RELATION_OPTIONS, "--kind": None, "--witnesses": 0},
+        "patterns ap": {"--group": None, "--set": None, "--m": 3, "--h": None, "--output": None},
         "boxcover": {**RELATION_OPTIONS, "--epsilon": "0.05", "--max-boxes": 16, "--purity": "1"},
         "gen": {"--group": None, "--seed": 0, "--spec": None, "--output/--out": None},
         "experiment run": EXPERIMENT_OPTIONS,
         "experiment trend": EXPERIMENT_OPTIONS,
     }
-    assert sum(map(len, taken.values())) == 64
+    assert sum(map(len, taken.values())) == 66
 
 
 SPEC = '{"kind": "linear_order"}'
@@ -223,8 +236,7 @@ def test_an_option_the_command_does_not_read_is_bad_usage(capsys, command, optio
 
 def test_patterns_ap_cli(capsys):
     code = main([
-        "patterns", "census", "--group", "Z10", "--kind", "ap",
-        "--set", "0,1,2,3", "--m", "3", "--h", "1",
+        "patterns", "ap", "--group", "Z10", "--set", "0,1,2,3", "--m", "3", "--h", "1",
     ])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
@@ -236,9 +248,7 @@ def test_patterns_ap_cli(capsys):
     [("D4", "0,1", "20"), ("Z4", "0,9", "1")],
 )
 def test_patterns_ap_cli_rejects_elements_outside_the_group(group, members, h):
-    proc = run_cli(
-        "patterns", "census", "--group", group, "--kind", "ap", "--set", members, "--h", h,
-    )
+    proc = run_cli("patterns", "ap", "--group", group, "--set", members, "--h", h)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error:")
@@ -568,6 +578,13 @@ LINEAR = '"generator": {"kind": "linear_order"}'
         (["group", "info", "--group", '{"kind": "cayley_table", "table": [[0, true], [true, 0]]}'],
          None),
         (["group", "info", "--group", '{"kind": "cyclic", "n": true}'], None),
+        # an integer field refuses a number with a fractional part, coset indices included
+        (["experiment", "run"], '{"groups": ["Z4"], "k": 2.9, %s}' % LINEAR),
+        (["group", "info", "--group", '{"kind": "cyclic", "n": 6.9}'], None),
+        (["gen", "--group", "Z4", "--spec",
+          '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": [[1.9, 0]]}}'], None),
+        (["gen", "--group", "Z4", "--spec",
+          '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": [[true, false]]}}'], None),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):
@@ -580,6 +597,32 @@ def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, conf
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_block(heading: str, fence: str) -> str:
+    """The text of the first `fence` code block after `heading` in README."""
+    text = README.read_text()
+    start = text.index(fence, text.index(heading)) + len(fence)
+    return text[start:text.index("```", start)]
+
+
+def test_every_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    """Each `groupstab ...` line of README's command-line block exits 0, with
+    README's example config saved under the names those lines read."""
+    config = _readme_block("An experiment config is a single JSON file:", "```json\n")
+    for name in ("experiment.json", "trend.json"):
+        (tmp_path / name).write_text(config)
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("## Command line", "```sh\n").replace("\\\n", " ").splitlines()
+    assert lines
+    for line in lines:
+        words = shlex.split(line)
+        assert words[0] == "groupstab", line
+        assert main(words[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_cli_version_and_bad_usage():

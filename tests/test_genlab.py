@@ -29,7 +29,8 @@ from groupstab import (
     subgroups_up_to_index,
 )
 from groupstab.bits import iter_bits, mask_of
-from groupstab.genlab import _is_sidon
+from groupstab.cli import ExperimentConfig
+from groupstab.genlab import _is_sidon, as_fraction, frac_json
 
 
 def test_coset_box_whole_group_is_full():
@@ -124,6 +125,19 @@ def test_random_dense_extremes_and_determinism():
     assert a != random_dense(carrier, carrier, 0.5, seed=43)
 
 
+def test_random_dense_rows_are_pinned_for_a_seed():
+    """Domain members ascending, then codomain members ascending, one draw per
+    pair: that order makes every seeded report reproducible."""
+    expected = {
+        "Z12": ["f6b", "a8d", "e97", "136", "1da", "522", "7d8", "c37", "ef9", "81", "ff7", "3e7"],
+        "D3": ["2b", "3d", "d", "2a", "17", "3a"],
+    }
+    for group in (cyclic(12), dihedral(3)):
+        carrier = CarrierSet.full(group, 1)
+        rows = random_dense(carrier, carrier, Fraction(1, 2), seed=7).rows
+        assert [format(row, "x") for row in rows] == expected[group.name]
+
+
 def test_random_dense_binomial_concentration():
     z32 = cyclic(32)
     carrier = CarrierSet.full(z32, 1)
@@ -200,3 +214,25 @@ def test_instantiate_generator_kinds():
         instantiate_generator(GeneratorSpec("nope", {}), cyclic(4))
     with pytest.raises(ValueError):
         instantiate_generator(GeneratorSpec("coset_boxes", {"subgroup_index": 7}), cyclic(10))
+
+
+def test_a_rational_in_the_report_form_reads_wherever_a_rational_is_read():
+    half = {"num": 3, "den": 6}
+    assert as_fraction(half) == Fraction(1, 2)
+    for bad in ({"num": True, "den": 2}, {"num": 1, "den": 0}, {"num": 1}):
+        with pytest.raises(ValueError):
+            as_fraction(bad)
+    assert as_fraction(frac_json(Fraction(-7, 3))) == Fraction(-7, 3)
+    z6 = cyclic(6)
+
+    def build(kind, **params):
+        return instantiate_generator(GeneratorSpec(kind, {**params, "seed": 3}), z6)
+
+    assert build("random_dense", delta=half) == build("random_dense", delta="1/2")
+    base = {"kind": "linear_order", "params": {}}
+    quarter = {"num": 1, "den": 4}
+    assert build("perturbation", base=base, eta=quarter) == build("perturbation", base=base, eta="1/4")
+    rel = build("random_dense", delta=half)
+    assert greedy_box_cover(rel, half, 4, {"num": 1, "den": 1}) == greedy_box_cover(rel, "1/2", 4, 1)
+    config = {"groups": ["Z4"], "generator": base, "epsilon": {"num": 1, "den": 5}}
+    assert ExperimentConfig.from_json(config).epsilon == Fraction(1, 5)

@@ -215,6 +215,19 @@ def test_bits_public_functions_are_the_four_helpers():
     assert public == {"iter_bits", "mask_of", "full_mask", "permute_bits"}
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_iter_bits_lists_the_set_bits_ascending_on_both_sides_of_the_scan_width(data):
+    cut = bits._SCAN_WIDTH
+    width = data.draw(st.integers(0, 2000) | st.integers(cut - 2, cut + 1), label="width")
+    density = data.draw(st.sampled_from([0, 0.01, 0.1, 0.5, 0.9, 1]), label="density")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    mask = sum(1 << i for i in range(width) if rng.random() < density)
+    if mask:
+        mask |= 1 << width - 1  # the width is the mask's bit length, the side it is walked on
+    assert list(iter_bits(mask)) == [i for i in range(width) if mask >> i & 1]
+
+
 Z2xD3 = product(cyclic(2), dihedral(3))
 MOVER_PAIRS = PAIRS + [(g, reference(g)) for g in (Z2xD3, product(cyclic(2), cyclic(3), cyclic(2)))]
 LIFTS = {1: [(None, False)], 2: [(None, False), (0, False), (1, False), (None, True)]}
