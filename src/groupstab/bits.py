@@ -58,12 +58,35 @@ def permute_bits(mask: int, perm) -> int:
     return out
 
 
-def _digit_shift(size: int, weight: int, length: int, step: int) -> tuple[int, int, int, int]:
+def _digit_shift(starts: int, weight: int, length: int, step: int) -> tuple[int, int, int, int]:
     """(left, high, right, low) such that ((m << left) & high) | ((m >> right) & low)
     adds step mod length to the digit p // weight % length of every bit p of a mask
-    m on 0..size-1, leaving the other digits; weight·length must divide size."""
-    low = _tile(full_mask(step * weight), weight * length, size) & full_mask(size)
-    return step * weight, full_mask(size) ^ low, (length - step) * weight, low
+    m on 0..size-1, leaving the other digits, for starts the mask of the
+    multiples of weight·length below size (weight·length must divide size).
+    Every period holds low = its first step·weight bits and high = the rest,
+    so each is a difference of two shifted copies of starts."""
+    left = step * weight
+    moved = starts << left
+    return left, (starts << weight * length) - moved, (length - step) * weight, moved - starts
+
+
+def _negate_digit(mask: int, size: int, weight: int, length: int) -> int:
+    """The mask with the digit p // weight % length of every bit p of it sent to
+    minus itself mod length, the other digits kept; weight·length must divide
+    size. Written out in binary, digit d of a block of length·weight characters
+    is chunk length-1-d, so the block's chunks 0..length-2 are reversed in
+    order and its last chunk stays: for weight 1, one reversed slice."""
+    if length <= 2:
+        return mask
+    text = format(mask, f"0{size}b")
+    block = length * weight
+    last = block - weight
+    if weight == 1:
+        parts = (text[s:s + last][::-1] + text[s + last] for s in range(0, size, block))
+    else:
+        order = [*range(last - weight, -1, -weight), last]
+        parts = (text[s + c:s + c + weight] for s in range(0, size, block) for c in order)
+    return int("".join(parts), 2)
 
 
 def _column_permuter(rows, size: int):

@@ -195,6 +195,14 @@ def _resolve_subgroup(group: FiniteGroup, params: dict) -> Subgroup:
     raise ValueError("coset_boxes generator needs subgroup_index or max_subgroup_index")
 
 
+def _pair(pair) -> list:
+    """A coset pair of a recipe, a two-element list. A string is refused, not
+    read character by character, as groups._int_rows refuses a string row."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise TypeError("a coset pair is a list of two coset indices")
+    return pair
+
+
 def instantiate_generator(spec: GeneratorSpec, group: FiniteGroup, default_seed: int = 0) -> Relation:
     """Materialize a GeneratorSpec for one concrete group."""
     params = spec.params
@@ -205,7 +213,7 @@ def instantiate_generator(spec: GeneratorSpec, group: FiniteGroup, default_seed:
             pairs = [(i, i) for i in range(sub.index_in_parent)]
         else:
             coset = lambda i: _read(int, i, "'pairs'")
-            pairs = _read(lambda ps: [(coset(i), coset(j)) for i, j in ps], pairs, "'pairs'")
+            pairs = _read(lambda ps: [(coset(i), coset(j)) for i, j in map(_pair, ps)], pairs, "'pairs'")
         return coset_box_set(group, sub, pairs)
     if spec.kind == "sidon_cayley":
         budget = params.get("budget")

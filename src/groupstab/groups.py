@@ -12,8 +12,10 @@ cyclic group or a product builds its table the first time anything reads
 it (`mul`, `inv`, a subgroup search, a census) and keeps it, so a large
 Z_n used only as an index space never holds n² entries. The index of an
 element of a product of cyclic groups has one digit per factor
-(`FiniteGroup._cyclic_digits`): element orders are read from those digits,
-and a census moves its relation by rotating them (`patterns._matrix_mover`).
+(`FiniteGroup._cyclic_digits`), and element orders are read from those
+digits. `dihedral` and `heisenberg` record the digits of their index too
+(`FiniteGroup._digit_layout`), so a census moves a relation over any of
+these groups by rotating digits (`patterns._matrix_mover`).
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class FiniteGroup:
         self._table = table
         self._inv = inverses
         self._cyclic = table is None and not self.factors
+        self._layout: tuple[tuple[tuple[int, int], ...], int] | None = None  # see _digit_layout
 
     def _mul_table(self) -> list[list[int]]:
         """Rows of the multiplication table, row a holding a*b at position b.
@@ -90,6 +93,17 @@ class FiniteGroup:
                 return None
             digits = tuple((w * f.order, n) for w, n in digits) + inner
         return digits
+
+    def _digit_layout(self) -> tuple[tuple[tuple[int, int], ...], int] | None:
+        """(hi, L) for the index written as x = h·L + lo, lo < L, or None.
+
+        hi lists (weight, length) of each digit of h, weights counted in x.
+        Every map x -> l·x·r of the group adds a constant h0 to those
+        digits, digit by digit, and sends lo to σ·lo + t(h) mod L, σ = ±1.
+        A product of cyclic groups has L = 1 and hi = its _cyclic_digits;
+        dihedral and heisenberg record theirs; any other group has none."""
+        digits = self._cyclic_digits()
+        return self._layout if digits is None else (digits, 1)
 
     def mul(self, a: int, b: int) -> int:
         return self._mul_table()[a][b]
@@ -283,7 +297,10 @@ def dihedral(n: int) -> FiniteGroup:
 
     x = (ex, rx) times y = (ey, ry) is (ex ^ ey, rx + ry) when ey = 0 and
     (ex ^ ey, ry - rx) when ey = 1, rotations mod n; each half of a row is
-    a slice of one doubled range."""
+    a slice of one doubled range. Its digit layout is hi = the flip, lo =
+    the rotation: x -> l·x·r adds l's and r's flips, and sends the rotation
+    to minus itself plus t exactly when r is a flip (to itself plus t
+    otherwise), t depending on x's flip unless l's rotation is 0 or n/2."""
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
     doubled = list(range(n)) * 2
@@ -293,7 +310,9 @@ def dihedral(n: int) -> FiniteGroup:
         same = map((ex * n).__add__, doubled[rx:rx + n])
         flipped = map(((1 - ex) * n).__add__, doubled[n - rx:2 * n - rx])
         table.append([*same, *flipped])
-    return from_cayley_table(table, name=f"D{n}")
+    group = from_cayley_table(table, name=f"D{n}")
+    group._layout = (((n, 2),), n)
+    return group
 
 
 def heisenberg(p: int) -> FiniteGroup:
@@ -302,7 +321,10 @@ def heisenberg(p: int) -> FiniteGroup:
     Index (a·p + b)·p + c holds the matrix with entries a, b above the
     diagonal and c in the corner. x·y adds a and b, and adds c1 + c2 + a1·b2
     in the corner, so each block of p entries of a row (fixed a2, b2) is a
-    slice of one doubled range."""
+    slice of one doubled range. Its digit layout is hi = (a, b), lo = c:
+    x -> l·x·r adds l's and r's a and b, and adds to c a constant plus
+    l_a·x_b + x_a·r_b, so c's shift depends on x's b for a left factor, on
+    x's a for a right one, and on a line in (a, b) for both."""
     if p < 2:
         raise ValueError(f"heisenberg modulus must be >= 2, got {p}")
     doubled = list(range(p)) * 2
@@ -317,7 +339,9 @@ def heisenberg(p: int) -> FiniteGroup:
                 shift = (c1 + a1 * b2) % p
                 row += map(base.__add__, doubled[shift:shift + p])
         table.append(row)
-    return from_cayley_table(table, name=f"H{p}")
+    group = from_cayley_table(table, name=f"H{p}")
+    group._layout = (((p * p, p), (p, p)), p)
+    return group
 
 
 def make_group(recipe) -> FiniteGroup:

@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, reduce
 from itertools import islice
+from operator import and_
 
-from .bits import _column_permuter, _digit_shift, iter_bits, mask_of, permute_bits
+from .bits import (
+    _column_permuter, _digit_shift, _negate_digit, _tile, full_mask, iter_bits, mask_of, permute_bits,
+)
 from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup
 from .groups import FiniteGroup, GroupElement, Subgroup, _element_index, translation
 from .relations import Relation, _acted_coordinates, _lift_digit_map, _side_translation
@@ -133,8 +136,11 @@ def census(
     the meet is empty. Rows outside the domain carrier are 0, and every
     shape has the identity point, whose copy is F: so the meet lies in the
     carriers. The mover names each action by its pair of elements, (g^ld,
-    g^rd) or (g^lc, g^rc), and each codomain move is made once per g and
-    pair.
+    g^rd) or (g^lc, g^rc). A domain move permutes bits, so it commutes with
+    AND: the points that share a domain action are met as one, the AND of
+    their codomain moves moved once by that action's pair. The points that
+    move no row come first, one at a time, so a sparse meet empties as
+    early as it would point by point.
 
     Witnesses list the set bits of each meet in ascending order, decoded
     as (a, b) = divmod(bit, W): g by g, then a, then b.
@@ -155,6 +161,13 @@ def census(
     table = group._mul_table()
     top = max(max(p[0] + p[1]) for p in shape.points)  # highest power of g in a point
     stride, whole, columns, gather = _matrix_mover(relation, lifts)
+    # The points but the identity, as (domain action, codomain actions) met as one.
+    by_domain: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for dact, cact in shape.points:
+        if dact != (0, 0):
+            by_domain.setdefault(dact, []).append(cact)
+    plan = [((0, 0), [cact]) for dact, cact in shape.points if dact == (0, 0) != cact]
+    plan += by_domain.items()
 
     counts = [0] * q
     witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
@@ -162,16 +175,9 @@ def census(
         powers = [0, g]
         for _ in range(top - 1):
             powers.append(table[powers[-1]][g])
-        moved = {}  # per codomain pair, F with its columns moved
         meet = whole
-        for dact, cact in shape.points:
-            dpair = (powers[dact[0]], powers[dact[1]])
-            cpair = (powers[cact[0]], powers[cact[1]])
-            if dpair == cpair == (0, 0):
-                continue
-            if cpair not in moved:
-                moved[cpair] = columns(cpair)
-            meet &= gather(moved[cpair], dpair)
+        for (ld, rd), cacts in plan:
+            meet &= gather(columns(*[(powers[lc], powers[rc]) for lc, rc in cacts]), (powers[ld], powers[rd]))
             if not meet:
                 break
         counts[g] = meet.bit_count()
@@ -188,24 +194,35 @@ def _matrix_mover(relation: Relation, lifts):
     whole is S as one int with row stride `stride` bits: bit a·stride + b
     for the pair (a, b). A move is named by a pair (left, right) of
     elements, the map x -> left·x·right of G, with (0, 0) for the identity.
-    gather(columns(cpair), dpair) is the copy of S as one int with bit
-    (a, b) set iff (dmap[a], cmap[b]) lies in S, for dmap and cmap the
-    pairs' maps lifted. The columns step can be shared by copies with one
-    codomain pair. Both lifts are resolved (relations._acted_coordinates)
-    before any work, so a bad coordinate raises here.
+    gather(columns(*cpairs), dpair) is the AND over the codomain pairs of
+    the copies of S as one int with bit (a, b) set iff (dmap[a], cmap[b])
+    lies in S, for dmap and cmap the pairs' maps lifted. Each codomain move
+    is kept for the few pairs of one side length. Both lifts are resolved
+    (relations._acted_coordinates) before any work, so a bad coordinate
+    raises here.
 
-    On a product of cyclic groups the stride is |Y| and the index of the
-    pair (a, b) has a digit per cyclic factor and coordinate
-    (FiniteGroup._cyclic_digits). The map x -> left·x·right is x -> x·h for
-    h = left·right, one table lookup, and adds the digits of h; so a copy
-    rotates each acted-on digit of whole by minus the digit of h
-    (bits._digit_shift): two shifts and two masks per digit, and no
-    translation map is built. Every other group builds the pair's
-    translation map and lifts it, keeping the last few lifted maps per
-    side, which cover the pairs of one side length. It moves the columns
-    of all rows at once (bits._column_permuter, built here once) into
-    row-major bytes, with the padded tile width as stride; a domain map
-    joins their rows in its order, and one int.from_bytes makes the copy.
+    On a group with a digit layout (FiniteGroup._digit_layout: products of
+    cyclic groups, D_n and H_p) the stride is |Y|, and each acted-on
+    coordinate of the pair index holds a group index x = hi·L + lo. The map
+    f: x -> left·x·right adds h0 to the hi digits and sends lo to
+    σ·lo + t(hi), and is read off the table: h0 at x = 0, which is the one
+    lookup left·right; t at the q/L block starts x = hi·L; σ at x = 1, -1
+    only on D_n when right is a reflection. Bit (.., x, ..) of a copy is
+    bit (.., f(x), ..) of whole. So a copy starts from whole with lo negated
+    on each side whose σ is -1 (at most four such bases per census, each
+    built once by bits._negate_digit), rotates every hi digit by -h0
+    (bits._digit_shift), and then rotates lo by -σ·t(hi) in each hi block:
+    one rotation per distinct offset, masked by the union of the hi blocks
+    that share it. Those masks are kept by the blocks they cover, a set
+    bounded by the group. On a product of cyclic groups L = 1, and a move
+    is its hi rotation alone. No translation map is built.
+
+    Every other group builds the pair's translation map and lifts it,
+    keeping the last few lifted maps per side, which cover the pairs of one
+    side length. It moves the columns of all rows at once
+    (bits._column_permuter, built here once) into row-major bytes, with the
+    padded tile width as stride; a domain map joins their rows in its
+    order, and one int.from_bytes makes the copy.
     """
     group = relation.group
     n, m = relation.domain.arity, relation.codomain.arity
@@ -213,8 +230,8 @@ def _matrix_mover(relation: Relation, lifts):
     codomain_acted = _acted_coordinates(m, *lifts[1])
     rows = relation.rows
     size = relation.codomain.universe
-    digits = group._cyclic_digits()
-    if digits is None:
+    layout = group._digit_layout()
+    if layout is None:
         stride, permute = _column_permuter(rows, size)
         cuts = [slice(x * stride, (x + 1) * stride) for x in range(len(rows))]
         data = b"".join(row.to_bytes(stride, "little") for row in rows)
@@ -226,42 +243,125 @@ def _matrix_mover(relation: Relation, lifts):
             )
 
         domain_map, codomain_map = lifter(n, domain_acted), lifter(m, codomain_acted)
+        permuted = lru_cache(maxsize=4)(
+            lambda cpair: data if cpair == (0, 0) else permute(codomain_map(cpair))
+        )
 
-        def columns(cpair) -> bytes:
-            return data if cpair == (0, 0) else permute(codomain_map(cpair))
+        def gather(cpairs, dpair) -> int:
+            meet = -1
+            for matrix in map(permuted, cpairs):
+                if dpair != (0, 0):
+                    matrix = b"".join(map(matrix.__getitem__, map(cuts.__getitem__, domain_map(dpair))))
+                meet &= int.from_bytes(matrix, "little")
+            return meet
 
-        def gather(matrix: bytes, dpair) -> int:
-            if dpair != (0, 0):
-                slices = map(cuts.__getitem__, domain_map(dpair))
-                matrix = b"".join(map(matrix.__getitem__, slices))
-            return int.from_bytes(matrix, "little")
+        return stride * 8, int.from_bytes(data, "little"), _pairs, gather
 
-        return stride * 8, int.from_bytes(data, "little"), columns, gather
-
+    hi_digits, lo_length = layout
     q = group.order
     table = group._mul_table()
     total = len(rows) * size
+    # The weight in the pair index of each acted-on coordinate's group index.
+    domain_weights = [size * q ** (n - 1 - c) for c in domain_acted]
+    codomain_weights = [q ** (m - 1 - c) for c in codomain_acted]
+    # (weight in the group index, weight in the pair index, length) of each acted-on hi digit.
+    domain_places, codomain_places = (
+        [(w, weight * w, length) for weight in weights for w, length in hi_digits]
+        for weights in (domain_weights, codomain_weights)
+    )
+    periods: dict[int, int] = {}  # period -> the mask of its multiples below total
 
-    def places(arity: int, acted, scale: int) -> list[tuple[int, int, int]]:
-        """(weight, weight in the pair index, length) of each acted-on digit."""
-        return [(w, w * scale * q ** (arity - 1 - c), length) for c in acted for w, length in digits]
-
-    domain_places, codomain_places = places(n, domain_acted, size), places(m, codomain_acted, 1)
     # The masks are as long as the matrix: keep the few that one side length reuses.
-    shift = lru_cache(maxsize=16)(partial(_digit_shift, total))
+    @lru_cache(maxsize=16)
+    def shift(weight: int, length: int, step: int) -> tuple[int, int, int, int]:
+        period = weight * length
+        if period not in periods:
+            periods[period] = _tile(1, period, total) & full_mask(total)
+        return _digit_shift(periods[period], weight, length, step)
 
-    def rotate(matrix: int, digit_places, pair) -> int:
+    def rotate(matrix: int, weight: int, length: int, step: int) -> int:
+        shl, high, shr, low = shift(weight, length, step)
+        return (matrix << shl & high) | (matrix >> shr & low)
+
+    def shifted(matrix: int, digit_places, pair) -> int:
+        """The matrix with the hi digits rotated by minus those of left·right."""
         h = table[pair[0]][pair[1]]
-        for weight, scaled, length in digit_places:
-            step = -(h // weight) % length
+        if not h:
+            return matrix
+        for w, scaled, length in digit_places:
+            step = -(h // w) % length
             if step:
-                shl, high, shr, low = shift(scaled, length, step)
-                matrix = (matrix << shl & high) | (matrix >> shr & low)
+                matrix = rotate(matrix, scaled, length, step)
         return matrix
 
     whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
-    return (size, whole, lambda cpair: rotate(whole, codomain_places, cpair),
-            lambda matrix, dpair: rotate(matrix, domain_places, dpair))
+    if lo_length == 1:
+        copy = lru_cache(maxsize=4)(lambda cpair: shifted(whole, codomain_places, cpair))
+        return (size, whole, lambda *cpairs: reduce(and_, map(copy, cpairs)),
+                lambda matrix, dpair: shifted(matrix, domain_places, dpair))
+
+    @lru_cache(maxsize=8)
+    def offsets(pair) -> tuple[bool, list[tuple[int, int]]]:
+        """(σ = -1, (lo step, hi blocks taking it as a mask) per distinct step)."""
+        left, right = pair
+        row = table[left]
+        starts = [table[x][right] for x in row[::lo_length]]
+        negated = lo_length > 2 and (table[row[1]][right] - starts[0]) % lo_length != 1
+        sign = 1 if negated else -1
+        blocks: dict[int, int] = {}
+        for h, t in enumerate(starts):
+            step = sign * t % lo_length
+            blocks[step] = blocks.get(step, 0) | 1 << h
+        return negated, list(blocks.items())
+
+    unions: dict[tuple[int, int], int] = {}  # (weight, hi blocks) -> their union; the group bounds the keys
+
+    def union(weight: int, blocks: int) -> int:
+        if (weight, blocks) not in unions:
+            span = lo_length * weight
+            pattern = sum(full_mask(span) << h * span for h in iter_bits(blocks))
+            unions[weight, blocks] = _tile(pattern, q * weight, total) & full_mask(total)
+        return unions[weight, blocks]
+
+    def moved(matrix: int, weights, digit_places, pair) -> int:
+        """shifted, then lo rotated by -σ·t(hi) in each hi block."""
+        matrix = shifted(matrix, digit_places, pair)
+        _, steps = offsets(pair)
+        for weight in weights:
+            out = 0
+            for step, blocks in steps:
+                part = matrix if len(steps) == 1 else matrix & union(weight, blocks)
+                out |= rotate(part, weight, lo_length, step) if step else part
+            matrix = out
+        return matrix
+
+    bases = {(False, False): whole}
+
+    def base(negated: tuple[bool, bool]) -> int:
+        """whole with lo negated at the acted-on coordinates of the sides marked."""
+        if negated not in bases:
+            dneg, cneg = negated
+            matrix, weights = (base((False, cneg)), domain_weights) if dneg else (whole, codomain_weights)
+            for weight in weights:
+                matrix = _negate_digit(matrix, total, weight, lo_length)
+            bases[negated] = matrix
+        return bases[negated]
+
+    @lru_cache(maxsize=8)
+    def copy(cpair, dneg: bool) -> int:
+        return moved(base((dneg, offsets(cpair)[0])), codomain_weights, codomain_places, cpair)
+
+    def gather(cpairs, dpair) -> int:
+        dneg = offsets(dpair)[0]
+        matrix = reduce(and_, [copy(cpair, dneg) for cpair in cpairs])
+        return moved(matrix, domain_weights, domain_places, dpair)
+
+    # The codomain moves wait for the domain pair, whose σ picks their base.
+    return size, whole, _pairs, gather
+
+
+def _pairs(*pairs):
+    return pairs
 
 
 def square_census(
@@ -323,10 +423,15 @@ def ap_census(
         raise ValueError(f"progression length must be >= 1, got {m}")
     h = _checked_element(group, members, h)
     # Step j keeps the a in A whose h·a was kept at step j - 1: h^i·a in A for i <= j.
+    # The kept set only shrinks, and a step that keeps it whole keeps it for
+    # good: so at most |A| steps change it.
     back = translation(group, left=group.inv(h))
     result = members
     for _ in range(m - 1):
-        result = members & permute_bits(result, back)
+        kept = members & permute_bits(result, back)
+        if kept == result:
+            break
+        result = kept
     return result, result.bit_count()
 
 

@@ -243,6 +243,15 @@ def test_patterns_ap_cli(capsys):
     assert out["members"] == [0, 1] and out["count"] == 2
 
 
+def test_patterns_ap_cli_stops_once_the_set_stops_shrinking(capsys):
+    """A length far past |A| answers at once, as the set's fixed point."""
+    outs = []
+    for m in ("1000000000", "7"):
+        assert main(["patterns", "ap", "--group", "Z6", "--set", "0,1,2,3", "--m", m, "--h", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "group, members, h",
     [("D4", "0,1", "20"), ("Z4", "0,9", "1")],
@@ -407,7 +416,8 @@ EXAMPLES = Path(__file__).parents[1] / "examples"
 
 def test_nonabelian_example_family_matches_the_oracles(tmp_path):
     """The checked-in non-abelian trend: every census density is the brute-force
-    total over |G|³, on groups where the census moves columns."""
+    total over |G|³, on D5, D6 and H3, where the census rotates digits and
+    negates the low digit, and on Z2xD3, where it moves columns."""
     config_path = EXAMPLES / "nonabelian_trend.json"
     out = tmp_path / "trend.json"
     assert main(["experiment", "trend", "--config", str(config_path), "--output", str(out)]) == 0
@@ -585,6 +595,9 @@ LINEAR = '"generator": {"kind": "linear_order"}'
           '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": [[1.9, 0]]}}'], None),
         (["gen", "--group", "Z4", "--spec",
           '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": [[true, false]]}}'], None),
+        # a coset pair is a two-element list, never a string read digit by digit
+        (["gen", "--group", "Z4", "--spec",
+          '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": ["10"]}}'], None),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):

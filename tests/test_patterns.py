@@ -1,5 +1,6 @@
 """patterns: censuses against brute force, AP sets, coverage, defects."""
 
+import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -23,6 +24,7 @@ from groupstab import (
     coset_box_set,
     cyclic,
     dihedral,
+    format_cayley_table,
     heisenberg,
     lshape_census,
     product,
@@ -32,7 +34,9 @@ from groupstab import (
     subgroup,
     subgroups_up_to_index,
 )
-from groupstab.bits import mask_of, permute_bits
+from groupstab import patterns
+from groupstab.bits import _column_permuter, mask_of, permute_bits
+from groupstab.groups import parse_cayley_table
 from groupstab.patterns import SHAPES, census
 from groupstab.relations import decode_tuple, encode_tuple
 
@@ -189,6 +193,28 @@ def test_census_never_permutes_bit_by_bit():
                 census(rel, "square", **lift)
                 census(rel, "square", True, 40, **lift)
     assert spy.call_count == 0
+
+
+def test_a_dihedral_table_loaded_from_a_file_permutes_columns_and_counts_the_same():
+    """D7 re-loaded from the table file format keeps its recipe but no digit
+    layout, so its censuses build a column permuter; counts and witnesses
+    are byte-identical to dihedral(7)'s, which rotate digits."""
+    built = dihedral(7)
+    loaded = parse_cayley_table(format_cayley_table(built))
+    assert loaded.recipe == built.recipe and loaded._digit_layout() is None
+    for seed, proper in [(7, False), (8, True)]:
+        rels = [random_relation(group, random.Random(seed), proper_carriers=proper)
+                for group in (built, loaded)]
+        assert rels[0].rows == rels[1].rows
+        for kind, shape in SHAPES.items():
+            if shape.abelian_error:
+                continue
+            reports = []
+            for rel in rels:
+                with mock.patch.object(patterns, "_column_permuter", wraps=_column_permuter) as permuters:
+                    reports.append(json.dumps(census(rel, kind, True, 500).to_json()))
+                assert permuters.call_count == (rel.group is loaded), kind
+            assert reports[0] == reports[1], kind
 
 
 # D3 keeps the ids arity0..arity2. Z4 and Z2xZ3 rotate the lifted digits;

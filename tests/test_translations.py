@@ -2,10 +2,12 @@
 against pointwise definitions on the oracle groups."""
 
 import itertools
+import math
 import random
 import types
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from groupstab import (
     comparability_defect,
     cyclic,
     dihedral,
+    format_cayley_table,
     heisenberg,
     left_cosets,
     product,
@@ -24,7 +27,7 @@ from groupstab import (
 )
 from groupstab import bits, patterns
 from groupstab.bits import _column_permuter, _digit_shift, iter_bits, mask_of, permute_bits
-from groupstab.groups import translation
+from groupstab.groups import parse_cayley_table, translation
 from groupstab.patterns import _matrix_mover
 from groupstab.relations import decode_tuple, encode_tuple
 
@@ -98,6 +101,23 @@ def test_bitset_translations_match_pointwise_definitions(case, m):
     sub = subgroup(group, brute_closure(ref, 1 << h))
     cosets = {frozenset(ref.mul(x, s) for s in sub.member_indices()) for x in range(q)}
     assert left_cosets(group, sub) == [mask_of(c) for c in sorted(cosets, key=min)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups_with_a_set(), st.data())
+def test_ap_census_is_the_pointwise_definition_at_any_length(case, data):
+    """m-AP(A, h) is the a with h^i·a in A for every i < m, for m past the
+    point where the kept set stops shrinking, up to 2|G| + 2."""
+    group, ref, members, h = case
+    m = data.draw(st.integers(1, 2 * group.order + 2), label="m")
+    expected = 0
+    for a in iter_bits(members):
+        x, inside = a, True
+        for _ in range(m):
+            inside = inside and members >> x & 1
+            x = ref.mul(h, x)
+        expected |= bool(inside) << a
+    assert ap_census(group, members, m, h) == (expected, expected.bit_count())
 
 
 @st.composite
@@ -229,7 +249,9 @@ def test_iter_bits_lists_the_set_bits_ascending_on_both_sides_of_the_scan_width(
 
 
 Z2xD3 = product(cyclic(2), dihedral(3))
-MOVER_PAIRS = PAIRS + [(g, reference(g)) for g in (Z2xD3, product(cyclic(2), cyclic(3), cyclic(2)))]
+# D1, D2 and H2 have L <= 2, where negating the low digit is the identity.
+MOVER_PAIRS = PAIRS + [(g, reference(g)) for g in (Z2xD3, product(cyclic(2), cyclic(3), cyclic(2)),
+                                                   dihedral(1), dihedral(2), heisenberg(2))]
 LIFTS = {1: [(None, False)], 2: [(None, False), (0, False), (1, False), (None, True)]}
 
 
@@ -293,13 +315,17 @@ def test_row_moves_are_translations(case, data):
         assert gather(columns(cpair), dpair) == expected
 
 
-def test_only_cyclic_products_rotate():
-    """Products of cyclic groups rotate at every arity and never build a column
-    permuter, and their censuses build no translation map; D_n, H_p, Z2×D3
-    and the Cayley tables of the catalogue build one permuter per census and
-    never rotate."""
+def test_only_groups_with_a_digit_layout_rotate():
+    """Products of cyclic groups, D_n and H_p rotate at every arity and never
+    build a column permuter, and their censuses build no translation map;
+    Z2×D3 and the catalogue's Cayley tables, D_n and H_p among them, loaded
+    from the table file format, build one permuter per census and never
+    rotate."""
     arities = [(1, 1), (2, 1), (1, 2), (2, 2)]
-    for (group, _), (n, m) in itertools.product(MOVER_PAIRS, arities):
+    tables = [parse_cayley_table(format_cayley_table(g))
+              for g in builtin_catalogue(16) + [dihedral(5), heisenberg(3)] if "cayley_table" in g.recipe]
+    assert len(tables) == 4
+    for group, (n, m) in itertools.product([g for g, _ in MOVER_PAIRS] + tables, arities):
         q = group.order
         if max(n, m) > 1 and q > 12:
             continue
@@ -310,13 +336,43 @@ def test_only_cyclic_products_rotate():
             for left in range(q):
                 move = (left, q - 1)
                 gather(columns(move), move)
-        if "cayley_table" not in group.recipe:
+        if group is not Z2xD3 and group not in tables:
             assert (permuters.call_count, shifts.call_count > 0) == (0, q > 1), group.name
             kinds = [kind for kind, shape in patterns.SHAPES.items()
-                     if all(lifted or arity == 1 for lifted, arity in zip(shape.lifted, (n, m)))]
+                     if all(lifted or arity == 1 for lifted, arity in zip(shape.lifted, (n, m)))
+                     and (group.is_abelian or not shape.abelian_error)]
             with mock.patch.object(patterns, "translation", wraps=translation) as translations:
                 for kind in kinds:
                     patterns.census(rel, kind)
             assert translations.call_count == 0, (group.name, n, m)
         else:
             assert (permuters.call_count, shifts.call_count) == (1, 0), (group.name, n, m)
+
+
+@pytest.mark.parametrize("group", [dihedral(n) for n in range(1, 13)] + [heisenberg(p) for p in (2, 3, 5)],
+                         ids=lambda group: group.name)
+def test_the_recorded_digit_layout_holds_for_every_translation(group):
+    """Write x = hi·L + lo, lo < L, for the layout (hi digits, L) that dihedral()
+    and heisenberg() record. Every map x -> l·x·r of the oracle group adds h0
+    to the hi digits, digit by digit, and sends lo to σ·lo + t(hi) mod L,
+    with σ = -1 only on D_n, when r is a reflection, and L > 2."""
+    his, lo = group._digit_layout()
+    q, blocks = group.order, group.order // lo
+    assert math.prod(length for _, length in his) * lo == q
+    assert all(w % lo == 0 for w, _ in his)
+    ref = reference(group)
+    table = [[ref.mul(a, b) for b in range(q)] for a in range(q)]
+
+    def block(hi: int, h0: int) -> int:
+        """The block of hi plus h0, digit by digit, hi and h0 block numbers."""
+        return sum((hi * lo // w + h0 * lo // w) % length * w for w, length in his) // lo
+
+    plus = [[block(hi, h0) for hi in range(blocks)] for h0 in range(blocks)]
+    for left, right in itertools.product(range(q), repeat=2):
+        f = [table[table[left][x]][right] for x in range(q)]
+        h0 = f[0] // lo
+        t = [f[hi * lo] % lo for hi in range(blocks)]
+        sigma = -1 if lo > 2 and (f[1] - f[0]) % lo == lo - 1 else 1
+        assert (sigma == -1) == (group.name[0] == "D" and lo > 2 and right >= lo), (left, right)
+        assert f == [plus[h0][hi] * lo + (sigma * r + t[hi]) % lo
+                     for hi in range(blocks) for r in range(lo)], (left, right)
