@@ -44,7 +44,7 @@ from .halfgraph import (
     sample_halfgraphs,
     theta_profile,
 )
-from .patterns import SHAPES, PatternCensus, _coverage, ap_census, census, square_census
+from .patterns import SHAPES, PatternCensus, _censuses, _coverage, ap_census, census
 from .relations import density, dump_relation, load_relation
 
 # A shorthand factor: a letter naming the family, then its parameter.
@@ -153,6 +153,13 @@ def _run_census(relation, kind: str, witnesses: int = 0) -> PatternCensus:
     return census(relation, kind.replace("-", "_"), witnesses > 0, witnesses or 1)
 
 
+def _run_censuses(relation, kinds: list[str]) -> dict[str, PatternCensus]:
+    """The census of each CLI kind, in one pass; a refused kind raises as
+    its own census would, the first in the order given."""
+    counted = _censuses(relation, [kind.replace("-", "_") for kind in kinds])
+    return {kind: counted[kind.replace("-", "_")] for kind in kinds}
+
+
 @contextmanager
 def _stage(stages: dict, name: str):
     """Record the seconds spent in the block under stages[name] if it completes."""
@@ -210,16 +217,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     def row(group, relation, theta, stages):
         with _stage(stages, "census"):
-            # One square census serves both its census entry and the coverage search.
-            squares = square_census(relation)
-            censuses = {}
-            for kind in config.census:
-                counted = squares if kind == "square" else _run_census(relation, kind)
-                censuses[kind] = {"total": counted.total_count, "nontrivial": counted.nontrivial_count}
+            # The pass's square census serves both its entry and the coverage search.
+            counted = _run_censuses(relation, ["square", *config.census])
+            censuses = {
+                kind: {"total": counted[kind].total_count, "nontrivial": counted[kind].nontrivial_count}
+                for kind in config.census
+            }
         with _stage(stages, "subgroups"):
             best = "NOT_FOUND"
             for sub in subgroups_up_to_index(group, config.max_index):
-                coverage = _coverage(squares.count_by_sidelength, sub)
+                coverage = _coverage(counted["square"].count_by_sidelength, sub)
                 if coverage.missing_fraction < config.epsilon:
                     best = {
                         "index": sub.index_in_parent,
@@ -250,10 +257,9 @@ def run_family_trend(config: ExperimentConfig) -> dict:
     def row(group, relation, theta, stages):
         with _stage(stages, "census"):
             arity_sum = relation.domain.arity + relation.codomain.arity
+            counted = _run_censuses(relation, config.census)
             densities = {
-                kind: frac_json(Fraction(
-                    _run_census(relation, kind).total_count, group.order ** (arity_sum + 1)
-                ))
+                kind: frac_json(Fraction(counted[kind].total_count, group.order ** (arity_sum + 1)))
                 for kind in config.census
             }
         return {

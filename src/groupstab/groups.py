@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bits import iter_bits, mask_of
 from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement, _check_budget, _read
@@ -59,6 +59,9 @@ class FiniteGroup:
         self._inv = inverses
         self._cyclic = table is None and not self.factors
         self._layout: tuple[tuple[tuple[int, int], ...], int] | None = None  # see _digit_layout
+        # power subgroup P -> ((index, mask) of each subgroup above P in
+        # listing order, the walk's closure count); see subgroups_up_to_index
+        self._lattices: dict[int, tuple[list[tuple[int, int]], int]] = {}
 
     def _mul_table(self) -> list[list[int]]:
         """Rows of the multiplication table, row a holding a*b at position b.
@@ -487,91 +490,124 @@ def subgroup(group: FiniteGroup, members: Iterable[int] | int) -> Subgroup:
 
 
 def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
-    """Smallest subgroup mask containing the seed elements.
-
-    Breadth-first search from the identity by right multiplication with the
-    seed elements. In a finite group every inverse is a positive power, so
-    the elements reached form the generated subgroup; the cost is
+    """Smallest subgroup mask containing the seed elements: `_grow` from {e},
+    whose left cosets are single elements, so this is a breadth-first search
+    from the identity by right multiplication with the seed elements, at
     |subgroup|·|seed| table lookups.
     """
     mask = seed if isinstance(seed, int) else mask_of(seed)
     if mask >> group.order:
         raise ValueError("closure seed exceeds the element universe")
-    gens = [s for s in iter_bits(mask) if s]
-    table = group._mul_table()
-    seen = bytearray(group.order)
-    seen[0] = 1
-    reached = [0]
-    for a in reached:
-        row = table[a]
-        for s in gens:
-            c = row[s]
-            if not seen[c]:
-                seen[c] = 1
-                reached.append(c)
-    return mask_of(reached)
+    return _grow(group._mul_table(), [0], (1).__lshift__, [s for s in iter_bits(mask) if s])
 
 
-def _subgroups_above(group: FiniteGroup, base: int, base_gens: int, budget: int) -> list[int]:
-    """Every subgroup mask containing the subgroup `base`, which `base_gens`
-    generates, ascending; found by closing known subgroups with one extra
-    generator.
+def _coset_masks(table: list[list[int]], h: list[int]) -> list[int]:
+    """The mask of x·H for every element x, H the subgroup with members h;
+    each coset is read off the row of its least element."""
+    masks = [0] * len(table)
+    for x, row in enumerate(table):
+        if not masks[x]:
+            block = list(map(row.__getitem__, h))
+            mask = mask_of(block)
+            for y in block:
+                masks[y] = mask
+    return masks
 
-    Each subgroup keeps the generating set it was first closed from, and is
-    extended by one element g per left coset g·h: <h, g> = <h, g·x> for x
-    in h, so the other elements of the coset give nothing new. Any subgroup
-    K above the base is reached, by adding K's elements one at a time. The
-    budget counts these candidate closures. From base {e} the walk lists the
-    whole lattice, which is subgroups_up_to_index(group, |G|).
+
+def _grow(table: list[list[int]], h: list[int], coset: Callable[[int], int], extra: Sequence[int]) -> int:
+    """The mask of <H, extra>, for H the subgroup with members h and coset(x)
+    the mask of x·H, grown by left cosets of H; the one closure routine.
+
+    K = <H, extra> is a union of left cosets y·H, and right multiplication
+    by H and by s in extra sends a coset r·H into r·(H·s·H). So take once an
+    element d of each left coset in the double cosets H·s·H, reading H·s;
+    then, starting from H, the coset of e, each coset representative r
+    found adds the coset of every r·d. The union is then closed under right
+    multiplication by H and by every s, and in a finite group every inverse
+    is a positive power, so it is K. That costs |H|·|extra| lookups for the
+    d, then one per d and coset of K, where a breadth-first search over
+    elements takes |K|·|extra + generators of H|; on an abelian group each
+    s has one d.
+    """
+    members = coset(0)
+    steps = []
+    for s in extra:
+        seen = 0
+        for y in [table[x][s] for x in h]:
+            if not seen >> y & 1:
+                seen |= coset(y)
+                steps.append(y)
+    reps = [0]
+    for r in reps:
+        for y in map(table[r].__getitem__, steps):
+            if not members >> y & 1:
+                members |= coset(y)
+                reps.append(y)
+    return members
+
+
+def _subgroups_above(group: FiniteGroup, base: int, budget: int) -> tuple[list[int], int]:
+    """(every subgroup mask containing the subgroup `base`; the candidate
+    closures the walk made), found by extending known subgroups by one
+    element.
+
+    Each subgroup H is extended by one element g per left coset g·H, the
+    least one, in ascending order: <H, g> = <H, g·x> for x in H, so the
+    other elements of the coset give nothing new. Any subgroup K above the
+    base is reached, by adding K's elements one at a time. Each extension
+    grows from H by its left cosets (`_grow`), so no generating set is
+    kept. The budget counts these candidate closures; the walk depends on
+    the base alone, so the count C it returns settles any later budget.
+    From base {e} the walk lists the whole lattice, which is
+    subgroups_up_to_index(group, |G|).
     """
     order = group.order
     full = (1 << order) - 1
     table = group._mul_table()
-    generators = {base: base_gens}
+    found = {base}
     frontier = [base]
     closures = 0
     while frontier:
         h = frontier.pop()
-        hgens = generators[h]
         members = list(iter_bits(h))
-        hsize = len(members)
+        cosets = _coset_masks(table, members)
+        # Lagrange: any proper extension at least doubles, so extending an
+        # index-2 subgroup can only reach the whole group.
+        index_two = 2 * len(members) >= order
         done = h
         for g in range(1, order):
             if done >> g & 1:
                 continue
-            row = table[g]
-            done |= mask_of(row[x] for x in members)
-            # Lagrange: any proper extension at least doubles, so extending an
-            # index-2 subgroup can only reach the whole group.
-            if 2 * hsize >= order:
+            done |= cosets[g]
+            if index_two:
                 k = full
             else:
                 closures += 1
                 if closures > budget:
                     raise BudgetExceeded(closures, budget, "candidate closures")
-                k = closure(group, hgens | (1 << g))
-            if k not in generators:
-                generators[k] = hgens | (1 << g)
+                k = _grow(table, members, cosets.__getitem__, [g])
+            if k not in found:
+                found.add(k)
                 frontier.append(k)
-    return sorted(generators)
+    return list(found), closures
 
 
-def _power_subgroup(group: FiniteGroup, max_index: int) -> tuple[int, int]:
-    """(P, a generating set of P) for P = <g^e : g in G>, e = lcm(1..max_index).
+def _power_subgroup(group: FiniteGroup, max_index: int) -> int:
+    """The mask of P = <g^e : g in G>, e = lcm(1..max_index).
 
     If [G:H] = i then G/core(H) embeds in S_i, whose exponent divides e, so
     g^e lies in H: P is in every subgroup of index <= max_index (Holt, Eick
     & O'Brien, Handbook of Computational Group Theory, 2005, on low-index
     subgroups). g^e = g^(e mod |G|) by Lagrange, so P is trivial once
     max_index reaches |G|; g^e is found by square-and-multiply on the
-    table. A power joins the generating set only when the P built so far
-    misses it, so P at least doubles each time and there are at most
-    log2|P| generators, each costing one closure.
+    table. A power that the P built so far misses grows P by cosets
+    (`_grow`), so P at least doubles each time and grows at most log2|P|
+    times.
     """
     e = math.lcm(*range(1, min(max_index, group.order) + 1)) % group.order
-    members, gens = 1, 0
+    members = 1
     if not e:
-        return members, gens
+        return members
     table = group._mul_table()
     for g in range(1, group.order):
         # g in P puts g^e in P too
@@ -584,9 +620,9 @@ def _power_subgroup(group: FiniteGroup, max_index: int) -> tuple[int, int]:
             square = table[square][square]
             n >>= 1
         if not members >> power & 1:
-            gens |= 1 << power
-            members = closure(group, gens)
-    return members, gens
+            h = list(iter_bits(members))
+            members = _grow(table, h, _coset_masks(table, h).__getitem__, [power])
+    return members
 
 
 def subgroups_up_to_index(
@@ -598,39 +634,38 @@ def subgroups_up_to_index(
     so the search walks up from P, not from {e}. At max_index >= |G|, P is
     {e}, so subgroups_up_to_index(group, group.order) is the whole subgroup
     lattice. The budget counts the walk's candidate closures, and a negative
-    budget is a ValueError; the at most log2|P| closures that build P are
-    not charged.
+    budget is a ValueError; the growth of P is not charged.
+
+    The walk depends on P alone, so the group keeps each finished lattice
+    above P, in listing order, with the walk's closure count C: a later
+    search with the same P walks nothing, and every call returns a new list.
+    A budget below C raises BudgetExceeded(budget + 1, budget), exactly what
+    the walk itself raises; a refused walk keeps nothing.
     """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     _check_budget(budget)
-    out = []
-    for mask in _subgroups_above(group, *_power_subgroup(group, max_index), budget):
-        size = mask.bit_count()
-        index = group.order // size
-        if index <= max_index:
-            out.append(Subgroup(group, mask, index))
-    out.sort(key=lambda s: (s.index_in_parent, tuple(s.member_indices())))
-    return out
+    base = _power_subgroup(group, max_index)
+    if base not in group._lattices:
+        masks, closures = _subgroups_above(group, base, budget)
+        # Among sets of one size, the one holding the least element where
+        # they differ comes first: the one whose bits, reversed, read larger.
+        width = f"0{group.order}b"
+        listing = sorted(((group.order // m.bit_count(), m) for m in masks),
+                         key=lambda pair: (pair[0], -int(format(pair[1], width)[::-1], 2)))
+        group._lattices[base] = listing, closures
+    listing, closures = group._lattices[base]
+    if closures > budget:
+        raise BudgetExceeded(budget + 1, budget, "candidate closures")
+    return [Subgroup(group, mask, index) for index, mask in listing if index <= max_index]
 
 
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[int]:
     """Partition of the universe into left cosets g*H, identity block first;
-    each block is read off the representative's table row."""
+    each block is read off the row of its least element."""
     if sub.parent is not group:
         raise CrossGroupElement(f"subgroup of {sub.parent.name} used with {group.name}")
-    table = group._mul_table()
-    members = sub.member_indices()
-    seen = 0
-    blocks = []
-    for rep in range(group.order):
-        if seen >> rep & 1:
-            continue
-        row = table[rep]
-        block = mask_of(row[x] for x in members)
-        blocks.append(block)
-        seen |= block
-    return blocks
+    return list(dict.fromkeys(_coset_masks(group._mul_table(), sub.member_indices())))
 
 
 def builtin_catalogue(max_order: int = 24) -> list[FiniteGroup]:

@@ -174,12 +174,12 @@ def _node_pairs(ts: list[int], rows, nots, weights, cands: list[int]) -> int:
     never paired with itself.
     """
     size = ts[0].bit_count()
-    kids = _split(ts, rows, nots, cands)
+    kids = _split(ts, rows, nots, cands, sized=True)
     survivors = [(child[0], child[0].bit_count(), weights[c], rows[c]) for c, child in kids]
     total = 0
     for i, (hu, nu, wu, _) in enumerate(survivors):
-        # T_j∖r_u for j < m with their sizes; there are none at m = 1
-        lows = [(t, t.bit_count()) for t in kids[i][1][2:]] if len(ts) > 1 else ()
+        # T_j∖r_u for j < m, sized as _split built them; there are none at m = 1
+        lows = kids[i][1][2:] if len(ts) > 1 else ()
         acc = 0
         rest = size - nu
         for hv, nv, wv, rv in itertools.islice(survivors, i + 1, None):
@@ -214,7 +214,7 @@ def _walk(rows, nots, roots, depth: int):
             yield path + (c,), child, survivors
 
 
-def _split(ts: list[int], rows, nots, cands: list[int]) -> list[tuple[int, list[int]]]:
+def _split(ts: list[int], rows, nots, cands: list[int], sized: bool = False) -> list[tuple[int, list]]:
     """The candidates that extend an a-tuple, each with its reduced T's.
 
     `ts` holds T_m, ..., T_1 newest first, so ts[0] is the prefix meet. A
@@ -222,7 +222,9 @@ def _split(ts: list[int], rows, nots, cands: list[int]) -> list[tuple[int, list[
     ts[0] & row and every t & ~row are non-empty; its T's are then
     [ts[0] & row] + [t & ~row for t in ts]. The head h = ts[0] & row lies
     in ts[0], so ts[0] & ~row is ts[0] ^ h, non-empty iff h != ts[0].
-    Survivors keep the order of `cands`.
+    With sized, each t & ~row for t below ts[0] comes as (t & ~row, its
+    size), counted as it is built, for `_node_pairs`. Survivors keep the
+    order of `cands`.
     """
     meet, *older = ts
     out = []
@@ -236,7 +238,7 @@ def _split(ts: list[int], rows, nots, cands: list[int]) -> list[tuple[int, list[
             t &= nr
             if not t:
                 break
-            child.append(t)
+            child.append((t, t.bit_count()) if sized else t)
         else:
             out.append((c, child))
     return out

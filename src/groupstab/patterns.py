@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import islice
 from operator import and_
+from typing import Iterable
 
 from .bits import (
     _column_permuter, _digit_shift, _negate_digit, _tile, full_mask, iter_bits, mask_of, permute_bits,
@@ -115,6 +116,11 @@ SHAPES = {
     # The same points with right actions, (a,b), (a·g,b), (a,b·g), (a,b·g²), on any group.
     "lshape_right": Shape(_LSHAPE, _ON_GXG, "L-shape census is defined on G×G (n = m = 1)"),
 }
+# The distinct actions of one side length, over every kind: the mover keeps
+# that many moves per side, so a pass over any kinds finds each side
+# length's moves kept while it runs (twice as many digit copies, which also
+# depend on the domain's σ).
+_ACTIONS = len({action for shape in SHAPES.values() for point in shape.points for action in point})
 
 
 def census(
@@ -127,64 +133,95 @@ def census(
 ) -> PatternCensus:
     """Per-g counts of the triples (a, b, g) whose points of SHAPES[kind] all lie in S.
 
+    The one-kind pass of `_censuses`, the one census engine.
+    """
+    return _censuses(relation, (kind,), include_witnesses, witness_cap, coordinate, diagonal)[kind]
+
+
+def _censuses(
+    relation: Relation,
+    kinds: Iterable[str],
+    include_witnesses: bool = False,
+    witness_cap: int = DEFAULT_WITNESS_CAP,
+    coordinate: int | None = None,
+    diagonal: bool = False,
+) -> dict[str, PatternCensus]:
+    """The census of each kind, in one pass over the side lengths.
+
     S is held as one int F, bit a·W + b for the pair (a, b), W the row stride
     of _matrix_mover. A point with domain action a -> g^ld·a·g^rd and
     codomain action b -> g^lc·b·g^rc, each lifted by (coordinate, diagonal)
     where the shape lifts it, is one int too: the copy of F whose bit
     (a, b) is the bit of F at the acted-on pair. Then counts[g] is the
-    popcount of the AND of the copies, and the loop over g stops ANDing once
-    the meet is empty. Rows outside the domain carrier are 0, and every
-    shape has the identity point, whose copy is F: so the meet lies in the
-    carriers. The mover names each action by its pair of elements, (g^ld,
-    g^rd) or (g^lc, g^rc). A domain move permutes bits, so it commutes with
-    AND: the points that share a domain action are met as one, the AND of
-    their codomain moves moved once by that action's pair. The points that
-    move no row come first, one at a time, so a sparse meet empties as
-    early as it would point by point.
+    popcount of the AND of the copies, and each kind's loop over its points
+    stops ANDing once the meet is empty. Rows outside the domain carrier
+    are 0, and every shape has the identity point, whose copy is F: so the
+    meet lies in the carriers. The mover names each action by its pair of
+    elements, (g^ld, g^rd) or (g^lc, g^rc). A domain move permutes bits, so
+    it commutes with AND: the points that share a domain action are met as
+    one, the AND of their codomain moves moved once by that action's pair.
+    The points that move no row come first, one at a time, so a sparse meet
+    empties as early as it would point by point.
+
+    Kinds with the same lift share one mover, and the pass takes g in the
+    outer loop and the kinds in the inner one: the copies of one side
+    length, which the mover keeps while that side length runs, serve every
+    kind, and no copy outlives a few side lengths. Every kind is checked,
+    in the order given, before any work, so the first kind refused raises
+    as its own census would.
 
     Witnesses list the set bits of each meet in ascending order, decoded
     as (a, b) = divmod(bit, W): g by g, then a, then b.
     """
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
-    if kind not in SHAPES:
-        raise ValueError(f"unknown census kind {kind!r}")
-    shape = SHAPES[kind]
     group = relation.group
-    if shape.abelian_error and not group.is_abelian:
-        raise NonAbelianGroup(shape.abelian_error)
-    for lifted, carrier in zip(shape.lifted, (relation.domain, relation.codomain)):
-        if not lifted and carrier.arity != 1:
-            raise ArityUnsupported(shape.arity_error)
-    lifts = [(coordinate, diagonal) if lifted else (None, False) for lifted in shape.lifted]
+    shapes = {}
+    for kind in kinds:
+        if kind not in SHAPES:
+            raise ValueError(f"unknown census kind {kind!r}")
+        shape = shapes[kind] = SHAPES[kind]
+        if shape.abelian_error and not group.is_abelian:
+            raise NonAbelianGroup(shape.abelian_error)
+        for lifted, carrier in zip(shape.lifted, (relation.domain, relation.codomain)):
+            if not lifted and carrier.arity != 1:
+                raise ArityUnsupported(shape.arity_error)
     q = group.order
     table = group._mul_table()
-    top = max(max(p[0] + p[1]) for p in shape.points)  # highest power of g in a point
-    stride, whole, columns, gather = _matrix_mover(relation, lifts)
-    # The points but the identity, as (domain action, codomain actions) met as one.
-    by_domain: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for dact, cact in shape.points:
-        if dact != (0, 0):
-            by_domain.setdefault(dact, []).append(cact)
-    plan = [((0, 0), [cact]) for dact, cact in shape.points if dact == (0, 0) != cact]
-    plan += by_domain.items()
+    movers = {}
+    passes = []  # per kind: its mover's four values, its plan, its counts and witnesses
+    for kind, shape in shapes.items():
+        lifts = tuple((coordinate, diagonal) if lifted else (None, False) for lifted in shape.lifted)
+        if lifts not in movers:
+            movers[lifts] = _matrix_mover(relation, lifts)
+        # The points but the identity, as (domain action, codomain actions) met as one.
+        by_domain: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for dact, cact in shape.points:
+            if dact != (0, 0):
+                by_domain.setdefault(dact, []).append(cact)
+        plan = [((0, 0), [cact]) for dact, cact in shape.points if dact == (0, 0) != cact]
+        plan += by_domain.items()
+        passes.append((*movers[lifts], plan, [0] * q, [] if include_witnesses else None))
+    # the highest power of g in a point
+    top = max((max(p[0] + p[1]) for shape in shapes.values() for p in shape.points), default=0)
 
-    counts = [0] * q
-    witnesses: list[tuple[int, int, int]] | None = [] if include_witnesses else None
     for g in range(q):
         powers = [0, g]
         for _ in range(top - 1):
             powers.append(table[powers[-1]][g])
-        meet = whole
-        for (ld, rd), cacts in plan:
-            meet &= gather(columns(*[(powers[lc], powers[rc]) for lc, rc in cacts]), (powers[ld], powers[rd]))
-            if not meet:
-                break
-        counts[g] = meet.bit_count()
-        if meet and witnesses is not None and len(witnesses) < witness_cap:
-            bits = islice(iter_bits(meet), witness_cap - len(witnesses))
-            witnesses += [(bit // stride, bit % stride, g) for bit in bits]
-    return _finish(kind, counts, witnesses)
+        for stride, whole, columns, gather, plan, counts, witnesses in passes:
+            meet = whole
+            for (ld, rd), cacts in plan:
+                cpairs = [(powers[lc], powers[rc]) for lc, rc in cacts]
+                meet &= gather(columns(*cpairs), (powers[ld], powers[rd]))
+                if not meet:
+                    break
+            counts[g] = meet.bit_count()
+            if meet and witnesses is not None and len(witnesses) < witness_cap:
+                bits = islice(iter_bits(meet), witness_cap - len(witnesses))
+                witnesses += [(bit // stride, bit % stride, g) for bit in bits]
+    return {kind: _finish(kind, counts, witnesses)
+            for kind, (*_, counts, witnesses) in zip(shapes, passes)}
 
 
 def _matrix_mover(relation: Relation, lifts):
@@ -196,10 +233,10 @@ def _matrix_mover(relation: Relation, lifts):
     elements, the map x -> left·x·right of G, with (0, 0) for the identity.
     gather(columns(*cpairs), dpair) is the AND over the codomain pairs of
     the copies of S as one int with bit (a, b) set iff (dmap[a], cmap[b])
-    lies in S, for dmap and cmap the pairs' maps lifted. Each codomain move
-    is kept for the few pairs of one side length. Both lifts are resolved
-    (relations._acted_coordinates) before any work, so a bad coordinate
-    raises here.
+    lies in S, for dmap and cmap the pairs' maps lifted. The last _ACTIONS
+    moves are kept, which cover the pairs of one side length over every
+    census kind. Both lifts are resolved (relations._acted_coordinates)
+    before any work, so a bad coordinate raises here.
 
     On a group with a digit layout (FiniteGroup._digit_layout: products of
     cyclic groups, D_n and H_p) the stride is |Y|, and each acted-on
@@ -209,7 +246,7 @@ def _matrix_mover(relation: Relation, lifts):
     lookup left·right; t at the q/L block starts x = hi·L; σ at x = 1, -1
     only on D_n when right is a reflection. Bit (.., x, ..) of a copy is
     bit (.., f(x), ..) of whole. So a copy starts from whole with lo negated
-    on each side whose σ is -1 (at most four such bases per census, each
+    on each side whose σ is -1 (at most four such bases per mover, each
     built once by bits._negate_digit), rotates every hi digit by -h0
     (bits._digit_shift), and then rotates lo by -σ·t(hi) in each hi block:
     one rotation per distinct offset, masked by the union of the hi blocks
@@ -218,11 +255,10 @@ def _matrix_mover(relation: Relation, lifts):
     is its hi rotation alone. No translation map is built.
 
     Every other group builds the pair's translation map and lifts it,
-    keeping the last few lifted maps per side, which cover the pairs of one
-    side length. It moves the columns of all rows at once
-    (bits._column_permuter, built here once) into row-major bytes, with the
-    padded tile width as stride; a domain map joins their rows in its
-    order, and one int.from_bytes makes the copy.
+    keeping the last _ACTIONS lifted maps per side. It moves the columns
+    of all rows at once (bits._column_permuter, built here once) into
+    row-major bytes, with the padded tile width as stride; a domain map
+    joins their rows in its order, and one int.from_bytes makes the copy.
     """
     group = relation.group
     n, m = relation.domain.arity, relation.codomain.arity
@@ -237,13 +273,13 @@ def _matrix_mover(relation: Relation, lifts):
         data = b"".join(row.to_bytes(stride, "little") for row in rows)
 
         def lifter(arity: int, acted):
-            """pair -> its lifted map, keeping the few pairs of one side length."""
-            return lru_cache(maxsize=4)(
+            """pair -> its lifted map, keeping the last _ACTIONS pairs."""
+            return lru_cache(maxsize=_ACTIONS)(
                 lambda pair: _lift_digit_map(translation(group, *pair), arity, acted)
             )
 
         domain_map, codomain_map = lifter(n, domain_acted), lifter(m, codomain_acted)
-        permuted = lru_cache(maxsize=4)(
+        permuted = lru_cache(maxsize=_ACTIONS)(
             lambda cpair: data if cpair == (0, 0) else permute(codomain_map(cpair))
         )
 
@@ -296,11 +332,11 @@ def _matrix_mover(relation: Relation, lifts):
 
     whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
     if lo_length == 1:
-        copy = lru_cache(maxsize=4)(lambda cpair: shifted(whole, codomain_places, cpair))
+        copy = lru_cache(maxsize=_ACTIONS)(lambda cpair: shifted(whole, codomain_places, cpair))
         return (size, whole, lambda *cpairs: reduce(and_, map(copy, cpairs)),
                 lambda matrix, dpair: shifted(matrix, domain_places, dpair))
 
-    @lru_cache(maxsize=8)
+    @lru_cache(maxsize=_ACTIONS)
     def offsets(pair) -> tuple[bool, list[tuple[int, int]]]:
         """(σ = -1, (lo step, hi blocks taking it as a mask) per distinct step)."""
         left, right = pair
@@ -347,7 +383,7 @@ def _matrix_mover(relation: Relation, lifts):
             bases[negated] = matrix
         return bases[negated]
 
-    @lru_cache(maxsize=8)
+    @lru_cache(maxsize=2 * _ACTIONS)
     def copy(cpair, dneg: bool) -> int:
         return moved(base((dneg, offsets(cpair)[0])), codomain_weights, codomain_places, cpair)
 

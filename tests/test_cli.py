@@ -390,6 +390,16 @@ def test_experiment_row_error_recorded_not_fatal():
     assert report["rows"][1]["error"] == {
         "type": "NonAbelianGroup", "message": "L-shapes are defined over abelian groups",
     }
+    # a row's kinds run in one census pass, checked in config order first:
+    # L-shapes named after kinds D6 admits still give the same row error
+    cfg = ExperimentConfig(groups=["Z6", "D6"], generator=GeneratorSpec("linear_order", {}),
+                           census=["square", "naive", "bmz-left", "lshape"])
+    for run in (run_experiment, run_family_trend):
+        report = run(cfg)
+        assert report["row_errors"] == 1 and report["rows"][0]["error"] is None
+        assert report["rows"][1] == {"group": "D6", "error": {
+            "type": "NonAbelianGroup", "message": "L-shapes are defined over abelian groups",
+        }}
 
 
 def test_family_trend_linear_order_decay():

@@ -29,7 +29,7 @@ from groupstab import (
     subgroups_up_to_index,
 )
 from groupstab.bits import iter_bits, mask_of
-from groupstab.groups import closure, parse_cayley_table
+from groupstab.groups import _coset_masks, _grow, _power_subgroup, closure, parse_cayley_table
 
 from oracles import (
     brute_closure,
@@ -262,6 +262,116 @@ def test_closure_matches_fixed_point_oracle(data):
     seed = mask_of(elems)
     assert closure(g, seed) == brute_closure(g, seed)
     assert closure(g, elems) == brute_closure(g, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_growth_by_cosets_matches_fixed_point_oracle(data):
+    """_grow extends a subgroup H by a few elements through H's left cosets,
+    not element by element; it must still reach the brute-force closure."""
+    g = data.draw(st.sampled_from(CLOSURE_GROUPS), label="group")
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3), label="H from")
+    h = brute_closure(g, mask_of(elems))
+    extra = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3), label="extra")
+    members = list(iter_bits(h))
+    grown = _grow(g._mul_table(), members, _coset_masks(g._mul_table(), members).__getitem__, extra)
+    assert grown == brute_closure(g, h | mask_of(extra))
+
+
+def extension_lattice(group) -> set[int]:
+    """Every subgroup, as the fixed point of H -> <H, g> over all H found and
+    all g, each closure taken by the brute-force oracle: any subgroup is
+    reached by adding its elements one at a time."""
+    found = {1}
+    frontier = [1]
+    while frontier:
+        h = frontier.pop()
+        for g in range(group.order):
+            if not h >> g & 1:
+                k = brute_closure(group, h | 1 << g)
+                if k not in found:
+                    found.add(k)
+                    frontier.append(k)
+    return found
+
+
+def listing(subs):
+    return [(s.index_in_parent, s.members) for s in subs]
+
+
+# Builders, so each test case walks a fresh group that keeps no lattice yet:
+# the catalogue groups of order <= 16 first, then groups beyond brute force.
+CATALOGUE_16 = len(builtin_catalogue(16))
+WALK_BUILDS = [lambda i=i: builtin_catalogue(16)[i] for i in range(CATALOGUE_16)] + [
+    lambda: dihedral(5),
+    lambda: heisenberg(3),
+    lambda: product(cyclic(2), dihedral(3)),
+    lambda: parse_cayley_table(format_cayley_table(dihedral(7))),  # no digit layout
+]
+WALK_LATTICES: dict[int, set[int]] = {}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_coset_grown_walk_lists_the_lattice_cut_at_each_index(data):
+    """The walk at max_index m, on a fresh group, lists the subgroups of
+    index <= m of the whole lattice: brute_subgroup_masks on the catalogue
+    groups of order <= 16, extension_lattice on D5, H3, Z2xD3 and a D7
+    loaded from its table."""
+    i = data.draw(st.integers(0, len(WALK_BUILDS) - 1), label="group")
+    g = WALK_BUILDS[i]()
+    if i not in WALK_LATTICES:
+        oracle = brute_subgroup_masks if i < CATALOGUE_16 else extension_lattice
+        WALK_LATTICES[i] = oracle(WALK_BUILDS[i]())
+    m = data.draw(st.integers(1, g.order), label="max_index")
+    expected = sorted(((g.order // mask.bit_count(), mask) for mask in WALK_LATTICES[i]
+                       if mask.bit_count() * m >= g.order),
+                      key=lambda pair: (pair[0], tuple(iter_bits(pair[1]))))
+    assert listing(subgroups_up_to_index(g, m)) == expected
+
+
+MEMO_BUILDS = [lambda: cyclic(12), lambda: product(cyclic(2), cyclic(2), cyclic(2)), lambda: dihedral(6),
+               lambda: heisenberg(3), lambda: product(cyclic(2), dihedral(3))]
+
+
+@pytest.mark.parametrize("build", MEMO_BUILDS, ids=["Z12", "Z2^3", "D6", "H3", "Z2xD3"])
+def test_a_kept_lattice_answers_as_a_fresh_walk(build):
+    """The group keeps each walked lattice by its power subgroup P: a warm
+    call lists what a cold call on a fresh group lists, at every max_index,
+    and a changed returned list changes no later answer."""
+    warm = build()
+    for m in range(1, warm.order + 1):
+        subgroups_up_to_index(warm, m)
+    for m in range(1, warm.order + 1):
+        assert listing(subgroups_up_to_index(warm, m)) == listing(subgroups_up_to_index(build(), m)), m
+    subs = subgroups_up_to_index(warm, warm.order)
+    before = listing(subs)
+    subs.reverse()
+    subs.pop()
+    assert listing(subgroups_up_to_index(warm, warm.order)) == before
+
+
+@pytest.mark.parametrize("build", MEMO_BUILDS, ids=["Z12", "Z2^3", "D6", "H3", "Z2xD3"])
+@pytest.mark.parametrize("max_index", [2, 4, 100])
+def test_a_kept_lattice_charges_the_budget_as_its_walk_did(build, max_index):
+    """With C the closures the walk charged, budgets 0, C-1 and C raise the
+    same BudgetExceeded on a warm group as on a cold one, or succeed on both;
+    a refused walk keeps nothing."""
+    warm = build()
+    m = min(max_index, warm.order)
+    subgroups_up_to_index(warm, m)
+    charged = warm._lattices[_power_subgroup(warm, m)][1]
+    for budget in sorted({0, max(charged - 1, 0), charged}):
+        cold = build()
+        outcomes = []
+        for g in (warm, cold):
+            try:
+                outcomes.append(listing(subgroups_up_to_index(g, m, budget=budget)))
+            except BudgetExceeded as err:
+                outcomes.append((err.required, err.budget, str(err)))
+        assert outcomes[0] == outcomes[1], budget
+        assert isinstance(outcomes[0], list) == (budget >= charged)
+        assert bool(cold._lattices) == (budget >= charged)
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from groupstab import (
 )
 from groupstab import patterns
 from groupstab.bits import _column_permuter, mask_of, permute_bits
+from groupstab.genlab import random_dense
 from groupstab.groups import parse_cayley_table
 from groupstab.patterns import SHAPES, census
 from groupstab.relations import decode_tuple, encode_tuple
@@ -215,6 +216,60 @@ def test_a_dihedral_table_loaded_from_a_file_permutes_columns_and_counts_the_sam
                     reports.append(json.dumps(census(rel, kind, True, 500).to_json()))
                 assert permuters.call_count == (rel.group is loaded), kind
             assert reports[0] == reports[1], kind
+
+
+# builtin_catalogue(16) and further D_n and H_p rotate digits; Z2xD3 and a
+# table loaded from a file move columns.
+PASS_GROUPS = builtin_catalogue(16) + [
+    dihedral(3), dihedral(5), heisenberg(2), heisenberg(3),
+    product(cyclic(2), dihedral(3)), parse_cayley_table(format_cayley_table(dihedral(5))),
+]
+
+
+@pytest.mark.parametrize("group", PASS_GROUPS, ids=lambda g: f"{g.name}-{g.recipe_hash()[:4]}")
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(1, 50)], ids=["half", "sparse"])
+def test_one_pass_over_several_kinds_counts_as_each_census(group, delta):
+    """The census pass over several kinds keeps each side length's moves for
+    every kind: each kind's counts and witnesses must be those of its own
+    census, for all the kinds the group admits and for subsets of them in
+    any order."""
+    full = CarrierSet.full(group, 1)
+    rel = random_dense(full, full, delta, group.order)
+    admitted = [kind for kind, shape in SHAPES.items() if group.is_abelian or not shape.abelian_error]
+    alone = {kind: json.dumps(census(rel, kind, True, 30).to_json()) for kind in admitted}
+    rng = random.Random(group.order)
+    subsets = [admitted, admitted[::-1]] + [rng.sample(admitted, rng.randint(1, len(admitted)))
+                                            for _ in range(4)]
+    for kinds in subsets:
+        counted = patterns._censuses(rel, kinds, True, 30)
+        assert list(counted) == list(dict.fromkeys(kinds))
+        assert {kind: json.dumps(c.to_json()) for kind, c in counted.items()} == {
+            kind: alone[kind] for kind in kinds}
+
+
+def test_a_lifted_pass_counts_as_each_census():
+    """A pass at arity (2, 1) with a coordinate or diagonal lift: rect23
+    lifts the domain alone and the square both sides, so their lifts
+    differ, and each kind's counts and witnesses are its own census's."""
+    rng = random.Random(12)
+    for group in (cyclic(4), dihedral(3), product(cyclic(2), dihedral(3))):
+        rel = random_relation(group, rng, arity=(2, 1))
+        for lift in ({}, {"coordinate": 0}, {"diagonal": True}):
+            counted = patterns._censuses(rel, ["rect23", "square"], True, 40, **lift)
+            for kind in ("rect23", "square"):
+                assert counted[kind].to_json() == census(rel, kind, True, 40, **lift).to_json()
+
+
+def test_a_pass_refuses_the_first_kind_its_census_would():
+    rel = random_relation(dihedral(4), random.Random(3))
+    with pytest.raises(NonAbelianGroup, match="L-shapes are defined over abelian groups"):
+        patterns._censuses(rel, ["square", "naive", "lshape", "nonsense"])
+    with pytest.raises(ValueError, match="unknown census kind 'nonsense'"):
+        patterns._censuses(rel, ["square", "nonsense", "lshape"])
+    lifted = random_relation(cyclic(3), random.Random(4), arity=(2, 1))
+    with pytest.raises(ArityUnsupported, match="corner censuses"):
+        patterns._censuses(lifted, ["square", "bmz_right", "rect23"])
+    assert patterns._censuses(lifted, []) == {}
 
 
 # D3 keeps the ids arity0..arity2. Z4 and Z2xZ3 rotate the lifted digits;
