@@ -14,8 +14,9 @@ Z_n used only as an index space never holds n² entries. The index of an
 element of a product of cyclic groups has one digit per factor
 (`FiniteGroup._cyclic_digits`), and element orders are read from those
 digits. `dihedral` and `heisenberg` record the digits of their index too
-(`FiniteGroup._digit_layout`), so a census moves a relation over any of
-these groups by rotating digits (`patterns._matrix_mover`).
+(`FiniteGroup._digit_layout`), so a census or `translate_relation` moves
+a relation's rows over any of these groups by rotating digits
+(`relations._matrix_mover`).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class FiniteGroup:
         # power subgroup P -> ((index, mask) of each subgroup above P in
         # listing order, the walk's closure count); see subgroups_up_to_index
         self._lattices: dict[int, tuple[list[tuple[int, int]], int]] = {}
+        self._powers: dict[int, int] = {}  # exponent e -> P, likewise
 
     def _mul_table(self) -> list[list[int]]:
         """Rows of the multiplication table, row a holding a*b at position b.
@@ -592,19 +594,13 @@ def _subgroups_above(group: FiniteGroup, base: int, budget: int) -> tuple[list[i
     return list(found), closures
 
 
-def _power_subgroup(group: FiniteGroup, max_index: int) -> int:
-    """The mask of P = <g^e : g in G>, e = lcm(1..max_index).
+def _power_subgroup(group: FiniteGroup, e: int) -> int:
+    """The mask of P = <g^e : g in G>, for 0 <= e < |G|.
 
-    If [G:H] = i then G/core(H) embeds in S_i, whose exponent divides e, so
-    g^e lies in H: P is in every subgroup of index <= max_index (Holt, Eick
-    & O'Brien, Handbook of Computational Group Theory, 2005, on low-index
-    subgroups). g^e = g^(e mod |G|) by Lagrange, so P is trivial once
-    max_index reaches |G|; g^e is found by square-and-multiply on the
-    table. A power that the P built so far misses grows P by cosets
-    (`_grow`), so P at least doubles each time and grows at most log2|P|
-    times.
+    g^e is found by square-and-multiply on the table. A power that the P
+    built so far misses grows P by cosets (`_grow`), so P at least doubles
+    each time and grows at most log2|P| times.
     """
-    e = math.lcm(*range(1, min(max_index, group.order) + 1)) % group.order
     members = 1
     if not e:
         return members
@@ -630,11 +626,15 @@ def subgroups_up_to_index(
 ) -> list[Subgroup]:
     """All subgroups of index <= max_index, ascending index then lexicographic members.
 
-    Every such subgroup contains the power subgroup P of `_power_subgroup`,
-    so the search walks up from P, not from {e}. At max_index >= |G|, P is
-    {e}, so subgroups_up_to_index(group, group.order) is the whole subgroup
-    lattice. The budget counts the walk's candidate closures, and a negative
-    budget is a ValueError; the growth of P is not charged.
+    Every such subgroup H contains P = <g^e : g in G>, e = lcm(1..max_index):
+    if [G:H] = i then G/core(H) embeds in S_i, whose exponent divides e
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005, on
+    low-index subgroups). So the search walks up from P. By Lagrange P
+    depends on e mod |G| alone, and the group keeps P per e mod |G|. P is
+    trivial once max_index reaches |G|, so subgroups_up_to_index(group,
+    group.order) is the whole lattice. The budget counts the walk's
+    candidate closures, and a negative budget is a ValueError; the growth
+    of P is not charged.
 
     The walk depends on P alone, so the group keeps each finished lattice
     above P, in listing order, with the walk's closure count C: a later
@@ -645,7 +645,10 @@ def subgroups_up_to_index(
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     _check_budget(budget)
-    base = _power_subgroup(group, max_index)
+    e = math.lcm(*range(1, min(max_index, group.order) + 1)) % group.order
+    if e not in group._powers:
+        group._powers[e] = _power_subgroup(group, e)
+    base = group._powers[e]
     if base not in group._lattices:
         masks, closures = _subgroups_above(group, base, budget)
         # Among sets of one size, the one holding the least element where

@@ -11,10 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial, reduce
+from operator import and_
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .bits import _column_permuter, full_mask, iter_bits, mask_of, permute_bits
+from .bits import (
+    _column_permuter, _digit_shift, _negate_digit, _tile, full_mask, iter_bits, mask_of, permute_bits,
+)
 from .errors import (
     ArityMismatch,
     CarrierMismatch,
@@ -60,19 +64,17 @@ def coordinate_action(
     diagonal=True every coordinate is acted on simultaneously. The default
     coordinate is the last one (the least significant digit).
     """
-    g = _element_index(group, g)
-    return _lift_digit_map(
-        _side_translation(group, g, side), arity, _acted_coordinates(arity, coordinate, diagonal)
-    )
+    if arity < 1:
+        raise ValueError(f"arity must be >= 1, got {arity}")
+    move = [_side_pair(_element_index(group, g), side)]
+    return _lift_move(group, arity, [_acted_coordinates(arity, coordinate, diagonal)], move)
 
 
-def _side_translation(group: FiniteGroup, g: int, side: str) -> list[int]:
-    """The map x -> x·g (side "right") or x -> g·x (side "left") of G."""
-    if side == "right":
-        return translation(group, right=g)
-    if side == "left":
-        return translation(group, left=g)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def _side_pair(g: int, side: str) -> tuple[int, int]:
+    """The pair (left, right) of the map x -> x·g (side "right") or x -> g·x (side "left")."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return (g, 0) if side == "left" else (0, g)
 
 
 def _acted_coordinates(arity: int, coordinate: int | None, diagonal: bool) -> Sequence[int]:
@@ -87,19 +89,199 @@ def _acted_coordinates(arity: int, coordinate: int | None, diagonal: bool) -> Se
     return [coord]
 
 
-def _lift_digit_map(digit_map: Sequence[int], arity: int, acted: Sequence[int]) -> list[int]:
-    """Permutation of G^arity indices applying a map of G to the acted coordinates."""
-    identity = range(len(digit_map))
-    return _lift_digit_maps([digit_map if c in acted else identity for c in range(arity)])
-
-
-def _lift_digit_maps(digit_maps: Sequence[Sequence[int]]) -> list[int]:
-    """Permutation of G^arity indices applying digit_maps[i] to coordinate i."""
+def _lift_move(group: FiniteGroup, arity: int, slots, move) -> list[int]:
+    """Permutation of G^arity indices applying the map x -> left·x·right of
+    each pair (left, right) of the move to every coordinate of its slot."""
+    q = group.order
+    digit_maps: list[Sequence[int]] = [range(q)] * arity
+    for slot, pair in zip(slots, move):
+        digit_map = translation(group, *pair)
+        for c in slot:
+            digit_maps[c] = digit_map
     perm = list(digit_maps[0])
     for digit_map in digit_maps[1:]:
-        q = len(digit_map)
         perm = [p * q + e for p in perm for e in digit_map]
     return perm
+
+
+# The moves a mover keeps per side: the distinct actions of one side length over
+# every census kind (patterns.SHAPES), so a census pass finds them kept while
+# that side length runs (twice as many digit copies, which depend on the domain's σ).
+_KEPT_MOVES = 5
+
+
+def _matrix_mover(relation: Relation, slots):
+    """(stride, whole, gather) for the relation's row matrix: the one code
+    that moves a relation's rows.
+
+    whole is S as one int, bit a·stride + b for the pair (a, b). slots =
+    (domain slots, codomain slots), a slot being a set of coordinates of
+    that side's carrier. A move of a side gives one pair (left, right) per
+    slot, whose map x -> left·x·right of G acts on every coordinate of the
+    slot; (0, 0) is the identity. A census passes one slot per side, its
+    acted-on coordinates, and translate_relation one per coordinate.
+    gather(cmoves, dmove) is the AND over the codomain moves of the copies
+    of S with bit (a, b) set iff (dmap[a], cmap[b]) lies in S, for dmap and
+    cmap the moves lifted (_lift_move). The last _KEPT_MOVES moves per side
+    are kept.
+
+    On a group with a digit layout (FiniteGroup._digit_layout: products of
+    cyclic groups, D_n and H_p) the stride is |Y|, and each coordinate of
+    the pair index holds a group index x = hi·L + lo. The map
+    f: x -> left·x·right adds h0 to the hi digits and sends lo to
+    σ·lo + t(hi), and is read off the table: h0 at x = 0, which is the one
+    lookup left·right; t at the q/L block starts x = hi·L; σ at x = 1, -1
+    only on D_n when right is a reflection. Bit (.., x, ..) of a copy is
+    bit (.., f(x), ..) of whole. So a copy starts from whole with lo negated
+    at the coordinates of each slot whose σ is -1 (each such base built
+    once by bits._negate_digit), rotates every hi digit of each slot by -h0
+    (bits._digit_shift), and then rotates lo by -σ·t(hi) in each hi block:
+    one rotation per distinct offset, masked by the union of the hi blocks
+    that share it. Those masks are kept by the blocks they cover, a set
+    bounded by the group. On a product of cyclic groups L = 1, and a move
+    is its hi rotation alone. No translation map is built.
+
+    Every other group lifts each move's translation maps, keeping the last
+    _KEPT_MOVES lifted maps per side. It moves the columns of all rows at
+    once (bits._column_permuter, built here once) into row-major bytes,
+    with the padded tile width as stride; a domain map joins their rows in
+    its order, and one int.from_bytes makes the copy.
+    """
+    group = relation.group
+    dslots, cslots = slots
+    n, m = relation.domain.arity, relation.codomain.arity
+    rows = relation.rows
+    size = relation.codomain.universe
+    layout = group._digit_layout()
+    if layout is None:
+        stride, permute = _column_permuter(rows, size)
+        cuts = [slice(x * stride, (x + 1) * stride) for x in range(len(rows))]
+        data = b"".join(row.to_bytes(stride, "little") for row in rows)
+        dstill, cstill = (((0, 0),) * len(side) for side in slots)
+        domain_map, codomain_map = (lru_cache(maxsize=_KEPT_MOVES)(partial(_lift_move, group, arity, side))
+                                    for arity, side in ((n, dslots), (m, cslots)))
+        permuted = lru_cache(maxsize=_KEPT_MOVES)(
+            lambda cmove: data if cmove == cstill else permute(codomain_map(cmove))
+        )
+
+        def gather(cmoves, dmove) -> int:
+            meet = -1
+            for matrix in map(permuted, cmoves):
+                if dmove != dstill:
+                    matrix = b"".join(map(matrix.__getitem__, map(cuts.__getitem__, domain_map(dmove))))
+                meet &= int.from_bytes(matrix, "little")
+            return meet
+
+        return stride * 8, int.from_bytes(data, "little"), gather
+
+    hi_digits, lo_length = layout
+    q = group.order
+    table = group._mul_table()
+    total = len(rows) * size
+    # Per side, per slot: the weight in the pair index of each coordinate's group
+    # index, and (weight in the group index, in the pair index, length) of each hi digit.
+    dweights, cweights = ([[unit * q ** (arity - 1 - c) for c in slot] for slot in side]
+                          for unit, arity, side in ((size, n, dslots), (1, m, cslots)))
+    dplaces, cplaces = ([[(w, weight * w, length) for weight in weights for w, length in hi_digits]
+                         for weights in side] for side in (dweights, cweights))
+    periods: dict[int, int] = {}  # period -> the mask of its multiples below total
+
+    # The masks are as long as the matrix: keep the few that one side length reuses
+    # (over every kind on Z2×Z4×Z12, D16 and H5, where 16 missed 2-4 times as often).
+    @lru_cache(maxsize=32)
+    def shift(weight: int, length: int, step: int) -> tuple[int, int, int, int]:
+        period = weight * length
+        if period not in periods:
+            periods[period] = _tile(1, period, total) & full_mask(total)
+        return _digit_shift(periods[period], weight, length, step)
+
+    def rotate(matrix: int, weight: int, length: int, step: int) -> int:
+        shl, high, shr, low = shift(weight, length, step)
+        return (matrix << shl & high) | (matrix >> shr & low)
+
+    def shifted(matrix: int, places, move) -> int:
+        """The matrix with each slot's hi digits rotated by minus those of
+        left·right. The slot is counted by hand: zip would cost more."""
+        slot = 0
+        for left, right in move:
+            h = table[left][right]
+            if h:
+                for w, scaled, length in places[slot]:
+                    step = -(h // w) % length
+                    if step:
+                        matrix = rotate(matrix, scaled, length, step)
+            slot += 1
+        return matrix
+
+    whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
+    if lo_length == 1:
+        copy = lru_cache(maxsize=_KEPT_MOVES)(lambda cmove: shifted(whole, cplaces, cmove))
+        return size, whole, lambda cmoves, dmove: shifted(reduce(and_, map(copy, cmoves)), dplaces, dmove)
+
+    @lru_cache(maxsize=_KEPT_MOVES)
+    def offsets(move) -> tuple[tuple[bool, ...], list[list[tuple[int, int]]]]:
+        """(σ = -1 per slot, per slot (lo step, hi blocks taking it as a mask) per distinct step)."""
+        negated, steps = [], []
+        for left, right in move:
+            row = table[left]
+            starts = [table[x][right] for x in row[::lo_length]]
+            flip = lo_length > 2 and (table[row[1]][right] - starts[0]) % lo_length != 1
+            blocks: dict[int, int] = {}
+            for h, t in enumerate(starts):
+                step = (t if flip else -t) % lo_length
+                blocks[step] = blocks.get(step, 0) | 1 << h
+            negated.append(flip)
+            steps.append(list(blocks.items()))
+        return tuple(negated), steps
+
+    unions: dict[tuple[int, int], int] = {}  # (weight, hi blocks) -> their union; the group bounds the keys
+
+    def union(weight: int, blocks: int) -> int:
+        if (weight, blocks) not in unions:
+            span = lo_length * weight
+            pattern = sum(full_mask(span) << h * span for h in iter_bits(blocks))
+            unions[weight, blocks] = _tile(pattern, q * weight, total) & full_mask(total)
+        return unions[weight, blocks]
+
+    def moved(matrix: int, weights, places, move, slot_steps) -> int:
+        """shifted, then lo rotated by -σ·t(hi) in each hi block of each slot."""
+        matrix = shifted(matrix, places, move)
+        slot = 0
+        for steps in slot_steps:
+            for weight in weights[slot]:
+                out = 0
+                for step, blocks in steps:
+                    part = matrix if len(steps) == 1 else matrix & union(weight, blocks)
+                    out |= rotate(part, weight, lo_length, step) if step else part
+                matrix = out
+            slot += 1
+        return matrix
+
+    bases: dict[tuple[bool, ...], int] = {}
+
+    def base(negated: tuple[bool, ...]) -> int:
+        """whole with lo negated at the coordinates of the slots marked, domain slots first."""
+        if negated not in bases:
+            matrix = whole
+            for flip, weights in zip(negated, dweights + cweights):
+                if flip:
+                    for weight in weights:
+                        matrix = _negate_digit(matrix, total, weight, lo_length)
+            bases[negated] = matrix
+        return bases[negated]
+
+    @lru_cache(maxsize=2 * _KEPT_MOVES)
+    def copy(cmove, dnegated: tuple[bool, ...]) -> int:
+        cnegated, steps = offsets(cmove)
+        return moved(base(dnegated + cnegated), cweights, cplaces, cmove, steps)
+
+    def gather(cmoves, dmove) -> int:
+        dnegated, steps = offsets(dmove)
+        matrix = reduce(and_, [copy(cmove, dnegated) for cmove in cmoves])
+        return moved(matrix, dweights, dplaces, dmove, steps)
+
+    # The codomain moves wait for the domain move, whose σ picks their base.
+    return size, whole, gather
 
 
 @dataclass(frozen=True)
@@ -248,42 +430,36 @@ def density(relation: Relation, normalization: str = "group_power") -> Fraction:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def _shift_map(group: FiniteGroup, arity: int, shift, side) -> list[int] | None:
-    """Permutation of G^arity applying one side's shift, or None for no shift.
-
-    It is lifted from the per-coordinate translations: x -> x·g for a right
-    shift by g, x -> g·x for a left one.
-    """
+def _shift_move(group: FiniteGroup, arity: int, shift, side) -> tuple[tuple[int, int], ...]:
+    """One side's shift as a move: per coordinate, the pair (left, right) of
+    x -> x·g for a right shift by g, x -> g·x for a left one, and (0, 0)
+    where the coordinate's shift, or the whole shift, is None. Every side
+    is checked, whether its coordinate is shifted or not."""
     if shift is None:
-        return None
-    if isinstance(shift, GroupElement):
+        shift = (None,) * arity
+    elif isinstance(shift, GroupElement):
         if arity > 1:
             raise ArityMismatch(
                 f"single-element shift needs arity 1, carrier has arity {arity}; "
                 "pass a per-coordinate tuple instead"
             )
         shift = (shift,)
-    shifts: list[int | None] = []
+    shifts: list[int] = []
     for item in shift:
         if item is None:
-            shifts.append(None)
+            shifts.append(0)
         elif isinstance(item, GroupElement):
             if item.group is not group:
-                raise CrossGroupElement(
-                    f"shift element of {item.group.name} used with {group.name}"
-                )
+                raise CrossGroupElement(f"shift element of {item.group.name} used with {group.name}")
             shifts.append(item.index)
         else:
             raise ArityMismatch(f"shift entries must be GroupElement or None, got {item!r}")
     if len(shifts) != arity:
         raise ArityMismatch(f"shift tuple length {len(shifts)} != arity {arity}")
-    sides = [side] * arity if isinstance(side, str) else list(side)
+    sides = list(side) if isinstance(side, (tuple, list)) else [side] * arity
     if len(sides) != arity:
         raise ArityMismatch(f"side tuple length {len(sides)} != arity {arity}")
-    return _lift_digit_maps([
-        range(group.order) if s is None else _side_translation(group, s, sd)
-        for s, sd in zip(shifts, sides)
-    ])
+    return tuple(map(_side_pair, shifts, sides))
 
 
 def translate_relation(
@@ -302,24 +478,25 @@ def translate_relation(
     GroupElement/None per coordinate (higher arity), or None for identity.
     """
     group = relation.group
-    dom, cod, rows = relation.domain, relation.codomain, list(relation.rows)
-    dmap = _shift_map(group, dom.arity, domain_shift, domain_side)
-    cmap = _shift_map(group, cod.arity, codomain_shift, codomain_side)
-    # Output (x, y) is input (dmap[x], cmap[y]). The codomain move takes
-    # column cmap[y] of every row, and of the carrier as one more row, to
-    # column y at once.
-    if cmap is not None:
-        stride, permute = _column_permuter([*rows, cod.members], cod.universe)
-        moved = permute(cmap)
-        *rows, members = (
-            int.from_bytes(moved[i:i + stride], "little") for i in range(0, len(moved), stride)
-        )
-        cod = CarrierSet(group, cod.arity, members)
-    if dmap is not None:
-        rows = list(map(rows.__getitem__, dmap))
-        members = mask_of(x for x, source in enumerate(dmap) if dom.members >> source & 1)
-        dom = CarrierSet(group, dom.arity, members)
-    return Relation(dom, cod, tuple(rows))
+    carriers = relation.domain, relation.codomain
+    dmove, cmove = (_shift_move(group, carrier.arity, shift, side) for carrier, shift, side
+                    in zip(carriers, (domain_shift, codomain_shift), (domain_side, codomain_side)))
+    # One slot per coordinate. Output (x, y) is input (dmap[x], cmap[y]):
+    # one gather moves every row at once, and the result is cut back into rows.
+    slots = [[(c,) for c in range(carrier.arity)] for carrier in carriers]
+    stride, _, gather = _matrix_mover(relation, slots)
+    text = format(gather([cmove], dmove), f"0{len(relation.rows) * stride}b")
+    rows = tuple(int(text[i - stride:i], 2) for i in range(len(text), 0, -stride))
+
+    def moved(carrier: CarrierSet, side_slots, move) -> CarrierSet:
+        """The carrier's members x with the lifted move's image of x a member."""
+        if carrier.members == full_mask(carrier.universe):
+            return carrier
+        source = _lift_move(group, carrier.arity, side_slots, move)
+        members = mask_of(x for x, s in enumerate(source) if carrier.members >> s & 1)
+        return CarrierSet(group, carrier.arity, members)
+
+    return Relation(*map(moved, carriers, slots, (dmove, cmove)), rows)
 
 
 def relation_algebra(op: str, lhs: Relation, rhs: Relation | None = None) -> Relation:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,9 @@ from groupstab import (
     subgroup,
     subgroups_up_to_index,
 )
+from groupstab import groups
 from groupstab.bits import iter_bits, mask_of
-from groupstab.groups import _coset_masks, _grow, _power_subgroup, closure, parse_cayley_table
+from groupstab.groups import _coset_masks, _grow, closure, parse_cayley_table
 
 from oracles import (
     brute_closure,
@@ -360,7 +362,7 @@ def test_a_kept_lattice_charges_the_budget_as_its_walk_did(build, max_index):
     warm = build()
     m = min(max_index, warm.order)
     subgroups_up_to_index(warm, m)
-    charged = warm._lattices[_power_subgroup(warm, m)][1]
+    (_, charged), = warm._lattices.values()
     for budget in sorted({0, max(charged - 1, 0), charged}):
         cold = build()
         outcomes = []
@@ -372,6 +374,22 @@ def test_a_kept_lattice_charges_the_budget_as_its_walk_did(build, max_index):
         assert outcomes[0] == outcomes[1], budget
         assert isinstance(outcomes[0], list) == (budget >= charged)
         assert bool(cold._lattices) == (budget >= charged)
+
+
+@pytest.mark.parametrize("build", MEMO_BUILDS + [lambda: cyclic(64), lambda: dihedral(16)],
+                         ids=["Z12", "Z2^3", "D6", "H3", "Z2xD3", "Z64", "D16"])
+def test_a_repeated_search_keeps_the_power_subgroup(build):
+    """The group keeps P per exponent e = lcm(1..max_index) mod |G|: a repeated
+    search, and one at another max_index with the same e (lcm(1..5) =
+    lcm(1..6) = 60), build no P, and every search lists what it lists on a
+    fresh group."""
+    warm = build()
+    searches = (4, 4, 5, 6)
+    with mock.patch.object(groups, "_power_subgroup", wraps=groups._power_subgroup) as powers:
+        listings = [listing(subgroups_up_to_index(warm, m)) for m in searches]
+    exponents = {math.lcm(*range(1, m + 1)) % warm.order for m in searches}
+    assert powers.call_count == len(exponents) == len(warm._powers)
+    assert listings == [listing(subgroups_up_to_index(build(), m)) for m in searches]
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from groupstab import (
     subgroup,
     subgroups_up_to_index,
 )
-from groupstab import patterns
+from groupstab import patterns, relations
 from groupstab.bits import _column_permuter, mask_of, permute_bits
 from groupstab.genlab import random_dense
 from groupstab.groups import parse_cayley_table
@@ -174,14 +174,16 @@ def test_censuses_match_brute_force_property(data):
 def test_census_never_permutes_bit_by_bit():
     """Every move is a rotation or one column permutation per side length."""
     rng = random.Random(77)
-    relations = [
+    rels = [
         random_relation(group, rng, proper_carriers=proper)
         for group in (dihedral(5), heisenberg(3), product(cyclic(2), dihedral(3)))
         for proper in (False, True)
     ]
     lifted = [random_relation(group, rng, arity=(1, 2)) for group in (cyclic(4), dihedral(3))]
-    with mock.patch("groupstab.patterns.permute_bits", wraps=permute_bits) as spy:
-        for rel in relations:
+    # The census moves rows in relations._matrix_mover: spy on both modules.
+    with mock.patch("groupstab.patterns.permute_bits", wraps=permute_bits) as spy, \
+            mock.patch("groupstab.relations.permute_bits", wraps=permute_bits) as mover_spy:
+        for rel in rels:
             for kind, shape in SHAPES.items():
                 if shape.abelian_error:
                     with pytest.raises(NonAbelianGroup):
@@ -193,7 +195,7 @@ def test_census_never_permutes_bit_by_bit():
             for lift in ({}, {"coordinate": 0}, {"diagonal": True}):
                 census(rel, "square", **lift)
                 census(rel, "square", True, 40, **lift)
-    assert spy.call_count == 0
+    assert spy.call_count == mover_spy.call_count == 0
 
 
 def test_a_dihedral_table_loaded_from_a_file_permutes_columns_and_counts_the_same():
@@ -212,7 +214,7 @@ def test_a_dihedral_table_loaded_from_a_file_permutes_columns_and_counts_the_sam
                 continue
             reports = []
             for rel in rels:
-                with mock.patch.object(patterns, "_column_permuter", wraps=_column_permuter) as permuters:
+                with mock.patch.object(relations, "_column_permuter", wraps=_column_permuter) as permuters:
                     reports.append(json.dumps(census(rel, kind, True, 500).to_json()))
                 assert permuters.call_count == (rel.group is loaded), kind
             assert reports[0] == reports[1], kind
@@ -245,6 +247,14 @@ def test_one_pass_over_several_kinds_counts_as_each_census(group, delta):
         assert list(counted) == list(dict.fromkeys(kinds))
         assert {kind: json.dumps(c.to_json()) for kind, c in counted.items()} == {
             kind: alone[kind] for kind in kinds}
+
+
+def test_a_mover_keeps_every_action_of_one_side_length():
+    """The mover keeps relations._KEPT_MOVES moves per side: at least the
+    distinct actions over every census kind, so that a pass over any kinds
+    finds each side length's moves kept while it runs."""
+    actions = {action for shape in SHAPES.values() for point in shape.points for action in point}
+    assert len(actions) <= relations._KEPT_MOVES
 
 
 def test_a_lifted_pass_counts_as_each_census():

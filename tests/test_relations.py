@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from groupstab import (
+    ArityMismatch,
     CarrierMismatch,
     CarrierSet,
     EmptyCarrier,
@@ -126,6 +127,23 @@ def test_translate_arity_errors():
         translate_relation(rel, domain_shift=(z4.element(1),))
 
 
+def test_translate_checks_every_side_even_where_nothing_is_shifted():
+    """A side value, and a side tuple's length, are checked whether the shift,
+    or that coordinate's shift, is None or not."""
+    z4 = cyclic(4)
+    rel = random_relation(z4, random.Random(2), arity=(1, 2))
+    for side in ("sideways", None, 0):
+        with pytest.raises(ValueError, match=f"side must be 'left' or 'right', got {side!r}"):
+            translate_relation(rel, domain_side=side)
+    with pytest.raises(ValueError, match="got 'x'"):
+        translate_relation(rel, codomain_shift=(None, z4.element(1)), codomain_side=("x", "left"))
+    with pytest.raises(ArityMismatch, match="side tuple length 3 != arity 1"):
+        translate_relation(rel, domain_side=("left", "right", "x"))
+    with pytest.raises(ArityMismatch, match="side tuple length 1 != arity 2"):
+        translate_relation(rel, codomain_side=("left",))
+    assert translate_relation(rel, domain_side=("left",), codomain_side=("right", "left")) == rel
+
+
 def test_translate_preserves_edge_count():
     rng = random.Random(11)
     d4 = dihedral(4)
@@ -229,6 +247,13 @@ def test_coordinate_action_shapes():
     diag = coordinate_action(z3, 2, 1, "right", diagonal=True)
     assert diag[0] == encode_tuple(z3, (1, 1))
     assert sorted(perm) == list(range(9)) and sorted(diag) == list(range(9))
+
+
+@pytest.mark.parametrize("arity", [0, -1])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_coordinate_action_refuses_an_arity_below_one(arity, diagonal):
+    with pytest.raises(ValueError, match=f"arity must be >= 1, got {arity}"):
+        coordinate_action(cyclic(3), arity, 1, diagonal=diagonal)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """translations: x -> l·x·r and every bitset and relation translated by it,
 against pointwise definitions on the oracle groups."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -25,11 +26,10 @@ from groupstab import (
     subgroup,
     translate_relation,
 )
-from groupstab import bits, patterns
+from groupstab import bits, patterns, relations
 from groupstab.bits import _column_permuter, _digit_shift, iter_bits, mask_of, permute_bits
 from groupstab.groups import parse_cayley_table, translation
-from groupstab.patterns import _matrix_mover
-from groupstab.relations import decode_tuple, encode_tuple
+from groupstab.relations import _matrix_mover, decode_tuple, encode_tuple
 
 from oracles import brute_closure, ref_cyclic, ref_dihedral, ref_heisenberg, ref_product
 from test_relations import random_relation
@@ -45,6 +45,10 @@ def reference(group):
 
 
 PAIRS = [(g, reference(g)) for g in builtin_catalogue(16) + [dihedral(5), heisenberg(3)]]
+# Groups without a digit layout: a product with a non-cyclic factor, and D5
+# loaded from the table file format.
+Z2xD3 = product(cyclic(2), dihedral(3))
+LOADED_D5 = parse_cayley_table(format_cayley_table(dihedral(5)))
 
 
 @st.composite
@@ -140,8 +144,9 @@ def shifts(draw, group, arity):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_translate_relation_matches_pointwise_definition(data):
-    group, ref = data.draw(st.sampled_from(PAIRS), label="group")
-    arities = [1, 2] if group.order <= 8 else [1]
+    pairs = PAIRS + [(Z2xD3, reference(Z2xD3)), (LOADED_D5, reference(dihedral(5)))]
+    group, ref = data.draw(st.sampled_from(pairs), label="group")
+    arities = [1, 2] if group.order <= 12 else [1]
     n, m = (data.draw(st.sampled_from(arities), label=side) for side in ("n", "m"))
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     rel = random_relation(group, rng, (n, m), proper_carriers=data.draw(st.booleans()))
@@ -248,79 +253,96 @@ def test_iter_bits_lists_the_set_bits_ascending_on_both_sides_of_the_scan_width(
     assert list(iter_bits(mask)) == [i for i in range(width) if mask >> i & 1]
 
 
-Z2xD3 = product(cyclic(2), dihedral(3))
 # D1, D2 and H2 have L <= 2, where negating the low digit is the identity.
 MOVER_PAIRS = PAIRS + [(g, reference(g)) for g in (Z2xD3, product(cyclic(2), cyclic(3), cyclic(2)),
                                                    dihedral(1), dihedral(2), heisenberg(2))]
-LIFTS = {1: [(None, False)], 2: [(None, False), (0, False), (1, False), (None, True)]}
+# A side's slots: the one slot of a census lift (the last coordinate, the
+# first, or every coordinate at once), or one slot per coordinate, as
+# translate_relation passes.
+SLOTS = {1: [[[0]]], 2: [[[1]], [[0]], [[0, 1]], [[0], [1]]]}
 
 
 @st.composite
 def mover_cases(draw):
-    """(group, oracle group, relation, lifts) for carriers of arity 1 or 2 and a
-    lift per side."""
+    """(group, oracle group, relation, slots) for carriers of arity 1 or 2 and
+    slots per side."""
     group, ref = draw(st.sampled_from(MOVER_PAIRS), label="group")
     arities = [1, 2] if group.order <= 12 else [1]
     n, m = (draw(st.sampled_from(arities), label=side) for side in ("n", "m"))
-    lifts = [draw(st.sampled_from(LIFTS[arity]), label="lift") for arity in (n, m)]
+    slots = [draw(st.sampled_from(SLOTS[arity]), label="slots") for arity in (n, m)]
     rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
     rel = random_relation(group, rng, (n, m), proper_carriers=draw(st.booleans(), label="proper"))
-    return group, ref, rel, lifts
+    return group, ref, rel, slots
 
 
 @settings(max_examples=150, deadline=None)
 @given(mover_cases(), st.data())
 def test_row_moves_are_translations(case, data):
-    """gather(columns(cpair), dpair) is S as one int with row dmap[a] of S in
-    row a, column cmap[b] of it moved to column b, for dmap and cmap the
-    lifted maps x -> l·x·r of the pairs (l, r): each row picked by the lifted
-    domain map and permuted bit by bit by the inverse of the lifted codomain
-    map, both from the oracle group. A drawn None stands for the identity,
-    the pair (0, 0)."""
-    group, ref, rel, lifts = case
+    """gather(cmoves, dmove) is S as one int with row dmap[a] of S in row a,
+    column cmap[b] of it moved to column b, ANDed over the codomain moves,
+    for dmap and cmap the moves lifted: each slot's pair (l, r) maps every
+    coordinate of the slot by x -> l·x·r of the oracle group. Each row is
+    picked by the lifted domain map and permuted bit by bit by the inverse
+    of a lifted codomain map. A drawn None stands for the identity move,
+    (0, 0) in every slot."""
+    group, ref, rel, slots = case
     q = group.order
-    stride, whole, columns, gather = _matrix_mover(rel, lifts)
+    stride, whole, gather = _matrix_mover(rel, slots)
     assert stride >= rel.codomain.universe
 
-    def lifted(arity, lift, pair):
-        """The lifted map of x -> l·x·r on G^arity from the oracle group."""
-        left, right = pair
-        digit = [ref.mul(ref.mul(left, y), right) for y in range(q)]
-        coordinate, diagonal = lift
-        shifted = range(arity) if diagonal else [arity - 1 if coordinate is None else coordinate]
+    def lifted(arity, side_slots, move):
+        """The lifted map of the move on G^arity from the oracle group."""
         out = []
         for y in range(q**arity):
             coords = list(decode_tuple(group, arity, y))
-            for i in shifted:
-                coords[i] = digit[coords[i]]
+            for slot, (left, right) in zip(side_slots, move):
+                for i in slot:
+                    coords[i] = ref.mul(ref.mul(left, coords[i]), right)
             out.append(encode_tuple(group, coords))
         return out
 
     def joined(rows):
         return sum(row << a * stride for a, row in enumerate(rows))
 
+    def moves(side_slots):
+        pair = st.tuples(*[st.integers(0, q - 1)] * 2)
+        return st.none() | st.tuples(*[pair] * len(side_slots))
+
     assert whole == joined(rel.rows)
+    dslots, cslots = slots
     for label in ("first", "second"):  # one mover serves any number of moves
-        pairs = [data.draw(st.none() | st.tuples(*[st.integers(0, q - 1)] * 2), label=f"{label} {side}")
-                 for side in ("domain", "codomain")]
-        dsource, csource = (
-            range(carrier.universe) if pair is None else lifted(carrier.arity, lift, pair)
-            for pair, carrier, lift in zip(pairs, (rel.domain, rel.codomain), lifts)
-        )
-        inverse = [0] * len(csource)
-        for y, source in enumerate(csource):
-            inverse[source] = y
-        expected = joined(permute_bits(rel.rows[x], inverse) for x in dsource)
-        dpair, cpair = ((0, 0) if pair is None else pair for pair in pairs)
-        assert gather(columns(cpair), dpair) == expected
+        dmove = data.draw(moves(dslots), label=f"{label} domain")
+        cmoves = data.draw(st.lists(moves(cslots), min_size=1, max_size=2), label=f"{label} codomain")
+        dsource = range(rel.domain.universe) if dmove is None else lifted(rel.domain.arity, dslots, dmove)
+        expected = -1
+        for cmove in cmoves:
+            csource = range(rel.codomain.universe) if cmove is None else lifted(
+                rel.codomain.arity, cslots, cmove)
+            inverse = [0] * len(csource)
+            for y, source in enumerate(csource):
+                inverse[source] = y
+            expected &= joined(permute_bits(rel.rows[x], inverse) for x in dsource)
+        still = [((0, 0),) * len(side_slots) for side_slots in slots]
+        assert gather([still[1] if cmove is None else cmove for cmove in cmoves],
+                      still[0] if dmove is None else dmove) == expected
+
+
+@contextlib.contextmanager
+def row_moves():
+    """Spies on the ways rows move: yields a function that reads the calls so
+    far to the column permuter, to digit rotation and to translation maps."""
+    with mock.patch.object(relations, "_column_permuter", wraps=_column_permuter) as permuters, \
+            mock.patch.object(relations, "_digit_shift", wraps=_digit_shift) as shifts, \
+            mock.patch.object(relations, "translation", wraps=translation) as translations:
+        yield lambda: (permuters.call_count, shifts.call_count, translations.call_count)
 
 
 def test_only_groups_with_a_digit_layout_rotate():
     """Products of cyclic groups, D_n and H_p rotate at every arity and never
-    build a column permuter, and their censuses build no translation map;
-    Z2×D3 and the catalogue's Cayley tables, D_n and H_p among them, loaded
-    from the table file format, build one permuter per census and never
-    rotate."""
+    build a column permuter, and neither their censuses nor translate_relation
+    build a translation map for their rows; Z2×D3 and the catalogue's Cayley
+    tables, D_n and H_p among them, loaded from the table file format, build
+    one permuter per census and per translation and never rotate."""
     arities = [(1, 1), (2, 1), (1, 2), (2, 2)]
     tables = [parse_cayley_table(format_cayley_table(g))
               for g in builtin_catalogue(16) + [dihedral(5), heisenberg(3)] if "cayley_table" in g.recipe]
@@ -329,24 +351,32 @@ def test_only_groups_with_a_digit_layout_rotate():
         q = group.order
         if max(n, m) > 1 and q > 12:
             continue
-        rel = random_relation(group, random.Random(q), (n, m))
-        with mock.patch.object(patterns, "_column_permuter", wraps=_column_permuter) as permuters, \
-                mock.patch.object(patterns, "_digit_shift", wraps=_digit_shift) as shifts:
-            _, _, columns, gather = _matrix_mover(rel, [(None, False)] * 2)
+        rel = random_relation(group, random.Random(q), (n, m))  # full carriers
+        with row_moves() as calls:  # a census's moves, on the last coordinate of each side
+            _, _, gather = _matrix_mover(rel, [[[n - 1]], [[m - 1]]])
             for left in range(q):
-                move = (left, q - 1)
-                gather(columns(move), move)
+                move = ((left, q - 1),)
+                gather([move], move)
+            by_census = calls()
+        with row_moves() as calls:  # every coordinate shifted by the last element
+            shifts = [tuple(group.element(q - 1) for _ in range(arity)) for arity in (n, m)]
+            translate_relation(rel, *shifts, ("left", "right")[:n], ("right", "left")[:m])
+            by_translate = calls()
         if group is not Z2xD3 and group not in tables:
-            assert (permuters.call_count, shifts.call_count > 0) == (0, q > 1), group.name
+            assert [(permuters, rotations > 0) for permuters, rotations, _ in (by_census, by_translate)] == [
+                (0, q > 1)] * 2, (group.name, n, m)
+            assert by_translate[2] == 0, (group.name, n, m)
             kinds = [kind for kind, shape in patterns.SHAPES.items()
                      if all(lifted or arity == 1 for lifted, arity in zip(shape.lifted, (n, m)))
                      and (group.is_abelian or not shape.abelian_error)]
-            with mock.patch.object(patterns, "translation", wraps=translation) as translations:
+            with row_moves() as calls, \
+                    mock.patch.object(patterns, "translation", wraps=translation) as pattern_translations:
                 for kind in kinds:
                     patterns.census(rel, kind)
-            assert translations.call_count == 0, (group.name, n, m)
+                assert (calls()[2], pattern_translations.call_count) == (0, 0), (group.name, n, m)
         else:
-            assert (permuters.call_count, shifts.call_count) == (1, 0), (group.name, n, m)
+            assert [(permuters, rotations) for permuters, rotations, _ in (by_census, by_translate)] == [
+                (1, 0)] * 2, (group.name, n, m)
 
 
 @pytest.mark.parametrize("group", [dihedral(n) for n in range(1, 13)] + [heisenberg(p) for p in (2, 3, 5)],
