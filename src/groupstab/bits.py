@@ -104,7 +104,7 @@ def _column_permuter(rows, size: int):
     byte-aligned t-bit chunk. Each call lists a band's chunks in the order
     source gives, transposes the tiles back and interleaves their rows.
     """
-    t = max(8, 1 << (min(len(rows), size) - 1).bit_length())
+    t = _tile_width(len(rows), size)
     width = t // 8  # bytes per tile row
     blocks = -(-size // t)
     cuts = [slice(i * width, (i + 1) * width) for i in range(t)]
@@ -136,6 +136,12 @@ def _column_permuter(rows, size: int):
         return b"".join(out)
 
     return blocks * width, permute
+
+
+def _tile_width(count: int, size: int) -> int:
+    """The tile width t of _column_permuter for count rows of size columns:
+    its stride is ceil(size / t)·t / 8 bytes."""
+    return max(8, 1 << (min(count, size) - 1).bit_length())
 
 
 def _transpose_swaps(w: int) -> list[tuple[int, int]]:

@@ -24,6 +24,12 @@ k-2 sums over the unordered pairs of the rows `_split` lets through, in
 closed form (`_node_pairs`, and `_root_pairs` at k = 2). At k = 3 that is
 one AND and popcount per pair. The enumeration needs the b-sets, so it
 walks to depth k.
+
+A translation-invariant relation, (x, y) in S iff x^-1·y in A (or iff
+y·x^-1 in A), has G permuting its distinct rows transitively, with the
+b's moved along: every root branch of the walk adds the same amount, so
+the count walks the branch of the identity's row alone and multiplies by
+the number of distinct rows (`_translation_invariant`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_, invert, mul, or_
 
-from .bits import iter_bits
+from .bits import full_mask, iter_bits, mask_of
 from .errors import BudgetExceeded, _check_budget
 from .genlab import frac_json
 from .relations import Relation
@@ -106,13 +112,22 @@ def count_halfgraphs_exact(
 
     Equal rows contribute symmetrically (and repeated rows contribute
     nothing), so the sum runs over tuples of distinct row values weighted by
-    their multiplicities. The budget is charged for the injective ones,
-    d·(d-1)···(d-k+1) over the d distinct non-empty rows, and checked before
-    any walking; with d < k it is 0 and so is the count. A negative budget
-    is a ValueError. The a-tuples grow through `_walk`, whose one pruning
-    rule is `_split`, to depth k-2, and each node there adds, per unordered
-    pair of the rows that extend it, both orders at once (`_node_pairs`;
-    `_root_pairs` at k = 2).
+    their multiplicities. The a-tuples grow through `_walk`, whose one
+    pruning rule is `_split`, to depth k-2, and each node there adds, per
+    unordered pair of the rows that extend it, both orders at once
+    (`_node_pairs`; `_root_pairs` at k = 2).
+
+    At k >= 3 with d >= k distinct non-empty rows, S is first tested for
+    translation invariance (`_translation_invariant`: arity 1, full
+    carriers, d dividing |G|, rows of equal size, and row(x) = x·row(e)
+    for every x, or row(x) = row(e)·x). G then permutes the distinct rows transitively and
+    every root branch adds the same amount, so only the branch rooted at
+    row(e) is walked, with every distinct row a candidate below it, and
+    its sum is multiplied by d. The budget is charged for the most
+    a-tuples the walk can visit, checked before any walking: perm(d-1, k-1)
+    for that one branch, and d·(d-1)···(d-k+1), the injective tuples of
+    distinct rows, otherwise (k <= 2 always). With d < k that is 0 and so
+    is the count. A negative budget is a ValueError.
     """
     if k < 1:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
@@ -125,7 +140,9 @@ def count_halfgraphs_exact(
     vals = list(mult)
     weights = [mult[v] for v in vals]
     d = len(vals)
-    tuples = math.perm(d, k)
+    # At k = 2 the test would cost small relations more than one root saves.
+    invariant = k >= 3 and d >= k and _translation_invariant(relation, d)
+    tuples = math.perm(d - 1, k - 1) if invariant else math.perm(d, k)
     if tuples > budget:
         raise BudgetExceeded(tuples, budget, "a-tuples")
     if k == 1:
@@ -133,11 +150,41 @@ def count_halfgraphs_exact(
     if k == 2:
         return _exact_report(relation, k, _root_pairs(vals, weights))
     nots = [~v for v in vals]
+    # Rows are listed from the identity's on, so vals[0] is row(e).
+    roots = [0] if invariant else range(d)
     total = sum(
         math.prod(weights[c] for c in path) * _node_pairs(ts, vals, nots, weights, cands)
-        for path, ts, cands in _walk(vals, nots, range(d), k - 2)
+        for path, ts, cands in _walk(vals, nots, roots, range(d), k - 2)
     )
-    return _exact_report(relation, k, total)
+    return _exact_report(relation, k, d * total if invariant else total)
+
+
+def _translation_invariant(relation: Relation, d: int) -> bool:
+    """Whether S, with d distinct non-empty rows, has full carriers of arity
+    1 and is left-invariant, row(x) = x·row(e) for every x, or
+    right-invariant, row(x) = row(e)·x.
+
+    G permutes the rows of such an S transitively, so each distinct row
+    repeats |G|/d times and all rows have one size: a d that does not
+    divide |G|, or rows of unequal size, rule both sides out before any
+    product is taken. Each side stops at the first row that differs. Reads
+    the group's table.
+    """
+    domain, codomain = relation.domain, relation.codomain
+    if domain.arity != 1 or codomain.arity != 1 or domain.universe % d:
+        return False
+    full = full_mask(domain.universe)
+    if domain.members != full or codomain.members != full:
+        return False
+    rows = relation.rows
+    size = rows[0].bit_count()
+    if any(row.bit_count() != size for row in rows):
+        return False
+    table = relation.group._mul_table()
+    base = list(iter_bits(rows[0]))
+    return all(mask_of(map(table[x].__getitem__, base)) == row for x, row in enumerate(rows)) or all(
+        mask_of(table[a][x] for a in base) == row for x, row in enumerate(rows)
+    )
 
 
 def _root_pairs(rows: list[int], weights: list[int]) -> int:
@@ -193,22 +240,21 @@ def _node_pairs(ts: list[int], rows, nots, weights, cands: list[int]) -> int:
     return total
 
 
-def _walk(rows, nots, roots, depth: int):
+def _walk(rows, nots, roots, cands, depth: int):
     """(path, ts, cands) for every a-tuple `path` of length `depth` that
     `_split` lets grow from `roots`, in lexicographic order of paths.
 
-    A root c starts as T_1 = rows[c] with every root as a candidate; each
+    A root c starts as T_1 = rows[c] with `cands` as its candidates; each
     node below grows through `_split`. `ts` holds the path's T's newest
     first and `cands` the rows that survived at the path's parent, the only
     ones that can extend it.
     """
     if depth == 1:
-        roots = list(roots)
         for c in roots:
-            yield (c,), [rows[c]], roots
+            yield (c,), [rows[c]], cands
         return
-    for path, ts, cands in _walk(rows, nots, roots, depth - 1):
-        kids = _split(ts, rows, nots, cands)
+    for path, ts, node_cands in _walk(rows, nots, roots, cands, depth - 1):
+        kids = _split(ts, rows, nots, node_cands)
         survivors = [c for c, _ in kids]
         for c, child in kids:
             yield path + (c,), child, survivors
@@ -281,7 +327,7 @@ def enumerate_halfgraphs(relation: Relation, k: int, limit: int) -> list[tuple[i
     xs = [x for x in relation.domain.member_indices() if rows[x]]
     witnesses = (
         a + bs
-        for a, ts, _ in _walk(rows, nots, xs, k)
+        for a, ts, _ in _walk(rows, nots, xs, xs, k)
         for bs in itertools.product(*(iter_bits(t) for t in reversed(ts)))
     )
     out = list(itertools.islice(witnesses, limit))

@@ -11,13 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from operator import and_
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .bits import (
-    _column_permuter, _digit_shift, _negate_digit, _tile, full_mask, iter_bits, mask_of, permute_bits,
+    _column_permuter, _digit_shift, _negate_digit, _tile, _tile_width, full_mask, iter_bits, mask_of,
+    permute_bits,
 )
 from .errors import (
     ArityMismatch,
@@ -143,9 +144,9 @@ def _matrix_mover(relation: Relation, slots):
 
     Every other group lifts each move's translation maps, keeping the last
     _KEPT_MOVES lifted maps per side. It moves the columns of all rows at
-    once (bits._column_permuter, built here once) into row-major bytes,
-    with the padded tile width as stride; a domain map joins their rows in
-    its order, and one int.from_bytes makes the copy.
+    once (bits._column_permuter, built on the first codomain move) into
+    row-major bytes, with the padded tile width as stride; a domain map
+    joins their rows in its order, and one int.from_bytes makes the copy.
     """
     group = relation.group
     dslots, cslots = slots
@@ -154,14 +155,17 @@ def _matrix_mover(relation: Relation, slots):
     size = relation.codomain.universe
     layout = group._digit_layout()
     if layout is None:
-        stride, permute = _column_permuter(rows, size)
+        t = _tile_width(len(rows), size)
+        stride = -(-size // t) * t // 8
         cuts = [slice(x * stride, (x + 1) * stride) for x in range(len(rows))]
         data = b"".join(row.to_bytes(stride, "little") for row in rows)
         dstill, cstill = (((0, 0),) * len(side) for side in slots)
         domain_map, codomain_map = (lru_cache(maxsize=_KEPT_MOVES)(partial(_lift_move, group, arity, side))
                                     for arity, side in ((n, dslots), (m, cslots)))
+        # The tiles are transposed on the first codomain move: a domain move needs none.
+        permuter = cache(lambda: _column_permuter(rows, size)[1])
         permuted = lru_cache(maxsize=_KEPT_MOVES)(
-            lambda cmove: data if cmove == cstill else permute(codomain_map(cmove))
+            lambda cmove: data if cmove == cstill else permuter()(codomain_map(cmove))
         )
 
         def gather(cmoves, dmove) -> int:
@@ -476,11 +480,14 @@ def translate_relation(
     (x·g, y·h) is in the input. Carriers move along, so carriers and edge
     counts are preserved. Shifts are GroupElement (arity 1), tuples of
     GroupElement/None per coordinate (higher arity), or None for identity.
+    With no shift on either side the relation itself comes back, unmoved.
     """
     group = relation.group
     carriers = relation.domain, relation.codomain
     dmove, cmove = (_shift_move(group, carrier.arity, shift, side) for carrier, shift, side
                     in zip(carriers, (domain_shift, codomain_shift), (domain_side, codomain_side)))
+    if not any(map(any, dmove + cmove)):
+        return relation
     # One slot per coordinate. Output (x, y) is input (dmap[x], cmap[y]):
     # one gather moves every row at once, and the result is cut back into rows.
     slots = [[(c,) for c in range(carrier.arity)] for carrier in carriers]

@@ -55,6 +55,23 @@ def brute_halfgraph_witnesses(relation: Relation, k: int) -> list[tuple[int, ...
     return out
 
 
+def brute_is_translation_invariant(relation: Relation) -> bool:
+    """Whether S has full carriers of arity 1 and, for one fixed side,
+    (x, y) in S iff (e, x^-1·y) in S for all x, y (left), or iff
+    (e, y·x^-1) in S (right): S is the relation x^-1·y in A, or y·x^-1 in A."""
+    group = relation.group
+    q = group.order
+    for carrier in (relation.domain, relation.codomain):
+        if carrier.arity != 1 or carrier.size != q:
+            return False
+    pairs = pair_set(relation)
+    sides = (lambda x, y: group.mul(group.inv(x), y), lambda x, y: group.mul(y, group.inv(x)))
+    return any(
+        all(((x, y) in pairs) == ((0, side(x, y)) in pairs) for x in range(q) for y in range(q))
+        for side in sides
+    )
+
+
 def _census_counts(group, relation, points_of) -> list[int]:
     """Per-g counts of triples (x, y, g) whose pattern points all lie in S."""
     pairs = pair_set(relation)

@@ -453,11 +453,12 @@ def test_nonabelian_example_family_matches_the_oracles(tmp_path):
             )
 
 
-def test_asymptotic_example_family_matches_the_oracles(tmp_path):
-    """The checked-in asymptotic trend, on its members of order <= 64: every
-    census density is the brute-force total over |G|³. The larger members
-    (up to H7, order 343) run only in the example."""
-    config = json.loads((EXAMPLES / "asymptotic_trend.json").read_text())
+def _trend_small_members(config_name, tmp_path):
+    """Run an asymptotic example on its members of order <= 64, check every
+    census density against the brute-force total over |G|³, and return the
+    report's rows. The larger members (up to H7, order 343) run only in the
+    example."""
+    config = json.loads((EXAMPLES / config_name).read_text())
     assert config["census"] == ["square", "lshape-right"]
     orders = {name: parse_group_spec(name).order for name in config["groups"]}
     assert max(orders.values()) == 343
@@ -478,6 +479,23 @@ def test_asymptotic_example_family_matches_the_oracles(tmp_path):
             assert Fraction(density["num"], density["den"]) == Fraction(
                 sum(oracle(relation)), group.order**3
             )
+    return report["rows"]
+
+
+def test_asymptotic_example_family_matches_the_oracles(tmp_path):
+    """The checked-in asymptotic trend of stable coset boxes."""
+    _trend_small_members("asymptotic_trend.json", tmp_path)
+
+
+def test_unstable_asymptotic_example_matches_the_oracles(tmp_path):
+    """The unstable counterpart over the same groups: a seeded random_dense
+    relation of density 1/2, with half-graphs of height 2 on every member."""
+    stable = json.loads((EXAMPLES / "asymptotic_trend.json").read_text())
+    config = json.loads((EXAMPLES / "asymptotic_unstable.json").read_text())
+    assert config["groups"] == stable["groups"] and config["k"] == 2
+    assert config["generator"]["kind"] == "random_dense"
+    rows = _trend_small_members("asymptotic_unstable.json", tmp_path)
+    assert all(row["halfgraph_count"] > 0 for row in rows)
 
 
 def test_family_trend_needs_two_groups():

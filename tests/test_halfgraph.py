@@ -23,11 +23,13 @@ from groupstab import (
     cyclic,
     dihedral,
     enumerate_halfgraphs,
+    heisenberg,
     is_halfgraph,
     linear_order_relation,
     perturb_relation,
     relation_algebra,
     sample_halfgraphs,
+    sidon_set,
     subgroup,
     theta_profile,
 )
@@ -35,7 +37,7 @@ import groupstab.halfgraph as halfgraph
 from groupstab.bits import mask_of
 from groupstab.halfgraph import _CHUNK, _score_chunk, _walk, derive_seed
 
-from oracles import brute_halfgraph_count, brute_halfgraph_witnesses
+from oracles import brute_halfgraph_count, brute_halfgraph_witnesses, brute_is_translation_invariant
 
 from test_relations import random_relation
 
@@ -211,6 +213,22 @@ def kernel_cases(draw):
     return Relation(dom, cod, tuple(rows)), draw(st.integers(1, k_max), label="k")
 
 
+def _charge(rel, k):
+    """The gate's charge: perm(d-1, k-1) for one root branch of a
+    translation-invariant relation at k >= 3 with d >= k distinct non-empty
+    rows, and perm(d, k), the injective tuples of distinct rows, otherwise."""
+    d = len({rel.rows[x] for x in rel.domain.member_indices()} - {0})
+    if k >= 3 and d >= k and brute_is_translation_invariant(rel):
+        return math.perm(d - 1, k - 1)
+    return math.perm(d, k)
+
+
+def _right_invariant(group, members):
+    """The relation y·x^-1 in A on G×G, which no generator builds."""
+    carrier = CarrierSet.full(group, 1)
+    return build_relation(carrier, carrier, predicate=lambda x, y: members >> group.mul(y, group.inv(x)) & 1)
+
+
 def _z5(rows, codomain=0b11111):
     z5 = cyclic(5)
     return Relation(CarrierSet.full(z5, 1), CarrierSet(z5, 1, codomain), rows)
@@ -233,6 +251,10 @@ def _z5_into_four(rows):
 @example((_z5_into_four((0b1111, 0b0111, 0b0001, 0b0111, 0b0001)), 3))
 @example((_z5((0b01101,) * 5), 2))
 @example((_z5((0b10110, 0b00100, 0b10010, 0b00110, 0b10100), codomain=0b10110), 3))
+# translation-invariant: a left Cayley graph, and a right-invariant relation
+# on a non-abelian group, each counted from one root branch
+@example((cayley_graph(cyclic(5), 0b00111), 3))
+@example((_right_invariant(dihedral(3), 0b010110), 3))
 def test_kernel_matches_brute_force_and_enumeration(case):
     rel, k = case
     expected = brute_halfgraph_count(rel, k)
@@ -240,14 +262,98 @@ def test_kernel_matches_brute_force_and_enumeration(case):
     witnesses = enumerate_halfgraphs(rel, k, expected + 1)
     assert len(witnesses) == expected
     assert all(w < v for w, v in zip(witnesses, witnesses[1:]))
-    # the gate charges injective tuples of distinct non-empty rows, nothing else
-    d = len({rel.rows[x] for x in rel.domain.member_indices()} - {0})
-    charge = math.perm(d, k)
+    # the gate charges the most a-tuples the walk can visit, nothing else
+    charge = _charge(rel, k)
     assert count_halfgraphs_exact(rel, k, budget=charge).exact_count == expected
     if charge:  # below a zero charge the budget is negative, a ValueError
         with pytest.raises(BudgetExceeded) as err:
             count_halfgraphs_exact(rel, k, budget=charge - 1)
         assert err.value.required == charge
+
+
+INVARIANT_GROUPS = builtin_catalogue(16) + [dihedral(n) for n in (3, 5, 7, 8)] + [heisenberg(3)]
+
+
+def _walked_roots(rel, k, **kwargs):
+    """The count, and the roots of the outermost `_walk` call it makes."""
+    with mock.patch.object(halfgraph, "_walk", wraps=_walk) as spy:
+        count = count_halfgraphs_exact(rel, k, **kwargs).exact_count
+    return count, list(spy.call_args_list[0].args[2])
+
+
+@st.composite
+def invariant_cases(draw):
+    """(relation, k): a left Cayley graph, a right one (x -> x·A^-1, also
+    left-invariant) or the right-invariant relation y·x^-1 in A, for a
+    random A of a group of order <= 27, at k = 3 or 4."""
+    group = draw(st.sampled_from(INVARIANT_GROUPS), label="group")
+    members = draw(st.integers(1, (1 << group.order) - 1), label="members")
+    side = draw(st.sampled_from(["left", "right", "right-invariant"]), label="side")
+    if side == "right-invariant":
+        rel = _right_invariant(group, members)
+    else:
+        rel = cayley_graph(group, members, side)
+    return rel, draw(st.integers(3, 4), label="k")
+
+
+@settings(max_examples=80, deadline=None)
+@given(invariant_cases())
+@example((cayley_graph(cyclic(4), 0b0011), 4))
+@example((_right_invariant(dihedral(3), 0b010110), 4))
+def test_invariant_relations_count_from_one_root(case):
+    rel, k = case
+    assert brute_is_translation_invariant(rel)
+    d = len(set(rel.rows))
+    charge = _charge(rel, k)
+    count, roots = _walked_roots(rel, k, budget=charge)
+    # the full walk over every root, admitted by an explicit budget
+    with mock.patch.object(halfgraph, "_translation_invariant", return_value=False):
+        full, full_roots = _walked_roots(rel, k, budget=math.perm(d, k))
+    assert count == full
+    assert full_roots == list(range(d))
+    if d >= k:
+        assert roots == [0] and charge == math.perm(d - 1, k - 1)
+        with pytest.raises(BudgetExceeded) as err:
+            count_halfgraphs_exact(rel, k, budget=charge - 1)
+        assert err.value.required == charge
+    if rel.group.order ** (2 * k) <= BRUTE_TUPLES:
+        assert count == brute_halfgraph_count(rel, k)
+
+
+# Z1 and Z2 have no relation with rows of equal size that is not invariant
+@pytest.mark.parametrize("group", INVARIANT_GROUPS[2:], ids=lambda g: g.name)
+def test_a_non_invariant_relation_walks_every_root(group):
+    # a Cayley graph with two different rows swapped, as late as possible:
+    # rows of equal size, so only the row-by-row test, run to its end, tells
+    # it from an invariant relation
+    cayley = cayley_graph(group, 0b1011 & (1 << group.order) - 1)
+    rows = list(cayley.rows)
+    for x1, x2 in reversed(list(itertools.combinations(range(group.order), 2))):
+        swapped = rows[:x1] + [rows[x2]] + rows[x1 + 1:x2] + [rows[x1]] + rows[x2 + 1:]
+        rel = Relation(cayley.domain, cayley.codomain, tuple(swapped))
+        if not brute_is_translation_invariant(rel):
+            break
+    else:
+        pytest.fail(f"no swap of two rows of {group.name} breaks invariance")
+    d = len(set(rel.rows))
+    count, roots = _walked_roots(rel, 3)
+    assert roots == list(range(d))
+    assert count == len(enumerate_halfgraphs(rel, 3, 10**6))
+    with pytest.raises(BudgetExceeded) as err:
+        count_halfgraphs_exact(rel, 3, budget=math.perm(d, 3) - 1)
+    assert err.value.required == math.perm(d, 3)
+
+
+def test_sidon_z64_is_exact_at_height_four_under_the_default_budget():
+    z64 = cyclic(64)
+    sidon = cayley_graph(z64, sidon_set(z64))
+    report = count_halfgraphs_exact(sidon, 4)
+    assert report.exact_count == 0
+    # a random Cayley graph with |A| = 16: one root branch against the full walk
+    rel = cayley_graph(z64, mask_of(random.Random(64).sample(range(64), 16)))
+    with mock.patch.object(halfgraph, "_translation_invariant", return_value=False):
+        full = count_halfgraphs_exact(rel, 4, budget=math.perm(64, 4)).exact_count
+    assert count_halfgraphs_exact(rel, 4).exact_count == full > 0
 
 
 # (group, domain arity, codomain arity) for the walk property test
@@ -301,7 +407,7 @@ def _walk_nodes(rows, roots, depth):
 @given(walk_cases())
 def test_walk_yields_the_tuples_whose_ts_are_non_empty(case):
     rows, roots, depth = case
-    walked = list(_walk(rows, [~row for row in rows], roots, depth))
+    walked = list(_walk(rows, [~row for row in rows], roots, roots, depth))
     expected = _walk_nodes(rows, roots, depth)
     assert [(path, ts) for path, ts, _ in walked] == expected
     assert all(len(set(path)) == depth for path, _ in expected)

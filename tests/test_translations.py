@@ -379,6 +379,27 @@ def test_only_groups_with_a_digit_layout_rotate():
                 (1, 0)] * 2, (group.name, n, m)
 
 
+@pytest.mark.parametrize("group", [Z2xD3, LOADED_D5, cyclic(12), dihedral(5)], ids=lambda group: group.name)
+def test_translate_moves_only_what_it_shifts(group):
+    """With no shift on either side translate_relation returns the relation
+    and builds no mover; a domain-only shift moves rows alone, so on Z2×D3 and
+    a loaded table it builds no column permuter."""
+    q = group.order
+    for n, m in [(1, 1), (2, 1), (1, 2)]:
+        rel = random_relation(group, random.Random(q + n), (n, m), proper_carriers=n == 2)
+        with mock.patch.object(relations, "_matrix_mover", wraps=_matrix_mover) as movers:
+            for dshift, cshift in [(None, None), ((None,) * n, (None,) * m)]:
+                assert translate_relation(rel, dshift, cshift, "left", "left") == rel
+        assert movers.call_count == 0
+    rel = random_relation(group, random.Random(q))
+    for g, side in itertools.product(range(1, q), ["left", "right"]):
+        with row_moves() as calls:
+            out = translate_relation(rel, group.element(g), None, side)
+        assert calls()[0] == 0
+        source = translation(group, *((g, 0) if side == "left" else (0, g)))
+        assert out.rows == tuple(rel.rows[x] for x in source)
+
+
 @pytest.mark.parametrize("group", [dihedral(n) for n in range(1, 13)] + [heisenberg(p) for p in (2, 3, 5)],
                          ids=lambda group: group.name)
 def test_the_recorded_digit_layout_holds_for_every_translation(group):
