@@ -89,6 +89,8 @@ def greedy_box_cover(
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if not 0 < pur <= 1:
         raise ValueError(f"purity must lie in (0, 1], got {purity}")
+    if isinstance(max_boxes, bool) or not isinstance(max_boxes, int):
+        raise ValueError(f"max_boxes must be an int, got {max_boxes!r}")
     if max_boxes < 0:
         raise ValueError(f"max_boxes must be >= 0, got {max_boxes}")
     group = relation.group

@@ -13,6 +13,7 @@ command, or an error in any row of a sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -406,6 +407,8 @@ def _add(parser: argparse.ArgumentParser, *dests: str, **settings) -> argparse.A
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new, complete parser. Each command's `handler` default is the name
+    of the function in this module that runs it."""
     parser = argparse.ArgumentParser(
         prog="groupstab",
         description="Half-graph censuses and pattern counting on finite groups",
@@ -423,43 +426,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="group inspection")
     gi = p.add_subparsers(dest="mode", required=True).add_parser("info")
-    _add(gi, "group", "output").set_defaults(func=_cmd_group_info)
+    _add(gi, "group", "output").set_defaults(handler="_cmd_group_info")
 
     p = _add(sub.add_parser("subgroups", help="enumerate subgroups"), "group", "output")
     p.add_argument("--max-index", type=int, default=4)
     _add(p, "budget", help="cap on the candidate closures of the subgroup search")
-    p.set_defaults(func=_cmd_subgroups)
+    p.set_defaults(handler="_cmd_subgroups")
 
     p = sub.add_parser("halfgraph", help="half-graph counting and estimation")
     hsub = p.add_subparsers(dest="mode", required=True)
-    _add(hsub.add_parser("count", parents=[rel]), "k", "budget").set_defaults(func=_cmd_halfgraph)
-    _add(hsub.add_parser("estimate", parents=[rel, sampling]), "k").set_defaults(func=_cmd_halfgraph)
+    hc = _add(hsub.add_parser("count", parents=[rel]), "k", "budget")
+    hc.set_defaults(handler="_cmd_halfgraph")
+    he = _add(hsub.add_parser("estimate", parents=[rel, sampling]), "k")
+    he.set_defaults(handler="_cmd_halfgraph")
     hp = _add(hsub.add_parser("profile", parents=[rel, sampling]), "budget")
     hp.add_argument("--k-max", type=int, default=3)
-    hp.set_defaults(func=_cmd_halfgraph)
+    hp.set_defaults(handler="_cmd_halfgraph")
 
     p = sub.add_parser("patterns", help="pattern censuses")
     psub = p.add_subparsers(dest="mode", required=True)
     pc = psub.add_parser("census", parents=[rel])
     pc.add_argument("--kind", required=True, choices=CENSUS_KINDS)
     pc.add_argument("--witnesses", type=int, default=0, help="cap on listed witnesses")
-    pc.set_defaults(func=_cmd_census)
+    pc.set_defaults(handler="_cmd_census")
     pa = _add(psub.add_parser("ap"), "group")
     pa.add_argument("--set", required=True, help="comma-separated element indices")
     pa.add_argument("--m", type=int, default=3, help="progression length")
     pa.add_argument("--h", type=int, required=True, help="progression step element")
-    _add(pa, "output").set_defaults(func=_cmd_ap)
+    _add(pa, "output").set_defaults(handler="_cmd_ap")
 
     p = sub.add_parser("boxcover", parents=[rel], help="greedy box cover")
     p.add_argument("--epsilon", default="0.05")
     p.add_argument("--max-boxes", type=int, default=16)
     p.add_argument("--purity", default="1")
-    p.set_defaults(func=_cmd_boxcover)
+    p.set_defaults(handler="_cmd_boxcover")
 
     p = _add(sub.add_parser("gen", help="materialize a generator spec"), "group", "seed")
     p.add_argument("--spec", required=True, help="generator spec as JSON")
     p.add_argument("--output", "--out", **_OPTIONS["output"])
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(handler="_cmd_gen")
 
     p = sub.add_parser("experiment", help="experiment harness")
     esub = p.add_subparsers(dest="mode", required=True)
@@ -467,20 +472,31 @@ def build_parser() -> argparse.ArgumentParser:
         ep = esub.add_parser(mode)
         ep.add_argument("--config", required=True, help="experiment config JSON file")
         _add(ep, "seed", "budget", "threads", default=None)  # None keeps the config's value
-        _add(ep, "output").set_defaults(func=_cmd_experiment)
+        _add(ep, "output").set_defaults(handler="_cmd_experiment")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on main's first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    The parser is built once per process, on the first call, and reused;
+    each command's handler is looked up by name in this module at call
+    time, so a handler replaced after that first call is the one that runs.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; that is a config error here
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

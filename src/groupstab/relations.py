@@ -319,6 +319,9 @@ class CarrierSet:
         return power_size(self.group, self.arity)
 
     def member_indices(self) -> list[int]:
+        universe = self.universe
+        if self.members.bit_count() == universe:
+            return list(range(universe))
         return list(iter_bits(self.members))
 
 

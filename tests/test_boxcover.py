@@ -15,6 +15,7 @@ from groupstab import (
     coset_box_set,
     cyclic,
     greedy_box_cover,
+    linear_order_relation,
     subgroup,
 )
 from groupstab.bits import full_mask, iter_bits, mask_of
@@ -125,6 +126,13 @@ def test_greedy_error_non_increasing_over_budget():
         cover = greedy_box_cover(rel, Fraction(1, 10**6), budget)
         errors.append(cover.symdiff_error)
     assert all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
+
+
+@pytest.mark.parametrize("max_boxes", [2.5, 3.0, True, False, "3", None])
+def test_max_boxes_must_be_an_int(max_boxes):
+    relation = linear_order_relation(cyclic(12), 10)
+    with pytest.raises(ValueError, match=f"max_boxes must be an int, got {max_boxes!r}"):
+        greedy_box_cover(relation, Fraction(1, 1000), max_boxes)
 
 
 def test_purity_below_one_allows_noisy_boxes():

@@ -553,6 +553,59 @@ def test_unexpected_errors_are_one_line_exit_2(monkeypatch, capsys, exc, line):
     assert (captured.out, captured.err) == ("", line)
 
 
+# One call of each outcome main can give: success, bad usage, help, version
+# and an unknown command, with its exit code, the stream it writes to and
+# how that text starts; the other stream stays empty.
+OUTCOMES = [
+    (["group", "info", "--group", "Z4"], 0, "out", "{"),
+    (["subgroups", "--group", "Z4", "--max-index", "two"], 1, "err", "usage: groupstab subgroups"),
+    (["--help"], 0, "out", "usage: groupstab"),
+    (["--version"], 0, "out", groupstab.__version__ + "\n"),
+    (["wat"], 1, "err", "usage: groupstab"),
+]
+
+
+def _outcome(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv, code, stream, start", OUTCOMES)
+def test_main_builds_its_parser_once(monkeypatch, capsys, argv, code, stream, start):
+    """After its first call main parses with the parser it built then, and
+    each outcome is the one a freshly built parser gives."""
+    cli._parser.cache_clear()
+    fresh = _outcome(argv, capsys)
+    texts = {"out": fresh[1], "err": fresh[2]}
+    assert fresh[0] == code
+    assert texts.pop(stream).startswith(start)
+    assert texts.popitem()[1] == ""
+    for other, *_ in OUTCOMES:
+        main(other)
+    capsys.readouterr()
+
+    def rebuild():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert _outcome(argv, capsys) == fresh
+
+
+def test_a_handler_replaced_after_the_first_call_is_the_one_that_runs(monkeypatch, capsys):
+    assert main(["group", "info", "--group", "Z4"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_cmd_group_info", lambda args: 7)
+    assert main(["group", "info", "--group", "Z4"]) == 7
+    assert capsys.readouterr() == ("", "")
+
+
+def test_build_parser_returns_a_new_tree_whose_handlers_are_cli_functions():
+    assert build_parser() is not build_parser()
+    for words, parser in _leaf_commands(build_parser()):
+        assert callable(getattr(cli, parser.get_default("handler"))), words
+
+
 LINEAR = '"generator": {"kind": "linear_order"}'
 
 

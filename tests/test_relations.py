@@ -22,7 +22,7 @@ from groupstab import (
     relation_algebra,
     translate_relation,
 )
-from groupstab.bits import full_mask, mask_of
+from groupstab.bits import full_mask, iter_bits, mask_of
 from groupstab.errors import CrossGroupElement
 from groupstab.groups import element_order
 from groupstab.patterns import ap_census, comparability_defect
@@ -238,6 +238,17 @@ def test_member_indices_list_the_carrier_in_ascending_order():
         members = rng.getrandbits(width)
         carrier = CarrierSet(cyclic(1000), 1, members)
         assert carrier.member_indices() == [i for i in range(1000) if members >> i & 1]
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_member_indices_of_full_and_proper_carriers_match_the_bit_walk(arity):
+    group = cyclic(5)
+    universe = group.order ** arity
+    rng = random.Random(arity)
+    for members in (full_mask(universe), full_mask(universe) >> 1,
+                    full_mask(universe) - 1, rng.getrandbits(universe), 0):
+        carrier = CarrierSet(group, arity, members)
+        assert carrier.member_indices() == list(iter_bits(members))
 
 
 def test_coordinate_action_shapes():
