@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import iter_bits
-from .errors import CarrierMismatch
+from .errors import CarrierMismatch, _check_int
 from .genlab import as_fraction, frac_json
 from .halfgraph import DEFAULT_EXACT_BUDGET, count_halfgraphs_exact
 from .relations import Relation
@@ -89,8 +89,7 @@ def greedy_box_cover(
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if not 0 < pur <= 1:
         raise ValueError(f"purity must lie in (0, 1], got {purity}")
-    if isinstance(max_boxes, bool) or not isinstance(max_boxes, int):
-        raise ValueError(f"max_boxes must be an int, got {max_boxes!r}")
+    _check_int(max_boxes, "max_boxes")
     if max_boxes < 0:
         raise ValueError(f"max_boxes must be >= 0, got {max_boxes}")
     group = relation.group

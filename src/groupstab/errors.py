@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, the one reader of JSON fields,
-and the one check of a work budget."""
+the one check of an integer argument and the one check of a work budget."""
 
 from __future__ import annotations
 
@@ -83,7 +83,15 @@ def _read(convert, value, what: str):
         raise ValueError(f"cannot read {what} from {value!r}") from exc
 
 
-def _check_budget(budget: int) -> None:
-    """A work budget below 0 is a ValueError, raised before any work; 0 is valid."""
+def _check_int(value, name: str) -> None:
+    """An argument that is a bool or not an int is a ValueError that names it."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_budget(budget: int, name: str = "budget") -> None:
+    """A work budget that is not an int, or below 0, is a ValueError that
+    names it, raised before any work; 0 is valid."""
+    _check_int(budget, name)
     if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+        raise ValueError(f"{name} must be >= 0, got {budget}")

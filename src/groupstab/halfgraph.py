@@ -21,9 +21,11 @@ bookkeeping.
 The exact count walks only to depth k-2. Two orders (u, v) and (v, u) of
 the last two rows leave the same T_j except T_{k-1}, so each node at depth
 k-2 sums over the unordered pairs of the rows `_split` lets through, in
-closed form (`_node_pairs`, and `_root_pairs` at k = 2). At k = 3 that is
-one AND and popcount per pair. The enumeration needs the b-sets, so it
-walks to depth k.
+closed form (`_node_pairs`, and `_root_pairs` at k = 2). At k = 3 the
+node is a root, with no T below T_1: `_node_pairs` applies `_split`'s rule
+inline and finishes the root in one tight pass, one AND and one popcount
+per pair, with no reduced T's built. The enumeration needs the b-sets, so
+it walks to depth k.
 
 A translation-invariant relation, (x, y) in S iff x^-1·y in A (or iff
 y·x^-1 in A), has G permuting its distinct rows transitively, with the
@@ -42,7 +44,7 @@ from fractions import Fraction
 from operator import and_, invert, mul, or_
 
 from .bits import full_mask, iter_bits, mask_of
-from .errors import BudgetExceeded, _check_budget
+from .errors import BudgetExceeded, _check_budget, _check_int
 from .genlab import frac_json
 from .relations import Relation
 
@@ -115,7 +117,8 @@ def count_halfgraphs_exact(
     their multiplicities. The a-tuples grow through `_walk`, whose one
     pruning rule is `_split`, to depth k-2, and each node there adds, per
     unordered pair of the rows that extend it, both orders at once
-    (`_node_pairs`; `_root_pairs` at k = 2).
+    (`_node_pairs`; `_root_pairs` at k = 2). At k = 3 each root is
+    finished in one tight pass over its candidates' heads.
 
     At k >= 3 with d >= k distinct non-empty rows, S is first tested for
     translation invariance (`_translation_invariant`: arity 1, full
@@ -127,10 +130,10 @@ def count_halfgraphs_exact(
     a-tuples the walk can visit, checked before any walking: perm(d-1, k-1)
     for that one branch, and d·(d-1)···(d-k+1), the injective tuples of
     distinct rows, otherwise (k <= 2 always). With d < k that is 0 and so
-    is the count. A negative budget is a ValueError.
+    is the count. A k or budget that is not an int (a bool included), a k
+    below 1 and a negative budget are ValueErrors.
     """
-    if k < 1:
-        raise ValueError(f"half-graph height must be >= 1, got {k}")
+    _check_height(k)
     _check_budget(budget)
     mult: dict[int, int] = {}
     for x in relation.domain.member_indices():
@@ -219,14 +222,39 @@ def _node_pairs(ts: list[int], rows, nots, weights, cands: list[int]) -> int:
     w_u·w_v·g·(|h_u| + |h_v| - 2g)·(|T_m| - |h_u| - |h_v| + g)·Π_{j<m} |T_j∖r_u∖r_v|.
     The pair u = v would add nothing (g = |h_u|), so a repeated row is
     never paired with itself.
+
+    At m = 1 (k = 3) there is no T_j below T_m, so `_split`'s rule is only
+    that the head is neither empty nor T_1, and the node takes one tight
+    pass: each survivor's head meets the (head, size, weight) of every
+    earlier one, one AND and one popcount per pair, with no reduced T's
+    built. At m >= 2 the pairs come from `_split` and multiply in the
+    sizes of the T_j∖r_u∖r_v for j < m.
     """
-    size = ts[0].bit_count()
+    meet = ts[0]
+    size = meet.bit_count()
+    if len(ts) == 1:
+        earlier: list[tuple[int, int, int]] = []
+        total = 0
+        for c in cands:
+            hv = meet & rows[c]
+            if not hv or hv == meet:
+                continue
+            nv = hv.bit_count()
+            rest = size - nv
+            acc = 0
+            for hu, nu, wu in earlier:
+                g = (hu & hv).bit_count()
+                if g:
+                    acc += wu * g * (nu + nv - 2 * g) * (rest - nu + g)
+            wv = weights[c]
+            total += wv * acc
+            earlier.append((hv, nv, wv))
+        return total
     kids = _split(ts, rows, nots, cands, sized=True)
     survivors = [(child[0], child[0].bit_count(), weights[c], rows[c]) for c, child in kids]
     total = 0
     for i, (hu, nu, wu, _) in enumerate(survivors):
-        # T_j∖r_u for j < m, sized as _split built them; there are none at m = 1
-        lows = kids[i][1][2:] if len(ts) > 1 else ()
+        lows = kids[i][1][2:]  # T_j∖r_u for j < m, sized as _split built them
         acc = 0
         rest = size - nu
         for hv, nv, wv, rv in itertools.islice(survivors, i + 1, None):
@@ -269,8 +297,8 @@ def _split(ts: list[int], rows, nots, cands: list[int], sized: bool = False) -> 
     [ts[0] & row] + [t & ~row for t in ts]. The head h = ts[0] & row lies
     in ts[0], so ts[0] & ~row is ts[0] ^ h, non-empty iff h != ts[0].
     With sized, each t & ~row for t below ts[0] comes as (t & ~row, its
-    size), counted as it is built, for `_node_pairs`. Survivors keep the
-    order of `cands`.
+    size), counted as it is built, for `_node_pairs` at m >= 2. Survivors
+    keep the order of `cands`.
     """
     meet, *older = ts
     out = []
@@ -316,10 +344,11 @@ def enumerate_halfgraphs(relation: Relation, k: int, limit: int) -> list[tuple[i
 
     The a-tuples grow over member indices through `_walk`, the exact
     count's walk and pruning rule (`_split`), and each full a-tuple yields
-    the product of its T_j.
+    the product of its T_j. A k or limit that is not an int (a bool
+    included) is a ValueError.
     """
-    if k < 1:
-        raise ValueError(f"half-graph height must be >= 1, got {k}")
+    _check_height(k)
+    _check_int(limit, "limit")
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     rows = relation.rows
@@ -359,11 +388,11 @@ def sample_halfgraphs(
     T_j are disjoint subsets of Y, so a score lies in [0, k^-k], the range of
     the two-sided Hoeffding interval at the requested confidence. The sample
     budget is split across `worker_count` streams with derived seeds, so the
-    result depends only on (seed, worker_count).
+    result depends only on (seed, worker_count). A k, samples, seed or
+    worker_count that is not an int (a bool included) is a ValueError.
     """
-    if k < 1:
-        raise ValueError(f"half-graph height must be >= 1, got {k}")
-    _check_sampling(samples, confidence, worker_count)
+    _check_height(k)
+    _check_sampling(samples, seed, confidence, worker_count)
     rows = [relation.rows[x] for x in relation.domain.member_indices()]
     ny = relation.codomain.size
     group_denom, carrier_denom = _normalizers(relation, k)
@@ -396,8 +425,18 @@ def sample_halfgraphs(
     )
 
 
-def _check_sampling(samples: int, confidence: float, worker_count: int) -> None:
+def _check_height(k: int) -> None:
+    """Refuse a height that is not an int of at least 1."""
+    _check_int(k, "k")
+    if k < 1:
+        raise ValueError(f"half-graph height must be >= 1, got {k}")
+
+
+def _check_sampling(samples: int, seed: int, confidence: float, worker_count: int) -> None:
     """Refuse sampling parameters that no sampled height could use."""
+    _check_int(samples, "samples")
+    _check_int(seed, "seed")
+    _check_int(worker_count, "worker_count")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 0 < confidence < 1:
@@ -442,12 +481,15 @@ def theta_profile(
     k is sample_halfgraphs with seed derive_seed(seed, k) over worker_count
     streams. The budget and the sampling parameters are checked before any
     height, so they are refused even when every height goes exact. With the
-    group normalization theta_k is non-increasing in k.
+    group normalization theta_k is non-increasing in k. A k_max,
+    exact_budget, samples, seed or worker_count that is not an int (a bool
+    included) is a ValueError.
     """
+    _check_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    _check_budget(exact_budget)
-    _check_sampling(samples, confidence, worker_count)
+    _check_budget(exact_budget, "exact_budget")
+    _check_sampling(samples, seed, confidence, worker_count)
     return [
         _exact_or_sampled(
             relation, k, exact_budget, samples, derive_seed(seed, k), confidence, worker_count

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from unittest import mock
 
 import pytest
@@ -453,6 +454,12 @@ def test_negative_search_budget_is_refused_before_any_work(search):
     assert z64._table is None  # the table is built on first use
     # a budget of 0 is valid: in Z2 no walk needs a charged closure
     assert len(search(cyclic(2), 0)) == 2
+
+
+@pytest.mark.parametrize("budget", [2.5, 3.0, True, False, "3", None], ids=repr)
+def test_search_budget_must_be_an_int(budget):
+    with pytest.raises(ValueError, match=f"^budget must be an int, got {re.escape(repr(budget))}$"):
+        subgroups_up_to_index(cyclic(6), 4, budget=budget)
 
 
 def test_subgroups_sorted_by_index_then_members():

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from operator import and_, or_
 from unittest import mock
@@ -127,6 +128,37 @@ def test_witnesses_restrict_to_lower_height():
             assert is_halfgraph(rel, a[:2] + b[:2])
 
 
+@pytest.mark.parametrize("w, k", [(w, k) for k in (2, 3) for w in (10, 25, 40)]
+                         + [(w, 4) for w in range(1, 13)])
+def test_linear_order_counts_match_the_closed_form(w, k):
+    # a chain of width w, x <= y, has C(w + k, 2k) half-graphs of height k:
+    # its rows are nested, so every triple of rows contributes at k >= 3
+    rel = linear_order_relation(cyclic(w + 3), w)
+    assert count_halfgraphs_exact(rel, k).exact_count == math.comb(w + k, 2 * k)
+
+
+NOT_INTS = [2.5, 3.0, True, False, "3", None]
+SAMPLING = {"samples": 10, "seed": 1, "worker_count": 1}
+# each entry point with arguments that it accepts, every one of them an int
+INT_CALLS = [
+    (count_halfgraphs_exact, {"k": 2, "budget": 100}),
+    (enumerate_halfgraphs, {"k": 2, "limit": 5}),
+    (sample_halfgraphs, {"k": 2, **SAMPLING}),
+    (theta_profile, {"k_max": 2, "exact_budget": 100, **SAMPLING}),
+]
+INT_PARAMETERS = [(call, kwargs, name) for call, kwargs in INT_CALLS for name in kwargs]
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("call, kwargs, name", INT_PARAMETERS,
+                         ids=[f"{call.__name__}-{name}" for call, _, name in INT_PARAMETERS])
+def test_integer_arguments_that_are_not_ints_are_refused(call, kwargs, name, value):
+    rel = cayley_graph(cyclic(4), mask_of([0, 1]))
+    call(rel, **kwargs)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        call(rel, **{**kwargs, name: value})
+
+
 def test_budget_guard():
     rng = random.Random(3)
     rel = random_relation(cyclic(10), rng)
@@ -241,8 +273,10 @@ def _z5_into_four(rows):
 # height 4 on four nested rows, with an empty row and with a repeated one;
 # height 2 on two rows, each repeated; height 3 where the node of 0b0111 has
 # the one survivor 0b0001, so no pairs, and the node of 0b1111 has the pair
-# {0b0111, 0b0001}, each repeated; all rows equal; and a proper codomain
-# carrier that is not a prefix of the universe
+# {0b0111, 0b0001}, each repeated; all rows equal; a proper codomain
+# carrier that is not a prefix of the universe; and height 3 on rows of
+# weights 2, 2 and 1, where the roots 0b00111 and 0b11011, each repeated,
+# pair a repeated row with the single one
 @settings(max_examples=100, deadline=None)
 @given(kernel_cases())
 @example((_z5_into_four((0b1111, 0b0111, 0, 0b0011, 0b0001)), 4))
@@ -251,6 +285,7 @@ def _z5_into_four(rows):
 @example((_z5_into_four((0b1111, 0b0111, 0b0001, 0b0111, 0b0001)), 3))
 @example((_z5((0b01101,) * 5), 2))
 @example((_z5((0b10110, 0b00100, 0b10010, 0b00110, 0b10100), codomain=0b10110), 3))
+@example((_z5((0b00111, 0b11011, 0b00001, 0b00111, 0b11011)), 3))
 # translation-invariant: a left Cayley graph, and a right-invariant relation
 # on a non-abelian group, each counted from one root branch
 @example((cayley_graph(cyclic(5), 0b00111), 3))
