@@ -10,7 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .bits import full_mask, iter_bits, mask_of
-from .errors import IndexOutOfRange, _check_budget, _read
+from .errors import IndexOutOfRange, _check_budget, _check_int, _read
 from .groups import FiniteGroup, Subgroup, subgroups_up_to_index, left_cosets
 from .relations import CarrierSet, Relation, build_relation, cayley_graph
 
@@ -170,6 +170,7 @@ def perturb_relation(relation: Relation, eta, seed: int) -> Relation:
 
 def linear_order_relation(group: FiniteGroup, width: int) -> Relation:
     """The relation x <= y on the carrier {0..width-1} inside the group."""
+    _check_int(width, "width")
     if not 1 <= width <= group.order:
         raise ValueError(f"width must lie in 1..{group.order}, got {width}")
     carrier = CarrierSet(group, 1, full_mask(width))

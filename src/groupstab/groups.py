@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .bits import iter_bits, mask_of
-from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement, _check_budget, _read
+from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement, _check_budget, _check_int, _read
 
 DEFAULT_CLOSURE_BUDGET = 10**6
 
@@ -180,6 +180,7 @@ def translation(group: FiniteGroup, left: int = 0, right: int = 0) -> list[int]:
 
 def cyclic(n: int) -> FiniteGroup:
     """Additive group Z_n."""
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     return FiniteGroup(n, f"cyclic({n})", f"Z{n}", abelian=True)
@@ -306,6 +307,7 @@ def dihedral(n: int) -> FiniteGroup:
     the rotation: x -> l·x·r adds l's and r's flips, and sends the rotation
     to minus itself plus t exactly when r is a flip (to itself plus t
     otherwise), t depending on x's flip unless l's rotation is 0 or n/2."""
+    _check_int(n, "n")
     if n < 1:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
     doubled = list(range(n)) * 2
@@ -330,6 +332,7 @@ def heisenberg(p: int) -> FiniteGroup:
     x -> l·x·r adds l's and r's a and b, and adds to c a constant plus
     l_a·x_b + x_a·r_b, so c's shift depends on x's b for a left factor, on
     x's a for a right one, and on a line in (a, b) for both."""
+    _check_int(p, "p")
     if p < 2:
         raise ValueError(f"heisenberg modulus must be >= 2, got {p}")
     doubled = list(range(p)) * 2
@@ -503,17 +506,22 @@ def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
     return _grow(group._mul_table(), [0], (1).__lshift__, [s for s in iter_bits(mask) if s])
 
 
-def _coset_masks(table: list[list[int]], h: list[int]) -> list[int]:
-    """The mask of x·H for every element x, H the subgroup with members h;
-    each coset is read off the row of its least element."""
+def _coset_reader(table: list[list[int]], h: list[int]) -> Callable[[int], int]:
+    """coset(x), the mask of x·H for H the subgroup with members h. Each
+    coset is read off the row of the first of its elements asked for, once,
+    so a reader computes only the cosets it is asked for."""
     masks = [0] * len(table)
-    for x, row in enumerate(table):
-        if not masks[x]:
-            block = list(map(row.__getitem__, h))
+
+    def coset(x: int) -> int:
+        mask = masks[x]
+        if not mask:
+            block = list(map(table[x].__getitem__, h))
             mask = mask_of(block)
             for y in block:
                 masks[y] = mask
-    return masks
+        return mask
+
+    return coset
 
 
 def _grow(table: list[list[int]], h: list[int], coset: Callable[[int], int], extra: Sequence[int]) -> int:
@@ -549,49 +557,61 @@ def _grow(table: list[list[int]], h: list[int], coset: Callable[[int], int], ext
 
 
 def _subgroups_above(group: FiniteGroup, base: int, budget: int) -> tuple[list[int], int]:
-    """(every subgroup mask containing the subgroup `base`; the candidate
-    closures the walk made), found by extending known subgroups by one
-    element.
+    """(every subgroup mask containing the subgroup `base`, each once; the
+    candidate closures the walk made), found along greedy generators.
 
-    Each subgroup H is extended by one element g per left coset g·H, the
-    least one, in ascending order: <H, g> = <H, g·x> for x in H, so the
-    other elements of the coset give nothing new. Any subgroup K above the
-    base is reached, by adding K's elements one at a time. Each extension
-    grows from H by its left cosets (`_grow`), so no generating set is
-    kept. The budget counts these candidate closures; the walk depends on
-    the base alone, so the count C it returns settles any later budget.
-    From base {e} the walk lists the whole lattice, which is
+    Every subgroup K above the base P has one greedy chain: g_1 is the least
+    element of K∖P and H_1 = <P, g_1>, then g_{j+1} is the least element of
+    K∖H_j and H_{j+1} = <H_j, g_{j+1}>. The g_j increase, since every
+    element of K below g_j already lies in H_{j-1}. So the walk's nodes are
+    pairs (H, last), from (P, 0). A node extends H only by a left coset g·H
+    whose least element g is above last (<H, g> = <H, g·x> for x in H), and
+    keeps K = <H, g> only when g is the least element of K∖H: then (H, g)
+    is K's last greedy step, so every subgroup above P is kept exactly once,
+    as (K, g), and no closure is made for a coset whose least element is
+    at most last (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998). A node computes only the cosets it reads: those
+    of its elements above last, and those the growth asks for. Each
+    extension grows from H by its left cosets (`_grow`), so no generating
+    set is kept. The budget counts these candidate closures; the walk
+    depends on the base alone, so the count C it returns settles any later
+    budget. From base {e} the walk lists the whole lattice, which is
     subgroups_up_to_index(group, |G|).
     """
     order = group.order
     full = (1 << order) - 1
     table = group._mul_table()
-    found = {base}
-    frontier = [base]
+    found = [base]
+    stack = [(base, 0)]
     closures = 0
-    while frontier:
-        h = frontier.pop()
+    while stack:
+        h, last = stack.pop()
         members = list(iter_bits(h))
-        cosets = _coset_masks(table, members)
+        coset = _coset_reader(table, members)
         # Lagrange: any proper extension at least doubles, so extending an
         # index-2 subgroup can only reach the whole group.
         index_two = 2 * len(members) >= order
         done = h
-        for g in range(1, order):
+        for g in range(last + 1, order):
             if done >> g & 1:
                 continue
-            done |= cosets[g]
+            block = coset(g)
+            done |= block
+            if block & -block != 1 << g:
+                continue  # the coset's least element is at most last
             if index_two:
                 k = full
             else:
                 closures += 1
                 if closures > budget:
                     raise BudgetExceeded(closures, budget, "candidate closures")
-                k = _grow(table, members, cosets.__getitem__, [g])
-            if k not in found:
-                found.add(k)
-                frontier.append(k)
-    return list(found), closures
+                k = _grow(table, members, coset, [g])
+                new = k & ~h
+                if new & -new != 1 << g:
+                    continue  # K∖H has an element below g: not K's greedy step
+            found.append(k)
+            stack.append((k, g))
+    return found, closures
 
 
 def _power_subgroup(group: FiniteGroup, e: int) -> int:
@@ -617,7 +637,7 @@ def _power_subgroup(group: FiniteGroup, e: int) -> int:
             n >>= 1
         if not members >> power & 1:
             h = list(iter_bits(members))
-            members = _grow(table, h, _coset_masks(table, h).__getitem__, [power])
+            members = _grow(table, h, _coset_reader(table, h), [power])
     return members
 
 
@@ -632,9 +652,11 @@ def subgroups_up_to_index(
     low-index subgroups). So the search walks up from P. By Lagrange P
     depends on e mod |G| alone, and the group keeps P per e mod |G|. P is
     trivial once max_index reaches |G|, so subgroups_up_to_index(group,
-    group.order) is the whole lattice. The budget counts the walk's
-    candidate closures, and a negative budget is a ValueError; the growth
-    of P is not charged.
+    group.order) is the whole lattice. The walk (`_subgroups_above`) builds
+    each subgroup above P once, along its greedy generators, and computes
+    only the cosets it reads. The budget counts the walk's candidate
+    closures; a max_index or budget that is not an int, and a negative
+    budget, is a ValueError. The growth of P is not charged.
 
     The walk depends on P alone, so the group keeps each finished lattice
     above P, in listing order, with the walk's closure count C: a later
@@ -642,6 +664,7 @@ def subgroups_up_to_index(
     A budget below C raises BudgetExceeded(budget + 1, budget), exactly what
     the walk itself raises; a refused walk keeps nothing.
     """
+    _check_int(max_index, "max_index")
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     _check_budget(budget)
@@ -668,7 +691,8 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> list[int]:
     each block is read off the row of its least element."""
     if sub.parent is not group:
         raise CrossGroupElement(f"subgroup of {sub.parent.name} used with {group.name}")
-    return list(dict.fromkeys(_coset_masks(group._mul_table(), sub.member_indices())))
+    coset = _coset_reader(group._mul_table(), sub.member_indices())
+    return list(dict.fromkeys(map(coset, group.elements())))
 
 
 def builtin_catalogue(max_order: int = 24) -> list[FiniteGroup]:

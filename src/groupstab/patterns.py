@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Iterable
 
 from .bits import iter_bits, mask_of, permute_bits
-from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup
+from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup, _check_int
 from .groups import FiniteGroup, GroupElement, Subgroup, _element_index, translation
 from .relations import Relation, _acted_coordinates, _matrix_mover, _side_pair
 
@@ -274,6 +274,7 @@ def ap_census(
     group: FiniteGroup, members: int, m: int, h: GroupElement | int
 ) -> tuple[int, int]:
     """m-AP(A, h): the elements a of A with h^i·a in A for 0 <= i < m."""
+    _check_int(m, "m")
     if m < 1:
         raise ValueError(f"progression length must be >= 1, got {m}")
     h = _checked_element(group, members, h)

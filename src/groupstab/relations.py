@@ -451,6 +451,8 @@ def _shift_move(group: FiniteGroup, arity: int, shift, side) -> tuple[tuple[int,
                 "pass a per-coordinate tuple instead"
             )
         shift = (shift,)
+    elif not isinstance(shift, (tuple, list)):
+        raise ArityMismatch(f"a shift is a GroupElement, a tuple or list of them, or None, got {shift!r}")
     shifts: list[int] = []
     for item in shift:
         if item is None:
@@ -481,9 +483,11 @@ def translate_relation(
     Output bit (x, y) is set iff the input holds the shifted pair: for a
     right domain shift by g and right codomain shift by h, iff
     (x·g, y·h) is in the input. Carriers move along, so carriers and edge
-    counts are preserved. Shifts are GroupElement (arity 1), tuples of
-    GroupElement/None per coordinate (higher arity), or None for identity.
-    With no shift on either side the relation itself comes back, unmoved.
+    counts are preserved. Shifts are GroupElement (arity 1), tuples or lists
+    of GroupElement/None per coordinate (higher arity), or None for
+    identity; any other shift is an ArityMismatch. With no shift on either
+    side the relation itself comes back, unmoved; with a domain shift alone
+    the rows are taken by index, and no matrix is built.
     """
     group = relation.group
     carriers = relation.domain, relation.codomain
@@ -491,12 +495,16 @@ def translate_relation(
                     in zip(carriers, (domain_shift, codomain_shift), (domain_side, codomain_side)))
     if not any(map(any, dmove + cmove)):
         return relation
-    # One slot per coordinate. Output (x, y) is input (dmap[x], cmap[y]):
-    # one gather moves every row at once, and the result is cut back into rows.
+    # One slot per coordinate. Output (x, y) is input (dmap[x], cmap[y]).
     slots = [[(c,) for c in range(carrier.arity)] for carrier in carriers]
-    stride, _, gather = _matrix_mover(relation, slots)
-    text = format(gather([cmove], dmove), f"0{len(relation.rows) * stride}b")
-    rows = tuple(int(text[i - stride:i], 2) for i in range(len(text), 0, -stride))
+    if not any(map(any, cmove)):
+        # Only the domain moves: output row x is input row dmap[x].
+        rows = tuple(map(relation.rows.__getitem__, _lift_move(group, carriers[0].arity, slots[0], dmove)))
+    else:
+        # One gather moves every row at once, and the result is cut back into rows.
+        stride, _, gather = _matrix_mover(relation, slots)
+        text = format(gather([cmove], dmove), f"0{len(relation.rows) * stride}b")
+        rows = tuple(int(text[i - stride:i], 2) for i in range(len(text), 0, -stride))
 
     def moved(carrier: CarrierSet, side_slots, move) -> CarrierSet:
         """The carrier's members x with the lifted move's image of x a member."""

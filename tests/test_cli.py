@@ -55,6 +55,17 @@ def test_parse_group_spec_shorthands():
         parse_group_spec("Q8")
 
 
+def test_subgroups_budget_counts_each_subgroup_once(capsys):
+    """Z2^4 at index <= 4: P is trivial, and the walk makes 65 candidate
+    closures, one per greedy step it tries, for the 67 subgroups it lists
+    the 51 of index <= 4 from."""
+    argv = ["subgroups", "--group", "Z2xZ2xZ2xZ2", "--max-index", "4", "--budget"]
+    assert main(argv + ["65"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["subgroups"]) == 51
+    assert main(argv + ["64"]) == 2
+    assert capsys.readouterr() == ("", "error: operation needs 65 candidate closures, budget is 64\n")
+
+
 def test_group_info_and_subgroups(capsys):
     assert main(["group", "info", "--group", "Z6"]) == 0
     info = json.loads(capsys.readouterr().out)

@@ -13,6 +13,7 @@ from groupstab import (
     AxiomViolation,
     BudgetExceeded,
     CrossGroupElement,
+    ap_census,
     builtin_catalogue,
     count_halfgraphs_exact,
     cyclic,
@@ -32,7 +33,7 @@ from groupstab import (
 )
 from groupstab import groups
 from groupstab.bits import iter_bits, mask_of
-from groupstab.groups import _coset_masks, _grow, closure, parse_cayley_table
+from groupstab.groups import _coset_reader, _grow, closure, parse_cayley_table
 
 from oracles import (
     brute_closure,
@@ -277,7 +278,7 @@ def test_growth_by_cosets_matches_fixed_point_oracle(data):
     h = brute_closure(g, mask_of(elems))
     extra = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3), label="extra")
     members = list(iter_bits(h))
-    grown = _grow(g._mul_table(), members, _coset_masks(g._mul_table(), members).__getitem__, extra)
+    grown = _grow(g._mul_table(), members, _coset_reader(g._mul_table(), members), extra)
     assert grown == brute_closure(g, h | mask_of(extra))
 
 
@@ -443,6 +444,39 @@ def test_search_charges_only_the_closures_above_the_power_subgroup():
     assert [s.index_in_parent for s in subgroups_up_to_index(heisenberg(5), 4, budget=0)] == [1]
 
 
+@pytest.mark.parametrize("g", LATTICE_GROUPS, ids=lambda g: g.name)
+def test_the_walk_builds_each_subgroup_once(g):
+    """From the power subgroup P of every max_index, the walk lists each
+    subgroup above P once: along its greedy generators, never again."""
+    exponents = {math.lcm(*range(1, m + 1)) % g.order for m in range(1, g.order + 1)}
+    for base in {groups._power_subgroup(g, e) for e in exponents}:
+        masks, _ = groups._subgroups_above(g, base, 10**7)
+        assert len(masks) == len(set(masks)), base
+        assert all(mask & base == base for mask in masks)
+
+
+# The walk's candidate closures, one per greedy step it tries; the walk that
+# extended every subgroup by every left coset charged the count after the #.
+WALK_CHARGES = [
+    (lambda: product(*[cyclic(2)] * 4), 4, 65),  # 225
+    (lambda: product(*[cyclic(3)] * 3), 4, 54),  # 156
+    (lambda: heisenberg(3), 4, 54),  # 138
+    (lambda: dihedral(6), 4, 16),  # 55
+    (lambda: dihedral(16), 4, 9),  # 22
+    (lambda: product(cyclic(4), cyclic(8)), 4, 24),  # 57
+    (lambda: dihedral(16), 32, 45),  # 364
+]
+
+
+@pytest.mark.parametrize("build, max_index, charged", WALK_CHARGES,
+                         ids=["Z2^4", "Z3^3", "H3", "D6", "D16", "Z4xZ8", "D16-lattice"])
+def test_the_walk_charges_its_greedy_candidates(build, max_index, charged):
+    subgroups_up_to_index(build(), max_index, budget=charged)
+    with pytest.raises(BudgetExceeded) as err:
+        subgroups_up_to_index(build(), max_index, budget=charged - 1)
+    assert (err.value.required, err.value.budget) == (charged, charged - 1)
+
+
 @pytest.mark.parametrize("search", [
     lambda g, budget: subgroups_up_to_index(g, g.order, budget=budget),
     lambda g, budget: subgroups_up_to_index(g, 4, budget=budget),
@@ -460,6 +494,26 @@ def test_negative_search_budget_is_refused_before_any_work(search):
 def test_search_budget_must_be_an_int(budget):
     with pytest.raises(ValueError, match=f"^budget must be an int, got {re.escape(repr(budget))}$"):
         subgroups_up_to_index(cyclic(6), 4, budget=budget)
+
+
+# each call with int arguments that it accepts, and the name of each one
+INT_CALLS = [
+    (lambda n: cyclic(n), 3, "n"),
+    (lambda n: dihedral(n), 3, "n"),
+    (lambda p: heisenberg(p), 3, "p"),
+    (lambda m: subgroups_up_to_index(cyclic(6), m), 3, "max_index"),
+    (lambda width: linear_order_relation(cyclic(6), width), 3, "width"),
+    (lambda m: ap_census(cyclic(6), mask_of([0, 1, 2]), m, 1), 3, "m"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, False, "3", None], ids=repr)
+@pytest.mark.parametrize("call, good, name", INT_CALLS, ids=[
+    "cyclic", "dihedral", "heisenberg", "subgroups_up_to_index", "linear_order_relation", "ap_census"])
+def test_integer_arguments_that_are_not_ints_are_refused(call, good, name, value):
+    call(good)
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 def test_subgroups_sorted_by_index_then_members():
