@@ -486,8 +486,7 @@ def translate_relation(
     counts are preserved. Shifts are GroupElement (arity 1), tuples or lists
     of GroupElement/None per coordinate (higher arity), or None for
     identity; any other shift is an ArityMismatch. With no shift on either
-    side the relation itself comes back, unmoved; with a domain shift alone
-    the rows are taken by index, and no matrix is built.
+    side the relation itself comes back, unmoved.
     """
     group = relation.group
     carriers = relation.domain, relation.codomain
@@ -495,16 +494,12 @@ def translate_relation(
                     in zip(carriers, (domain_shift, codomain_shift), (domain_side, codomain_side)))
     if not any(map(any, dmove + cmove)):
         return relation
-    # One slot per coordinate. Output (x, y) is input (dmap[x], cmap[y]).
+    # One slot per coordinate. Output (x, y) is input (dmap[x], cmap[y]):
+    # one gather moves every row at once, and the result is cut back into rows.
     slots = [[(c,) for c in range(carrier.arity)] for carrier in carriers]
-    if not any(map(any, cmove)):
-        # Only the domain moves: output row x is input row dmap[x].
-        rows = tuple(map(relation.rows.__getitem__, _lift_move(group, carriers[0].arity, slots[0], dmove)))
-    else:
-        # One gather moves every row at once, and the result is cut back into rows.
-        stride, _, gather = _matrix_mover(relation, slots)
-        text = format(gather([cmove], dmove), f"0{len(relation.rows) * stride}b")
-        rows = tuple(int(text[i - stride:i], 2) for i in range(len(text), 0, -stride))
+    stride, _, gather = _matrix_mover(relation, slots)
+    text = format(gather([cmove], dmove), f"0{len(relation.rows) * stride}b")
+    rows = tuple(int(text[i - stride:i], 2) for i in range(len(text), 0, -stride))
 
     def moved(carrier: CarrierSet, side_slots, move) -> CarrierSet:
         """The carrier's members x with the lifted move's image of x a member."""

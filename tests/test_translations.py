@@ -402,35 +402,6 @@ def test_translate_moves_only_what_it_shifts(group):
         assert out.rows == tuple(rel.rows[x] for x in source)
 
 
-@pytest.mark.parametrize("group, n", [(cyclic(100), 1), (dihedral(50), 1), (heisenberg(5), 1), (Z2xD3, 1),
-                                      (Z2xD3, 2)], ids=["Z100", "D50", "H5", "Z2xD3", "Z2xD3-arity-2"])
-def test_a_domain_only_shift_takes_rows_by_index(group, n):
-    """With the codomain unmoved, output row x is input row x·g (or g·x) at
-    each shifted coordinate, read pointwise off the oracle group, and no
-    matrix mover is built."""
-    ref = reference(group)
-    rng = random.Random(group.order + n)
-    rel = random_relation(group, rng, (n, 1), proper_carriers=True)
-    for _ in range(4):
-        g = group.element(rng.randrange(group.order))
-        c = rng.randrange(n)
-        shift = g if n == 1 else tuple(g if i == c else None for i in range(n))
-        for side in ("left", "right"):
-            def moved(x):
-                coords = list(decode_tuple(group, n, x))
-                coords[c] = ref.mul(coords[c], g.index) if side == "right" else ref.mul(g.index, coords[c])
-                return encode_tuple(group, coords)
-
-            with mock.patch.object(relations, "_matrix_mover", wraps=_matrix_mover) as movers:
-                out = translate_relation(rel, shift, None, side)
-            assert movers.call_count == 0
-            source = list(map(moved, range(rel.domain.universe)))
-            assert out.rows == tuple(map(rel.rows.__getitem__, source))
-            assert out.domain.members == mask_of(x for x, s in enumerate(source)
-                                                 if rel.domain.members >> s & 1)
-            assert out.codomain == rel.codomain
-
-
 @pytest.mark.parametrize("shift", [3, 2.5, True, "ab", {1}, range(1)], ids=repr)
 def test_a_shift_of_another_kind_is_refused(shift):
     rel = random_relation(cyclic(4), random.Random(4))
