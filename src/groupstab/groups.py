@@ -60,6 +60,7 @@ class FiniteGroup:
         self._inv = inverses
         self._cyclic = table is None and not self.factors
         self._layout: tuple[tuple[tuple[int, int], ...], int] | None = None  # see _digit_layout
+        self._digits = ...  # see _cyclic_digits; ... until it is first asked for
         # power subgroup P -> ((index, mask) of each subgroup above P in
         # listing order, the walk's closure count); see subgroups_up_to_index
         self._lattices: dict[int, tuple[list[tuple[int, int]], int]] = {}
@@ -88,16 +89,20 @@ class FiniteGroup:
 
     def _cyclic_digits(self) -> tuple[tuple[int, int], ...] | None:
         """(weight, length) of each cyclic factor's digit in the index, first
-        factor most significant, or None unless every factor is cyclic."""
-        if not self.factors:
-            return ((1, self.order),) if self._cyclic else None
-        digits: tuple[tuple[int, int], ...] = ()
-        for f in self.factors:
-            inner = f._cyclic_digits()
-            if inner is None:
-                return None
-            digits = tuple((w * f.order, n) for w, n in digits) + inner
-        return digits
+        factor most significant, or None unless every factor is cyclic.
+        Worked out on the first call and kept: every census asks."""
+        if self._digits is ...:
+            digits: tuple[tuple[int, int], ...] | None = ((1, self.order),) if self._cyclic else None
+            if self.factors:
+                digits = ()
+                for f in self.factors:
+                    inner = f._cyclic_digits()
+                    if inner is None:
+                        digits = None
+                        break
+                    digits = tuple((w * f.order, n) for w, n in digits) + inner
+            self._digits = digits
+        return self._digits
 
     def _digit_layout(self) -> tuple[tuple[tuple[int, int], ...], int] | None:
         """(hi, L) for the index written as x = h·L + lo, lo < L, or None.

@@ -7,7 +7,10 @@ matches it when every pair (g^ld·a·g^rd, g^lc·b·g^rc) lies in S. Every
 census kind is one entry of SHAPES, and `census` counts the matches of any
 of them. It holds S as one int, row after row, and each point as one
 moved copy of it: for each g it ANDs the copies of the points and
-popcounts the meet.
+popcounts the meet. A point's copy is carried from one side length to the
+next by the one step between them (relations._matrix_mover), and built from
+S only where it has no copy yet, where that step would negate a digit (a
+right move of D_n by a reflection), and on groups without a digit layout.
 Every census counts ordered triples including the degenerate g = identity
 slice; nontrivial_count excludes it. For carriers of arity above one the
 side length acts on a single designated coordinate (default: the last),
@@ -142,29 +145,37 @@ def _censuses(
     S is held as one int F, bit a·W + b for the pair (a, b), W the row stride
     of relations._matrix_mover. A point with domain action a -> g^ld·a·g^rd and
     codomain action b -> g^lc·b·g^rc, each lifted by (coordinate, diagonal)
-    where the shape lifts it, is one int too: the copy of F whose bit
+    where the shape lifts it, is one int too: its copy of F, whose bit
     (a, b) is the bit of F at the acted-on pair. Then counts[g] is the
     popcount of the AND of the copies, and each kind's loop over its points
     stops ANDing once the meet is empty. Rows outside the domain carrier
     are 0, and every shape has the identity point, whose copy is F: so the
     meet lies in the carriers. The mover names each action by its pair of
     elements, (g^ld, g^rd) or (g^lc, g^rc), on one slot per side: the
-    coordinates the side length acts on. A domain move permutes bits, so
-    it commutes with AND: the points that share a domain action are met as
-    one, the AND of their codomain moves moved once by that action's pair.
-    The points that move no row come first, one at a time, so a sparse meet
-    empties as early as it would point by point.
+    coordinates the side length acts on. The points that move no row come
+    first, so a sparse meet empties as early as it can.
 
-    Kinds with the same lift share one mover, and the pass takes g in the
-    outer loop and the kinds in the inner one: the copies of one side
-    length, which the mover keeps while that side length runs, serve every
-    kind, and no copy outlives a few side lengths. Every kind is checked,
-    in the order given, before any work, so the first kind refused raises
-    as its own census would.
+    Each point keeps its copy from one side length to the next, and the
+    mover carries it there by the one step between the two moves; it
+    builds the copy from F where there is none yet and where that step
+    would negate a digit (D_n's right moves by a reflection), and always on
+    a group without a digit layout. A copy that an emptied meet skipped is
+    carried from the side length it was made at. On a product of cyclic
+    groups the mover carries any int it is given, and there the points that
+    share a domain action are met as one: a domain move permutes bits, so
+    it commutes with AND, and the AND of their codomain copies, each kept
+    and carried, is moved once by that action's pair.
+
+    Kinds with the same lift share one mover and its kept copies, and the
+    pass takes g in the outer loop and the kinds in the inner one: a
+    point's copy at one side length serves every kind that has the point.
+    Every kind is checked, in the order given, before any work, so the
+    first kind refused raises as its own census would.
 
     Witnesses list the set bits of each meet in ascending order, decoded
     as (a, b) = divmod(bit, W): g by g, then a, then b.
     """
+    _check_int(witness_cap, "witness_cap")
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
     group = relation.group
@@ -173,42 +184,61 @@ def _censuses(
     for kind in kinds:
         if kind not in SHAPES:
             raise ValueError(f"unknown census kind {kind!r}")
-        shape = shapes[kind] = SHAPES[kind]
+        shape = SHAPES[kind]
         if shape.abelian_error and not group.is_abelian:
             raise NonAbelianGroup(shape.abelian_error)
         for lifted, carrier in zip(shape.lifted, carriers):
             if not lifted and carrier.arity != 1:
                 raise ArityUnsupported(shape.arity_error)
+        # one slot per side: the coordinates that the side length acts on
+        shapes[kind] = shape, tuple((tuple(_acted_coordinates(carrier.arity, coordinate, diagonal))
+                                     if lifted else (0,),) for lifted, carrier in zip(shape.lifted, carriers))
     q = group.order
     table = group._mul_table()
-    movers = {}
-    passes = []  # per kind: its mover's three values, its plan, its counts and witnesses
-    for kind, shape in shapes.items():
-        # one slot per side: the coordinates that the side length acts on
-        slots = tuple((tuple(_acted_coordinates(carrier.arity, coordinate, diagonal)) if lifted else (0,),)
-                      for lifted, carrier in zip(shape.lifted, carriers))
+    cyclic = group._cyclic_digits() is not None
+    movers = {}  # slots -> the mover's copy, the number of each point and the kept copy by number
+    passes = []  # per kind: its mover's copy and kept copies, its plan, its counts and witnesses
+    for shape, slots in shapes.values():
         if slots not in movers:
-            movers[slots] = _matrix_mover(relation, slots)
-        # The points but the identity, as (domain action, codomain actions) met as one.
+            stride, whole, copy = _matrix_mover(relation, slots)  # stride and whole are S's alone
+            movers[slots] = copy, {}, {}
+        copy, numbers, kept = movers[slots]
+
+        def carried(dact, cact):
+            """(the point's number, its powers ld, rd, lc, rc)."""
+            return (numbers.setdefault((dact, cact), len(numbers)), *dact, *cact)
+
+        # The points but the identity, by domain action, those that move no row
+        # first. An entry is (the domain action met as one, or None; the int its
+        # AND starts from, F where it meets the identity codomain action; its points).
         by_domain: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for dact, cact in shape.points:
-            if dact != (0, 0):
+            if dact != (0, 0) or cact != (0, 0):
                 by_domain.setdefault(dact, []).append(cact)
-        plan = [((0, 0), [cact]) for dact, cact in shape.points if dact == (0, 0) != cact]
-        plan += by_domain.items()
-        passes.append((*movers[slots], plan, [0] * q, [] if include_witnesses else None))
+        plan = []
+        for dact, cacts in sorted(by_domain.items(), key=lambda item: item[0] != (0, 0)):
+            if cyclic and dact != (0, 0) and len(cacts) > 1:
+                plan.append((dact, whole if (0, 0) in cacts else -1,
+                             [carried((0, 0), cact) for cact in cacts if cact != (0, 0)]))
+            else:
+                plan += [(None, -1, [carried(dact, cact)]) for cact in cacts]
+        passes.append((copy, kept, plan, [0] * q, [] if include_witnesses else None))
     # the highest power of g in a point
-    top = max((max(p[0] + p[1]) for shape in shapes.values() for p in shape.points), default=0)
+    top = max((max(p[0] + p[1]) for shape, _ in shapes.values() for p in shape.points), default=0)
 
     for g in range(q):
         powers = [0, g]
         for _ in range(top - 1):
             powers.append(table[powers[-1]][g])
-        for stride, whole, gather, plan, counts, witnesses in passes:
+        for copy, kept, plan, counts, witnesses in passes:
             meet = whole
-            for (ld, rd), cacts in plan:  # each move is one pair, for the side's one slot
-                cmoves = [((powers[lc], powers[rc]),) for lc, rc in cacts]
-                meet &= gather(cmoves, ((powers[ld], powers[rd]),))
+            for dact, part, points in plan:
+                for i, ld, rd, lc, rc in points:
+                    kept[i] = moved = copy(((powers[ld], powers[rd]), (powers[lc], powers[rc])), kept.get(i))
+                    part &= moved[1]
+                if dact is not None:  # met as one: the AND, not moved yet, moved by dact
+                    part = copy(((powers[dact[0]], powers[dact[1]]), (0, 0)), (None, part))[1]
+                meet &= part
                 if not meet:
                     break
             counts[g] = meet.bit_count()

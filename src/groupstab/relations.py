@@ -11,8 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial, reduce
-from operator import and_
+from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -26,6 +25,7 @@ from .errors import (
     CrossGroupElement,
     EmptyCarrier,
     PairOutsideCarrier,
+    _check_int,
 )
 from .groups import FiniteGroup, GroupElement, _element_index, translation
 
@@ -80,8 +80,11 @@ def _side_pair(g: int, side: str) -> tuple[int, int]:
 
 def _acted_coordinates(arity: int, coordinate: int | None, diagonal: bool) -> Sequence[int]:
     """The coordinates of G^arity that a lifted map of G acts on: every one
-    with diagonal=True, which ignores `coordinate`, else the designated one,
-    the last by default, after checking it."""
+    with diagonal=True, which ignores `coordinate` once it is checked to be an
+    int or None, else the designated one, the last by default, after
+    checking it."""
+    if coordinate is not None:
+        _check_int(coordinate, "coordinate")
     if diagonal:
         return range(arity)
     coord = arity - 1 if coordinate is None else coordinate
@@ -105,26 +108,27 @@ def _lift_move(group: FiniteGroup, arity: int, slots, move) -> list[int]:
     return perm
 
 
-# The moves a mover keeps per side: the distinct actions of one side length over
-# every census kind (patterns.SHAPES), so a census pass finds them kept while
-# that side length runs (twice as many digit copies, which depend on the domain's σ).
+# The moves the column permuter keeps per side: the distinct actions of one side
+# length over every census kind (patterns.SHAPES), so the points of a census pass
+# that share an action find its lifted map, or its moved columns, kept.
 _KEPT_MOVES = 5
 
 
 def _matrix_mover(relation: Relation, slots):
-    """(stride, whole, gather) for the relation's row matrix: the one code
+    """(stride, whole, copy) for the relation's row matrix: the one code
     that moves a relation's rows.
 
     whole is S as one int, bit a·stride + b for the pair (a, b). slots =
     (domain slots, codomain slots), a slot being a set of coordinates of
-    that side's carrier. A move of a side gives one pair (left, right) per
-    slot, whose map x -> left·x·right of G acts on every coordinate of the
-    slot; (0, 0) is the identity. A census passes one slot per side, its
-    acted-on coordinates, and translate_relation one per coordinate.
-    gather(cmoves, dmove) is the AND over the codomain moves of the copies
-    of S with bit (a, b) set iff (dmap[a], cmap[b]) lies in S, for dmap and
-    cmap the moves lifted (_lift_move). The last _KEPT_MOVES moves per side
-    are kept.
+    that side's carrier. A move gives one pair (left, right) per slot, the
+    domain's slots first, whose map x -> left·x·right of G acts on every
+    coordinate of the slot; (0, 0) is the identity. A census passes one
+    slot per side, its acted-on coordinates, and translate_relation one per
+    coordinate. copy(move, kept=None) is (move, C) for C the copy of S at
+    the move: bit (a, b) of C is set iff (dmap[a], cmap[b]) lies in S, for
+    dmap and cmap the move's two sides lifted (_lift_move). kept is such a
+    pair, made earlier by the same mover; a kept pair at the same move comes
+    back as it is.
 
     On a group with a digit layout (FiniteGroup._digit_layout: products of
     cyclic groups, D_n and H_p) the stride is |Y|, and each coordinate of
@@ -133,20 +137,38 @@ def _matrix_mover(relation: Relation, slots):
     σ·lo + t(hi), and is read off the table: h0 at x = 0, which is the one
     lookup left·right; t at the q/L block starts x = hi·L; σ at x = 1, -1
     only on D_n when right is a reflection. Bit (.., x, ..) of a copy is
-    bit (.., f(x), ..) of whole. So a copy starts from whole with lo negated
-    at the coordinates of each slot whose σ is -1 (each such base built
-    once by bits._negate_digit), rotates every hi digit of each slot by -h0
-    (bits._digit_shift), and then rotates lo by -σ·t(hi) in each hi block:
-    one rotation per distinct offset, masked by the union of the hi blocks
-    that share it. Those masks are kept by the blocks they cover, a set
-    bounded by the group. On a product of cyclic groups L = 1, and a move
-    is its hi rotation alone. No translation map is built.
+    bit (.., f(x), ..) of the matrix it is moved from. So a move negates lo
+    at the coordinates of each slot whose σ is -1, rotates every hi digit
+    of each slot by -h0 (bits._digit_shift), and then rotates lo by
+    -σ·t(hi) in each hi block: one rotation per distinct offset, masked by
+    the union of the hi blocks that share it. Those masks are kept by the
+    blocks they cover, a set bounded by the group. On a product of cyclic
+    groups L = 1, and a move is its hi rotation alone. No translation map
+    is built.
 
-    Every other group lifts each move's translation maps, keeping the last
-    _KEPT_MOVES lifted maps per side. It moves the columns of all rows at
-    once (bits._column_permuter, built on the first codomain move) into
-    row-major bytes, with the padded tile width as stride; a domain map
-    joins their rows in its order, and one int.from_bytes makes the copy.
+    A copy is carried from kept where it can be: the kept copy at move
+    (l0, r0) per slot is moved by the one-step move δ = (l0⁻¹·l, r·r0⁻¹)
+    per slot, since l·x·r = l0·(δl·x·δr)·r0. A census passes each point's
+    copy at the side length before, so δ is a small fixed step: mostly the
+    central element on H_p (one unmasked lo rotation), a rotation on D_n
+    (one or two block rotations), a unit step of the low digits on a
+    product of cyclic groups, whose shift masks stay kept instead of being
+    built anew for each side length. The copy is built from whole, by the
+    move itself, when there is no kept pair and when δ has σ = -1 in some
+    slot (D_n's right moves by a reflection): whole with lo negated at
+    those slots is made once (bits._negate_digit), where a kept copy would
+    be negated anew. So on a product of cyclic groups, where σ is always 1,
+    every kept pair is carried, and kept may hold any int at any move, or
+    be (None, X) for an int X not moved at all (moved by the move itself):
+    the census moves an AND of copies so. The lo rotations of a move are
+    worked out once per mover.
+
+    Every other group always builds from whole. It lifts each move's
+    domain map, keeping the last _KEPT_MOVES, and moves the columns of all
+    rows at once (bits._column_permuter, built on the first codomain move)
+    into row-major bytes, keeping the last _KEPT_MOVES codomain moves, with
+    the padded tile width as stride; a domain map joins their rows in its
+    order, and one int.from_bytes makes the copy.
     """
     group = relation.group
     dslots, cslots = slots
@@ -160,34 +182,37 @@ def _matrix_mover(relation: Relation, slots):
         cuts = [slice(x * stride, (x + 1) * stride) for x in range(len(rows))]
         data = b"".join(row.to_bytes(stride, "little") for row in rows)
         dstill, cstill = (((0, 0),) * len(side) for side in slots)
-        domain_map, codomain_map = (lru_cache(maxsize=_KEPT_MOVES)(partial(_lift_move, group, arity, side))
-                                    for arity, side in ((n, dslots), (m, cslots)))
+        split = len(dslots)
+        domain_map = lru_cache(maxsize=_KEPT_MOVES)(partial(_lift_move, group, n, dslots))
         # The tiles are transposed on the first codomain move: a domain move needs none.
         permuter = cache(lambda: _column_permuter(rows, size)[1])
-        permuted = lru_cache(maxsize=_KEPT_MOVES)(
-            lambda cmove: data if cmove == cstill else permuter()(codomain_map(cmove))
-        )
 
-        def gather(cmoves, dmove) -> int:
-            meet = -1
-            for matrix in map(permuted, cmoves):
-                if dmove != dstill:
-                    matrix = b"".join(map(matrix.__getitem__, map(cuts.__getitem__, domain_map(dmove))))
-                meet &= int.from_bytes(matrix, "little")
-            return meet
+        @lru_cache(maxsize=_KEPT_MOVES)
+        def permuted(cmove) -> bytes:
+            return data if cmove == cstill else permuter()(_lift_move(group, m, cslots, cmove))
 
-        return stride * 8, int.from_bytes(data, "little"), gather
+        def copy(move, kept=None):
+            if kept is not None and kept[0] == move:
+                return kept
+            dmove = move[:split]
+            matrix = permuted(move[split:])
+            if dmove != dstill:
+                matrix = b"".join(map(matrix.__getitem__, map(cuts.__getitem__, domain_map(dmove))))
+            return move, int.from_bytes(matrix, "little")
+
+        return stride * 8, int.from_bytes(data, "little"), copy
 
     hi_digits, lo_length = layout
     q = group.order
     table = group._mul_table()
+    inverse = [group.inv(x) for x in range(q)]
     total = len(rows) * size
-    # Per side, per slot: the weight in the pair index of each coordinate's group
-    # index, and (weight in the group index, in the pair index, length) of each hi digit.
-    dweights, cweights = ([[unit * q ** (arity - 1 - c) for c in slot] for slot in side]
-                          for unit, arity, side in ((size, n, dslots), (1, m, cslots)))
-    dplaces, cplaces = ([[(w, weight * w, length) for weight in weights for w, length in hi_digits]
-                         for weights in side] for side in (dweights, cweights))
+    # Per slot, domain slots first: the weight in the pair index of each coordinate's
+    # group index, and (weight in the group index, in the pair index, length) of each hi digit.
+    weights = [[unit * q ** (arity - 1 - c) for c in slot]
+               for unit, arity, side in ((size, n, dslots), (1, m, cslots)) for slot in side]
+    places = [[(w, weight * w, length) for weight in slot_weights for w, length in hi_digits]
+              for slot_weights in weights]
     periods: dict[int, int] = {}  # period -> the mask of its multiples below total
 
     # The masks are as long as the matrix: keep the few that one side length reuses
@@ -203,41 +228,6 @@ def _matrix_mover(relation: Relation, slots):
         shl, high, shr, low = shift(weight, length, step)
         return (matrix << shl & high) | (matrix >> shr & low)
 
-    def shifted(matrix: int, places, move) -> int:
-        """The matrix with each slot's hi digits rotated by minus those of
-        left·right. The slot is counted by hand: zip would cost more."""
-        slot = 0
-        for left, right in move:
-            h = table[left][right]
-            if h:
-                for w, scaled, length in places[slot]:
-                    step = -(h // w) % length
-                    if step:
-                        matrix = rotate(matrix, scaled, length, step)
-            slot += 1
-        return matrix
-
-    whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
-    if lo_length == 1:
-        copy = lru_cache(maxsize=_KEPT_MOVES)(lambda cmove: shifted(whole, cplaces, cmove))
-        return size, whole, lambda cmoves, dmove: shifted(reduce(and_, map(copy, cmoves)), dplaces, dmove)
-
-    @lru_cache(maxsize=_KEPT_MOVES)
-    def offsets(move) -> tuple[tuple[bool, ...], list[list[tuple[int, int]]]]:
-        """(σ = -1 per slot, per slot (lo step, hi blocks taking it as a mask) per distinct step)."""
-        negated, steps = [], []
-        for left, right in move:
-            row = table[left]
-            starts = [table[x][right] for x in row[::lo_length]]
-            flip = lo_length > 2 and (table[row[1]][right] - starts[0]) % lo_length != 1
-            blocks: dict[int, int] = {}
-            for h, t in enumerate(starts):
-                step = (t if flip else -t) % lo_length
-                blocks[step] = blocks.get(step, 0) | 1 << h
-            negated.append(flip)
-            steps.append(list(blocks.items()))
-        return tuple(negated), steps
-
     unions: dict[tuple[int, int], int] = {}  # (weight, hi blocks) -> their union; the group bounds the keys
 
     def union(weight: int, blocks: int) -> int:
@@ -247,45 +237,93 @@ def _matrix_mover(relation: Relation, slots):
             unions[weight, blocks] = _tile(pattern, q * weight, total) & full_mask(total)
         return unions[weight, blocks]
 
-    def moved(matrix: int, weights, places, move, slot_steps) -> int:
-        """shifted, then lo rotated by -σ·t(hi) in each hi block of each slot."""
-        matrix = shifted(matrix, places, move)
+    def moved(matrix: int, move, lo) -> int:
+        """The matrix with each slot's hi digits rotated by minus those of
+        left·right, then lo rotated as offsets lists it: by several steps,
+        the OR of the parts masked by the union of their hi blocks. The slot
+        is counted by hand: zip would cost more."""
         slot = 0
-        for steps in slot_steps:
-            for weight in weights[slot]:
+        for left, right in move:
+            h = table[left][right]
+            if h:
+                for w, scaled, length in places[slot]:
+                    step = -(h // w) % length
+                    if step:
+                        matrix = rotate(matrix, scaled, length, step)
+            slot += 1
+        for weight, steps in lo:
+            if len(steps) == 1:
+                matrix = rotate(matrix, weight, lo_length, steps[0][0])
+            else:
                 out = 0
                 for step, blocks in steps:
-                    part = matrix if len(steps) == 1 else matrix & union(weight, blocks)
+                    part = matrix & union(weight, blocks)
                     out |= rotate(part, weight, lo_length, step) if step else part
                 matrix = out
-            slot += 1
         return matrix
+
+    def between(then, move) -> tuple[tuple[int, int], ...]:
+        """The one-step move δ from a copy at move then to one at move."""
+        return tuple([(table[inverse[l0]][l1], table[r1][inverse[r0]])
+                      for (l0, r0), (l1, r1) in zip(then, move)])
+
+    whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
+    if lo_length == 1:  # no lo digit and σ = 1: every kept int is carried
+        def copy(move, kept=None):
+            if kept is None:
+                return move, moved(whole, move, ())
+            then, matrix = kept
+            if then == move:
+                return kept
+            return move, moved(matrix, move if then is None else between(then, move), ())
+
+        return size, whole, copy
+
+    @cache
+    def offsets(move) -> tuple[tuple[bool, ...], list[tuple[int, list[tuple[int, int]]]]]:
+        """(σ = -1 per slot, the lo rotations of the move): per coordinate of
+        each slot, (its weight, (lo step, hi blocks taking it) per distinct
+        step), left out where the one step is 0."""
+        negated, out = [], []
+        for slot, (left, right) in enumerate(move):
+            row = table[left]
+            starts = [table[x][right] for x in row[::lo_length]]
+            flip = lo_length > 2 and (table[row[1]][right] - starts[0]) % lo_length != 1
+            blocks: dict[int, int] = {}
+            for hi, t in enumerate(starts):
+                step = (t if flip else -t) % lo_length
+                blocks[step] = blocks.get(step, 0) | 1 << hi
+            if len(blocks) > 1 or 0 not in blocks:
+                out += [(weight, list(blocks.items())) for weight in weights[slot]]
+            negated.append(flip)
+        return tuple(negated), out
 
     bases: dict[tuple[bool, ...], int] = {}
 
     def base(negated: tuple[bool, ...]) -> int:
-        """whole with lo negated at the coordinates of the slots marked, domain slots first."""
+        """whole with lo negated at the coordinates of the slots marked."""
         if negated not in bases:
             matrix = whole
-            for flip, weights in zip(negated, dweights + cweights):
+            for flip, slot_weights in zip(negated, weights):
                 if flip:
-                    for weight in weights:
+                    for weight in slot_weights:
                         matrix = _negate_digit(matrix, total, weight, lo_length)
             bases[negated] = matrix
         return bases[negated]
 
-    @lru_cache(maxsize=2 * _KEPT_MOVES)
-    def copy(cmove, dnegated: tuple[bool, ...]) -> int:
-        cnegated, steps = offsets(cmove)
-        return moved(base(dnegated + cnegated), cweights, cplaces, cmove, steps)
+    def copy(move, kept=None):
+        if kept is not None:
+            then, matrix = kept
+            if then == move:
+                return kept
+            delta = between(then, move)
+            negated, lo = offsets(delta)
+            if True not in negated:
+                return move, moved(matrix, delta, lo)
+        negated, lo = offsets(move)
+        return move, moved(base(negated), move, lo)
 
-    def gather(cmoves, dmove) -> int:
-        dnegated, steps = offsets(dmove)
-        matrix = reduce(and_, [copy(cmove, dnegated) for cmove in cmoves])
-        return moved(matrix, dweights, dplaces, dmove, steps)
-
-    # The codomain moves wait for the domain move, whose σ picks their base.
-    return size, whole, gather
+    return size, whole, copy
 
 
 @dataclass(frozen=True)
@@ -495,10 +533,10 @@ def translate_relation(
     if not any(map(any, dmove + cmove)):
         return relation
     # One slot per coordinate. Output (x, y) is input (dmap[x], cmap[y]):
-    # one gather moves every row at once, and the result is cut back into rows.
+    # one copy moves every row at once, and it is cut back into rows.
     slots = [[(c,) for c in range(carrier.arity)] for carrier in carriers]
-    stride, _, gather = _matrix_mover(relation, slots)
-    text = format(gather([cmove], dmove), f"0{len(relation.rows) * stride}b")
+    stride, _, copy = _matrix_mover(relation, slots)
+    text = format(copy(dmove + cmove)[1], f"0{len(relation.rows) * stride}b")
     rows = tuple(int(text[i - stride:i], 2) for i in range(len(text), 0, -stride))
 
     def moved(carrier: CarrierSet, side_slots, move) -> CarrierSet:

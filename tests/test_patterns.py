@@ -1,7 +1,9 @@
 """patterns: censuses against brute force, AP sets, coverage, defects."""
 
+import contextlib
 import json
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -250,11 +252,35 @@ def test_one_pass_over_several_kinds_counts_as_each_census(group, delta):
 
 
 def test_a_mover_keeps_every_action_of_one_side_length():
-    """The mover keeps relations._KEPT_MOVES moves per side: at least the
-    distinct actions over every census kind, so that a pass over any kinds
-    finds each side length's moves kept while it runs."""
+    """Groups without a digit layout build every copy from F, and keep the
+    last relations._KEPT_MOVES lifted domain maps and moved columns: at
+    least the distinct actions per side over every census kind. So a pass
+    over every kind on a full relation, whose meets never empty, lifts each
+    distinct move of one side length at most once (a move kept from the side
+    length before is not lifted again), and rotating groups lift none."""
     actions = {action for shape in SHAPES.values() for point in shape.points for action in point}
     assert len(actions) <= relations._KEPT_MOVES
+    for group in (product(cyclic(2), dihedral(3)), parse_cayley_table(format_cayley_table(dihedral(5))),
+                  dihedral(5), heisenberg(2)):
+        rel = full_relation(group)
+        kinds = [kind for kind, shape in SHAPES.items() if not shape.abelian_error]
+        mul = group.mul
+
+        def power(g, k):
+            return mul(power(g, k - 1), g) if k else 0
+
+        distinct = 0
+        for g in range(group.order):
+            for side in (0, 1):
+                moves = {(power(g, point[side][0]), power(g, point[side][1]))
+                         for kind in kinds for point in SHAPES[kind].points}
+                distinct += len(moves - {(0, 0)})
+        with mock.patch.object(relations, "_lift_move", wraps=relations._lift_move) as lifts:
+            patterns._censuses(rel, kinds)
+        if group._digit_layout() is None:
+            assert 0 < lifts.call_count <= distinct, group.name
+        else:
+            assert lifts.call_count == 0, group.name
 
 
 def test_a_lifted_pass_counts_as_each_census():
@@ -268,6 +294,127 @@ def test_a_lifted_pass_counts_as_each_census():
             counted = patterns._censuses(rel, ["rect23", "square"], True, 40, **lift)
             for kind in ("rect23", "square"):
                 assert counted[kind].to_json() == census(rel, kind, True, 40, **lift).to_json()
+
+
+def noisy_cayley(group, generator, delta, seed):
+    """Cay(G, H) for H the powers of the generator, with each other pair of
+    G×G added with probability delta: at g outside H most meets of a sparse
+    relation empty early, and the copies they skip go stale."""
+    members, x = 1, generator
+    while x:
+        members |= 1 << x
+        x = group.mul(x, generator)
+    cayley = cayley_graph(group, members)
+    rng = random.Random(seed)
+    rows = tuple(row | mask_of(y for y in range(group.order) if rng.random() < delta) for row in cayley.rows)
+    return type(cayley)(cayley.domain, cayley.codomain, rows)
+
+
+@contextlib.contextmanager
+def counted_copies():
+    """Spies on the census's movers: yields a dict counting the copies built
+    from F (no kept copy), carried from a kept copy at another move, kept as
+    they were (at the same move), and the ANDs met as one, moved from no
+    move, over every mover made meanwhile."""
+    calls = {"from F": 0, "carried": 0, "kept": 0, "met as one": 0}
+
+    def mover(relation, slots):
+        stride, whole, copy = relations._matrix_mover(relation, slots)
+
+        def counted(move, kept=None):
+            calls["from F" if kept is None else "met as one" if kept[0] is None
+                  else "kept" if kept[0] == move else "carried"] += 1
+            return copy(move, kept)
+
+        return stride, whole, counted
+
+    with mock.patch.object(patterns, "_matrix_mover", mover):
+        yield calls
+
+
+# Z12 and Z2xZ2xZ3 rotate digits alone; D5 and D6 cross into the reflection
+# block, where a right move by a reflection is built from F; H3 crosses the
+# wrap of its c digit; Z2xD3 and a loaded D5 table move columns.
+CARRY_GROUPS = [cyclic(12), product(cyclic(2), cyclic(2), cyclic(3)), dihedral(5), dihedral(6), heisenberg(3),
+                product(cyclic(2), dihedral(3)), parse_cayley_table(format_cayley_table(dihedral(5)))]
+
+
+@pytest.mark.parametrize("group", CARRY_GROUPS, ids=lambda g: f"{g.name}-{g.recipe_hash()[:4]}")
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(1, 50)], ids=["half", "sparse"])
+def test_carried_copies_count_as_the_oracles(group, delta):
+    """Counts and witnesses match the oracles wherever a carry breaks: after
+    an emptied meet left copies stale, across D_n's reflection block and
+    H3's digit wrap, and on groups that build every copy from F. The sparse
+    relation shows that copies went stale: the census makes fewer copies
+    than its points at every side length."""
+    generator = group.order // 2 if group._digit_layout() else 1
+    rel = noisy_cayley(group, generator, float(delta), group.order)
+    with counted_copies() as calls:
+        assert_censuses_match_oracles(rel, cap=200)
+    full = sum(len(set(shape.points) - {((0, 0), (0, 0))}) * group.order
+               for shape in SHAPES.values() if group.is_abelian or not shape.abelian_error)
+    if delta == Fraction(1, 50):
+        assert sum(calls.values()) < 2 * full  # each kind is counted twice, with and without witnesses
+
+
+# Per kind, the copies a census builds from F on a relation of density 1/2:
+# one per point it carries, at g = 0. Z12 meets the points that share a
+# domain action as one and carries their codomain copies but F's (rect23's
+# two are the points it has with the identity domain action); H3 carries
+# every point but the identity whole.
+BUILT_FROM_F = {
+    "Z12": {"square": 1, "naive": 2, "bmz_left": 1, "bmz_right": 2, "rect23": 2, "lshape": 3,
+            "lshape_right": 3},
+    "H3": {"square": 3, "naive": 2, "bmz_left": 2, "bmz_right": 2, "rect23": 5, "lshape_right": 3},
+}
+
+
+@pytest.mark.parametrize("group", [cyclic(12), heisenberg(3)], ids=lambda g: g.name)
+def test_a_census_builds_each_point_from_f_once(group):
+    full = CarrierSet.full(group, 1)
+    rel = random_dense(full, full, Fraction(1, 2), 7)
+    built = {}
+    for kind in BUILT_FROM_F[group.name]:
+        with counted_copies() as calls:
+            census(rel, kind)
+        built[kind] = calls["from F"]
+        assert calls["carried"] > (group.order - 2) * built[kind], kind
+    assert built == BUILT_FROM_F[group.name]
+
+
+# Arity (2, 1): Z4 and Z2xZ3 meet a shared domain action as one on the lifted
+# domain, D4 and H2 carry each point, Z2xD3 builds every copy from F.
+@pytest.mark.parametrize("group", [cyclic(4), product(cyclic(2), cyclic(3)), dihedral(4), heisenberg(2),
+                                   product(cyclic(2), dihedral(3))], ids=lambda g: g.name)
+@pytest.mark.parametrize("lift", [{}, {"coordinate": 0}, {"diagonal": True}],
+                         ids=["last", "first", "diagonal"])
+@pytest.mark.parametrize("delta", [0.5, 0.1], ids=["half", "sparse"])
+def test_a_lifted_pass_matches_the_pointwise_definition(group, lift, delta):
+    """A pass over the square and rect23 at arity (2, 1), on the domain's
+    designated coordinate or on both: the square's side acts on the domain
+    and the codomain, rect23's on the domain and (two-sided) the codomain."""
+    mul, q = group.mul, group.order
+    rng = random.Random(q)
+    full = [CarrierSet.full(group, arity) for arity in (2, 1)]
+    rel = build_relation(*full, predicate=lambda x, y: rng.random() < delta)
+
+    def times(a, g):
+        coords = list(decode_tuple(group, 2, a))
+        for c in (0, 1) if lift.get("diagonal") else [lift.get("coordinate", 1)]:
+            coords[c] = mul(coords[c], g)
+        return encode_tuple(group, coords)
+
+    def pointwise(points):
+        return [(a, b, g) for g in range(q) for a in range(q * q) for b in range(q)
+                if all(rel.has_pair(*p) for p in points(a, b, g))]
+
+    square = pointwise(lambda a, b, g: [(a, b), (times(a, g), b), (a, mul(b, g)), (times(a, g), mul(b, g))])
+    rect23 = pointwise(lambda a, b, g: [(a, b), (times(a, g), b), (a, mul(b, g)), (times(a, g), mul(b, g)),
+                                        (a, mul(g, mul(b, g))), (times(a, g), mul(g, mul(b, g)))])
+    counted = patterns._censuses(rel, ["rect23", "square"], True, 10**6, **lift)
+    for kind, triples in (("square", square), ("rect23", rect23)):
+        assert counted[kind].witnesses == triples, kind
+        assert counted[kind].count_by_sidelength == [sum(t[2] == g for t in triples) for g in range(q)]
 
 
 def test_a_pass_refuses_the_first_kind_its_census_would():
@@ -459,6 +606,39 @@ def test_census_refuses_a_negative_witness_cap_before_any_work(call):
             call(rel, -1)
     assert not mover.called
     assert call(rel, 0).witnesses in ([], None)
+
+
+CENSUS_CALLS = {
+    "census": lambda rel, cap, **lift: census(rel, "square", True, cap, **lift),
+    "_censuses": lambda rel, cap, **lift: patterns._censuses(rel, ["rect23", "square"], True, cap, **lift),
+    "square_census": lambda rel, cap, **lift: square_census(rel, True, cap, **lift),
+    "rect23_census": lambda rel, cap, **lift: rect23_census(rel, True, cap, **lift),
+    "corner_census": lambda rel, cap: corner_census(rel, "bmz_left", True, cap),
+    "lshape_census": lambda rel, cap: lshape_census(rel, True, cap),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "3", None], ids=repr)
+@pytest.mark.parametrize("name", CENSUS_CALLS)
+def test_census_integer_arguments_that_are_not_ints_are_refused(name, value):
+    """witness_cap, and coordinate where the census takes one, must be ints
+    (coordinate may be None): anything else is refused before any work."""
+    call = CENSUS_CALLS[name]
+    rel = cayley_graph(cyclic(4), mask_of([0, 2]))
+    assert call(rel, 3)
+    message = f"^{{}} must be an int, got {re.escape(repr(value))}$"
+    with mock.patch("groupstab.patterns._matrix_mover") as mover:
+        with pytest.raises(ValueError, match=message.format("witness_cap")):
+            call(rel, value)
+        if name not in ("corner_census", "lshape_census") and value is not None:
+            with pytest.raises(ValueError, match=message.format("coordinate")):
+                call(rel, 3, coordinate=value)
+            with pytest.raises(ValueError, match=message.format("coordinate")):
+                call(rel, 3, coordinate=value, diagonal=True)
+    assert not mover.called
+    if value is not None:
+        with pytest.raises(ValueError, match=message.format("coordinate")):
+            relations.coordinate_action(cyclic(4), 2, 1, coordinate=value)
 
 
 def test_square_diagonal_action_mode():

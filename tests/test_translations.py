@@ -280,16 +280,20 @@ def mover_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(mover_cases(), st.data())
 def test_row_moves_are_translations(case, data):
-    """gather(cmoves, dmove) is S as one int with row dmap[a] of S in row a,
-    column cmap[b] of it moved to column b, ANDed over the codomain moves,
-    for dmap and cmap the moves lifted: each slot's pair (l, r) maps every
+    """copy(move) is (move, S as one int with row dmap[a] of S in row a and
+    column cmap[b] of it moved to column b), for dmap and cmap the move's
+    domain and codomain pairs lifted: each slot's pair (l, r) maps every
     coordinate of the slot by x -> l·x·r of the oracle group. Each row is
     picked by the lifted domain map and permuted bit by bit by the inverse
-    of a lifted codomain map. A drawn None stands for the identity move,
-    (0, 0) in every slot."""
+    of the lifted codomain map. Three moves in a row, each carried from
+    the copy before or built afresh, as drawn: the copy is the same either
+    way. A drawn None stands for the identity move, (0, 0) in every slot.
+    On a product of cyclic groups every carry moves the kept matrix, so it
+    moves any matrix kept at any move by the step between the moves, and a
+    matrix kept at no move (None) by the move itself."""
     group, ref, rel, slots = case
     q = group.order
-    stride, whole, gather = _matrix_mover(rel, slots)
+    stride, whole, copy = _matrix_mover(rel, slots)
     assert stride >= rel.codomain.universe
 
     def lifted(arity, side_slots, move):
@@ -310,23 +314,35 @@ def test_row_moves_are_translations(case, data):
         pair = st.tuples(*[st.integers(0, q - 1)] * 2)
         return st.none() | st.tuples(*[pair] * len(side_slots))
 
+    def moved(rows, dmove, cmove):
+        """The rows, as one int, moved by the two sides' moves."""
+        csource = lifted(rel.codomain.arity, cslots, cmove)
+        inverse = [0] * len(csource)
+        for y, source in enumerate(csource):
+            inverse[source] = y
+        return joined(permute_bits(rows[x], inverse) for x in lifted(rel.domain.arity, dslots, dmove))
+
     assert whole == joined(rel.rows)
     dslots, cslots = slots
-    for label in ("first", "second"):  # one mover serves any number of moves
-        dmove = data.draw(moves(dslots), label=f"{label} domain")
-        cmoves = data.draw(st.lists(moves(cslots), min_size=1, max_size=2), label=f"{label} codomain")
-        dsource = range(rel.domain.universe) if dmove is None else lifted(rel.domain.arity, dslots, dmove)
-        expected = -1
-        for cmove in cmoves:
-            csource = range(rel.codomain.universe) if cmove is None else lifted(
-                rel.codomain.arity, cslots, cmove)
-            inverse = [0] * len(csource)
-            for y, source in enumerate(csource):
-                inverse[source] = y
-            expected &= joined(permute_bits(rel.rows[x], inverse) for x in dsource)
-        still = [((0, 0),) * len(side_slots) for side_slots in slots]
-        assert gather([still[1] if cmove is None else cmove for cmove in cmoves],
-                      still[0] if dmove is None else dmove) == expected
+    still = [((0, 0),) * len(side_slots) for side_slots in slots]
+    kept = None
+    for label in ("first", "second", "third"):  # one mover serves any number of moves
+        dmove, cmove = (data.draw(moves(side_slots), label=f"{label} {side}") or side_still
+                        for side_slots, side, side_still in zip(slots, ("domain", "codomain"), still))
+        if not data.draw(st.booleans(), label=f"carry to {label}"):
+            kept = None
+        kept = copy(dmove + cmove, kept)
+        assert kept == (dmove + cmove, moved(rel.rows, dmove, cmove))
+    if group._cyclic_digits() is not None:
+        rows = [random.Random(q).getrandbits(rel.codomain.universe) for _ in rel.rows]
+        then = kept[0]
+        dmove, cmove = (data.draw(moves(side_slots), label=f"last {side}") or side_still
+                        for side_slots, side, side_still in zip(slots, ("domain", "codomain"), still))
+        step = tuple((ref.mul(ref.inv(l0), l1), ref.mul(r1, ref.inv(r0)))
+                     for (l0, r0), (l1, r1) in zip(then, dmove + cmove))
+        split = len(dslots)
+        assert copy(dmove + cmove, (then, joined(rows)))[1] == moved(rows, step[:split], step[split:])
+        assert copy(dmove + cmove, (None, joined(rows)))[1] == moved(rows, dmove, cmove)
 
 
 @contextlib.contextmanager
@@ -355,10 +371,10 @@ def test_only_groups_with_a_digit_layout_rotate():
             continue
         rel = random_relation(group, random.Random(q), (n, m))  # full carriers
         with row_moves() as calls:  # a census's moves, on the last coordinate of each side
-            _, _, gather = _matrix_mover(rel, [[[n - 1]], [[m - 1]]])
+            _, _, copy = _matrix_mover(rel, [[[n - 1]], [[m - 1]]])
+            kept = None
             for left in range(q):
-                move = ((left, q - 1),)
-                gather([move], move)
+                kept = copy(((left, q - 1),) * 2, kept)
             by_census = calls()
         with row_moves() as calls:  # every coordinate shifted by the last element
             shifts = [tuple(group.element(q - 1) for _ in range(arity)) for arity in (n, m)]
