@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .bits import iter_bits, mask_of
 from .boxcover import greedy_box_cover
-from .errors import ToolkitError, _read
+from .errors import ToolkitError, _check_budget, _read
 from .genlab import GeneratorSpec, as_fraction, frac_json, instantiate_generator
 from .groups import (
     FiniteGroup,
@@ -40,6 +40,7 @@ from .groups import (
 )
 from .halfgraph import (
     DEFAULT_EXACT_BUDGET,
+    _check_sampling,
     _exact_or_sampled,
     count_halfgraphs_exact,
     sample_halfgraphs,
@@ -79,13 +80,20 @@ def parse_group_spec(spec) -> FiniteGroup:
 # How each scalar field of an experiment config file is read.
 _CONFIG_READERS = {
     "k": int, "epsilon": as_fraction, "max_index": int, "samples": int, "seed": int,
-    "confidence": float, "exact_budget": int, "threads": int,
+    "confidence": float, "exact_budget": int,
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """A sweep over groups with one generator and fixed probe parameters."""
+    """A sweep over groups with one generator and fixed probe parameters.
+
+    Sampled heights draw one seeded stream, so `seed` alone fixes them.
+    samples, seed and confidence pass halfgraph's sampling check, and
+    exact_budget errors' budget check, with their messages. from_json
+    refuses a key that names no field, so the report's `config` echo, read
+    back as a config, reruns the same sweep.
+    """
 
     groups: list
     generator: GeneratorSpec
@@ -97,7 +105,6 @@ class ExperimentConfig:
     seed: int = 0
     confidence: float = 0.95
     exact_budget: int = DEFAULT_EXACT_BUDGET
-    threads: int = 1
     output: str | None = None
 
     def __post_init__(self) -> None:
@@ -107,14 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"max_index must be >= 1, got {self.max_index}")
         if not 0 < self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0 < self.confidence < 1:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.exact_budget < 0:
-            raise ValueError(f"exact_budget must be >= 0, got {self.exact_budget}")
+        _check_sampling(self.samples, self.seed, self.confidence)
+        _check_budget(self.exact_budget, "exact_budget")
         for kind in self.census:
             if kind not in CENSUS_KINDS:
                 raise ValueError(f"unknown census kind {kind!r}")
@@ -123,6 +124,10 @@ class ExperimentConfig:
     def from_json(obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ValueError(f"experiment config must be a JSON object, got {obj!r}")
+        names = {f.name for f in fields(ExperimentConfig)}
+        unknown = [key for key in obj if key not in names]
+        if unknown:
+            raise ValueError(f"unknown config keys {', '.join(map(repr, unknown))}")
         for key in ("groups", "census"):
             if not isinstance(obj.get(key, []), list):
                 raise ValueError(f"config {key!r} must be a JSON list, got {obj[key]!r}")
@@ -183,8 +188,7 @@ def _sweep(config: ExperimentConfig, row_body) -> dict:
                 relation = instantiate_generator(config.generator, group, config.seed)
             with _stage(stages, "halfgraph"):
                 theta = _exact_or_sampled(
-                    relation, config.k, config.exact_budget, config.samples,
-                    config.seed, config.confidence, worker_count=config.threads,
+                    relation, config.k, config.exact_budget, config.samples, config.seed, config.confidence
                 )
             rows.append(row_body(group, relation, theta, stages))
         except (ToolkitError, ValueError) as exc:
@@ -333,15 +337,11 @@ def _cmd_halfgraph(args) -> int:
     if args.mode == "count":
         report = count_halfgraphs_exact(relation, args.k, budget=args.budget).to_json()
     elif args.mode == "estimate":
-        report = sample_halfgraphs(
-            relation, args.k, args.samples, args.seed, args.confidence,
-            worker_count=args.threads,
-        ).to_json()
+        report = sample_halfgraphs(relation, args.k, args.samples, args.seed, args.confidence).to_json()
     else:
         reports = theta_profile(
             relation, args.k_max, exact_budget=args.budget,
             samples=args.samples, seed=args.seed, confidence=args.confidence,
-            worker_count=args.threads,
         )
         report = {"profile": [r.to_json() for r in reports]}
     _emit(report, args.output)
@@ -380,7 +380,7 @@ def _cmd_gen(args) -> int:
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     # Through replace, so the overrides pass the same checks as the file's values.
-    overrides = {"seed": args.seed, "exact_budget": args.budget, "threads": args.threads}
+    overrides = {"seed": args.seed, "exact_budget": args.budget}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     report = run_family_trend(config) if args.mode == "trend" else run_experiment(config)
     _emit(report, args.output or config.output)
@@ -393,7 +393,6 @@ _OPTIONS = {
     "group": {"required": True, "help": "group spec, e.g. Z6, Z2xZ2, D4, or JSON"},
     "seed": {"type": int, "default": 0, "help": "base RNG seed"},
     "budget": {"type": int, "default": DEFAULT_EXACT_BUDGET, "help": "work budget for exact kernels"},
-    "threads": {"type": int, "default": 1, "help": "worker streams for sampling"},
     "k": {"type": int, "default": 2},
     "output": {"help": "write the result here instead of stdout"},
 }
@@ -418,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     rel = _add(argparse.ArgumentParser(add_help=False), "group", "seed", "output")
     rel.add_argument("--gen", help="generator spec as JSON")
     rel.add_argument("--relation-file", help="relation in the save format")
-    sampling = _add(argparse.ArgumentParser(add_help=False), "threads")
+    sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--samples", type=int, default=10_000)
     sampling.add_argument("--confidence", type=float, default=0.95)
 
@@ -471,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in ("run", "trend"):
         ep = esub.add_parser(mode)
         ep.add_argument("--config", required=True, help="experiment config JSON file")
-        _add(ep, "seed", "budget", "threads", default=None)  # None keeps the config's value
+        _add(ep, "seed", "budget", default=None)  # None keeps the config's value
         _add(ep, "output").set_defaults(handler="_cmd_experiment")
 
     return parser

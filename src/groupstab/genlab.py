@@ -204,9 +204,25 @@ def _pair(pair) -> list:
     return pair
 
 
+# The params each generator kind reads; a spec that gives any other is refused.
+_PARAMS = {
+    "coset_boxes": {"subgroup_index", "max_subgroup_index", "pairs"},
+    "sidon_cayley": {"budget"},
+    "random_dense": {"delta", "seed"},
+    "perturbation": {"base", "eta", "seed"},
+    "linear_order": {"width"},
+}
+
+
 def instantiate_generator(spec: GeneratorSpec, group: FiniteGroup, default_seed: int = 0) -> Relation:
-    """Materialize a GeneratorSpec for one concrete group."""
+    """Materialize a GeneratorSpec for one concrete group. An unknown kind,
+    or a param its kind does not read, is a ValueError."""
+    if spec.kind not in _PARAMS:
+        raise ValueError(f"unknown generator kind {spec.kind!r}")
     params = spec.params
+    unknown = [key for key in params if key not in _PARAMS[spec.kind]]
+    if unknown:
+        raise ValueError(f"unknown {spec.kind} generator params {', '.join(map(repr, unknown))}")
     if spec.kind == "coset_boxes":
         sub = _resolve_subgroup(group, params)
         pairs = params.get("pairs", "diagonal")
@@ -229,9 +245,8 @@ def instantiate_generator(spec: GeneratorSpec, group: FiniteGroup, default_seed:
         base = instantiate_generator(GeneratorSpec.from_json(params["base"]), group, default_seed)
         seed = _read(int, params.get("seed", default_seed), "'seed'")
         return perturb_relation(base, params["eta"], seed)
-    if spec.kind == "linear_order":
-        width = params.get("width", "isqrt")
-        if width == "isqrt":
-            width = math.isqrt(group.order)
-        return linear_order_relation(group, _read(int, width, "'width'"))
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    # linear_order, the one kind left
+    width = params.get("width", "isqrt")
+    if width == "isqrt":
+        width = math.isqrt(group.order)
+    return linear_order_relation(group, _read(int, width, "'width'"))

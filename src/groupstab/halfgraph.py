@@ -377,7 +377,6 @@ def sample_halfgraphs(
     samples: int,
     seed: int,
     confidence: float = 0.95,
-    worker_count: int = 1,
 ) -> HalfGraphReport:
     """Monte Carlo estimate of |H_k| from uniform a-tuples of X^k.
 
@@ -386,28 +385,24 @@ def sample_halfgraphs(
     over the b's, so by Rao-Blackwell no more variance. The mean score
     estimates theta_carrier and is rescaled to the group normalization. The
     T_j are disjoint subsets of Y, so a score lies in [0, k^-k], the range of
-    the two-sided Hoeffding interval at the requested confidence. The sample
-    budget is split across `worker_count` streams with derived seeds, so the
-    result depends only on (seed, worker_count). A k, samples, seed or
-    worker_count that is not an int (a bool included) is a ValueError.
+    the two-sided Hoeffding interval at the requested confidence. All the
+    a-tuples come from one stream, random.Random(derive_seed(seed, 0)), in
+    chunks of _CHUNK, so the result depends only on the seed. A k, samples
+    or seed that is not an int (a bool included) is a ValueError.
     """
     _check_height(k)
-    _check_sampling(samples, seed, confidence, worker_count)
+    _check_sampling(samples, seed, confidence)
     rows = [relation.rows[x] for x in relation.domain.member_indices()]
     ny = relation.codomain.size
     group_denom, carrier_denom = _normalizers(relation, k)
     if not rows or not ny:
         zero = Fraction(0)
         return HalfGraphReport(k, None, zero, (zero, zero), samples, zero, zero)
-    score = 0
-    base, extra = divmod(samples, worker_count)
-    for w in range(min(worker_count, samples)):  # streams past `samples` draw nothing
-        rng = random.Random(derive_seed(seed, w))
-        left = base + (w < extra)
-        while left:
-            n = min(left, _CHUNK)
-            score += _score_chunk([rng.choices(rows, k=n) for _ in range(k)])
-            left -= n
+    rng = random.Random(derive_seed(seed, 0))
+    score = sum(
+        _score_chunk([rng.choices(rows, k=min(_CHUNK, samples - done)) for _ in range(k)])
+        for done in range(0, samples, _CHUNK)
+    )
     p_hat = Fraction(score, samples * ny**k)
     top = Fraction(1, k**k)
     eps = top * Fraction(math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples)))
@@ -432,17 +427,14 @@ def _check_height(k: int) -> None:
         raise ValueError(f"half-graph height must be >= 1, got {k}")
 
 
-def _check_sampling(samples: int, seed: int, confidence: float, worker_count: int) -> None:
+def _check_sampling(samples: int, seed: int, confidence: float) -> None:
     """Refuse sampling parameters that no sampled height could use."""
     _check_int(samples, "samples")
     _check_int(seed, "seed")
-    _check_int(worker_count, "worker_count")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if worker_count < 1:
-        raise ValueError(f"worker_count must be >= 1, got {worker_count}")
 
 
 def _score_chunk(cols: list[list[int]]) -> int:
@@ -472,28 +464,24 @@ def theta_profile(
     samples: int = 10_000,
     seed: int = 0,
     confidence: float = 0.95,
-    worker_count: int = 1,
 ) -> list[HalfGraphReport]:
     """Reports for k = 1..k_max; exact where the budget gate of
     count_halfgraphs_exact admits them, sampled beyond.
 
     Sampled entries are flagged by exact_count being None; the one at height
-    k is sample_halfgraphs with seed derive_seed(seed, k) over worker_count
-    streams. The budget and the sampling parameters are checked before any
-    height, so they are refused even when every height goes exact. With the
-    group normalization theta_k is non-increasing in k. A k_max,
-    exact_budget, samples, seed or worker_count that is not an int (a bool
-    included) is a ValueError.
+    k is sample_halfgraphs with seed derive_seed(seed, k). The budget and
+    the sampling parameters are checked before any height, so they are
+    refused even when every height goes exact. With the group normalization
+    theta_k is non-increasing in k. A k_max, exact_budget, samples or seed
+    that is not an int (a bool included) is a ValueError.
     """
     _check_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     _check_budget(exact_budget, "exact_budget")
-    _check_sampling(samples, seed, confidence, worker_count)
+    _check_sampling(samples, seed, confidence)
     return [
-        _exact_or_sampled(
-            relation, k, exact_budget, samples, derive_seed(seed, k), confidence, worker_count
-        )
+        _exact_or_sampled(relation, k, exact_budget, samples, derive_seed(seed, k), confidence)
         for k in range(1, k_max + 1)
     ]
 
@@ -505,10 +493,9 @@ def _exact_or_sampled(
     samples: int,
     seed: int,
     confidence: float,
-    worker_count: int = 1,
 ) -> HalfGraphReport:
     """The exact report at height k, or a sampled one when the budget gate refuses it."""
     try:
         return count_halfgraphs_exact(relation, k, budget=exact_budget)
     except BudgetExceeded:
-        return sample_halfgraphs(relation, k, samples, seed, confidence, worker_count)
+        return sample_halfgraphs(relation, k, samples, seed, confidence)

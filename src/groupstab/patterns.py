@@ -94,8 +94,10 @@ _ON_GXG = (False, False)
 class Shape:
     """A census kind. lifted says whether the domain and the codomain take the
     coordinate choice; a carrier that does not must have arity 1, else the
-    census raises ArityUnsupported(arity_error). A non-empty abelian_error
-    marks a shape on abelian groups only and is its NonAbelianGroup message."""
+    census raises ArityUnsupported(arity_error). A kind that lifts neither
+    side lives on G×G, and checks the coordinate choice on both arity-1
+    sides as the square does. A non-empty abelian_error marks a shape on
+    abelian groups only and is its NonAbelianGroup message."""
 
     points: tuple
     lifted: tuple[bool, bool]
@@ -127,7 +129,10 @@ def census(
 ) -> PatternCensus:
     """Per-g counts of the triples (a, b, g) whose points of SHAPES[kind] all lie in S.
 
-    The one-kind pass of `_censuses`, the one census engine.
+    The one-kind pass of `_censuses`, the one census engine. Every kind
+    checks the coordinate: one that is not an int (a bool included) is a
+    ValueError, and one outside the arity of a side it acts on, both sides
+    of a kind on G×G, is ArityMismatch.
     """
     return _censuses(relation, (kind,), include_witnesses, witness_cap, coordinate, diagonal)[kind]
 
@@ -190,9 +195,11 @@ def _censuses(
         for lifted, carrier in zip(shape.lifted, carriers):
             if not lifted and carrier.arity != 1:
                 raise ArityUnsupported(shape.arity_error)
-        # one slot per side: the coordinates that the side length acts on
+        # One slot per side: the coordinates that the side length acts on. A kind on G×G
+        # lifts both its sides, trivially, so its coordinate is checked as the square's is.
+        lifts = shape.lifted if any(shape.lifted) else (True, True)
         shapes[kind] = shape, tuple((tuple(_acted_coordinates(carrier.arity, coordinate, diagonal))
-                                     if lifted else (0,),) for lifted, carrier in zip(shape.lifted, carriers))
+                                     if lifted else (0,),) for lifted, carrier in zip(lifts, carriers))
     q = group.order
     table = group._mul_table()
     cyclic = group._cyclic_digits() is not None

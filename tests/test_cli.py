@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -98,15 +99,14 @@ def test_halfgraph_estimate_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize(
     "mode, height", [("estimate", ["--k", "3"]), ("profile", ["--k-max", "3", "--budget", "100"])]
 )
-def test_halfgraph_sampling_cli_is_reproducible_and_in_its_interval(capsys, mode, height, threads):
+def test_halfgraph_sampling_cli_is_reproducible_and_in_its_interval(capsys, mode, height):
     args = [
         "halfgraph", mode, "--group", "Z8",
         "--gen", '{"kind": "random_dense", "params": {"delta": 0.5, "seed": 11}}',
-        *height, "--samples", "700", "--seed", "4", "--threads", threads,
+        *height, "--samples", "700", "--seed", "4",
     ]
     assert main(args) == 0
     first = capsys.readouterr().out
@@ -121,25 +121,20 @@ def test_halfgraph_sampling_cli_is_reproducible_and_in_its_interval(capsys, mode
         assert lo <= est <= hi
 
 
-def test_halfgraph_profile_honours_threads(capsys):
-    """Each sampled height of the profile is the sampler at its derived seed,
-    over the --threads streams."""
+def test_halfgraph_profile_samples_each_height_at_its_derived_seed(capsys):
+    """Each sampled height of the profile is the sampler at its derived seed."""
     spec = '{"kind": "random_dense", "params": {"delta": 0.5, "seed": 11}}'
-    profiles = {}
-    for threads in ("1", "3"):
-        assert main([
-            "halfgraph", "profile", "--group", "Z8", "--gen", spec, "--k-max", "3",
-            "--samples", "700", "--seed", "4", "--threads", threads, "--budget", "10",
-        ]) == 0
-        profiles[threads] = json.loads(capsys.readouterr().out)["profile"]
+    assert main([
+        "halfgraph", "profile", "--group", "Z8", "--gen", spec, "--k-max", "3",
+        "--samples", "700", "--seed", "4", "--budget", "10",
+    ]) == 0
+    profile = json.loads(capsys.readouterr().out)["profile"]
     relation = instantiate_generator(GeneratorSpec.from_json(json.loads(spec)), cyclic(8), 4)
-    for k, three in enumerate(profiles["3"], start=1):
-        if three["exact_count"] is None:
-            expected = sample_halfgraphs(relation, k, 700, derive_seed(4, k), worker_count=3)
-            assert three == expected.to_json()
-    # k = 1 is exact; k = 2 and 3 are sampled, and k = 2 reads another estimate.
-    assert [r["exact_count"] is None for r in profiles["3"]] == [False, True, True]
-    assert profiles["1"][1] != profiles["3"][1]
+    for k, report in enumerate(profile, start=1):
+        if report["exact_count"] is None:
+            assert report == sample_halfgraphs(relation, k, 700, derive_seed(4, k)).to_json()
+    # k = 1 is exact; k = 2 and 3 are sampled.
+    assert [r["exact_count"] is None for r in profile] == [False, True, True]
 
 
 def test_patterns_census_cli(capsys):
@@ -187,8 +182,8 @@ def _leaf_commands(parser, words=()):
 
 
 RELATION_OPTIONS = {"--group": None, "--seed": 0, "--output": None, "--gen": None, "--relation-file": None}
-SAMPLING_OPTIONS = {"--threads": 1, "--samples": 10_000, "--confidence": 0.95}
-EXPERIMENT_OPTIONS = {"--config": None, "--seed": None, "--budget": None, "--threads": None, "--output": None}
+SAMPLING_OPTIONS = {"--samples": 10_000, "--confidence": 0.95}
+EXPERIMENT_OPTIONS = {"--config": None, "--seed": None, "--budget": None, "--output": None}
 
 
 def test_each_command_takes_exactly_the_options_it_reads():
@@ -211,10 +206,11 @@ def test_each_command_takes_exactly_the_options_it_reads():
         "experiment run": EXPERIMENT_OPTIONS,
         "experiment trend": EXPERIMENT_OPTIONS,
     }
-    assert sum(map(len, taken.values())) == 66
+    assert sum(map(len, taken.values())) == 62
 
 
 SPEC = '{"kind": "linear_order"}'
+SMALL_CONFIG = str(Path(__file__).parents[1] / "examples" / "nonabelian_trend.json")
 
 
 @pytest.mark.parametrize("command, option", [
@@ -227,6 +223,8 @@ SPEC = '{"kind": "linear_order"}'
     (["halfgraph", "count", "--group", "Z4", "--gen", SPEC], ["--samples", "5"]),
     (["halfgraph", "count", "--group", "Z4", "--gen", SPEC], ["--confidence", "0.5"]),
     (["halfgraph", "estimate", "--group", "Z4", "--gen", SPEC], ["--budget", "5"]),
+    (["halfgraph", "estimate", "--group", "Z4", "--gen", SPEC], ["--threads", "2"]),
+    (["experiment", "run", "--config", SMALL_CONFIG], ["--threads", "2"]),
     (["patterns", "census", "--group", "Z4", "--gen", SPEC, "--kind", "square"], ["--threads", "2"]),
     (["patterns", "census", "--group", "Z4", "--gen", SPEC, "--kind", "square"], ["--budget", "5"]),
     (["boxcover", "--group", "Z4", "--gen", SPEC], ["--threads", "2"]),
@@ -335,6 +333,30 @@ def test_experiment_run_and_reproducibility(tmp_path):
     again = run_experiment(cfg)
     strip = lambda rep: {k: v for k, v in rep.items() if k != "timing"}
     assert json.dumps(strip(report)) == json.dumps(strip(again))
+
+
+def test_a_config_key_that_names_no_field_is_named_in_the_error():
+    # the exit code and the one line are test_malformed_config_shapes_are_one_line_config_errors'
+    obj = {"groups": ["Z4", "Z5"], "generator": {"kind": "linear_order"}, "k": 2, "sampels": 5, "thread": 3}
+    with pytest.raises(ValueError, match="^unknown config keys 'sampels', 'thread'$"):
+        ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("sweep", [run_experiment, run_family_trend])
+def test_a_reports_config_block_read_back_reruns_the_report(sweep):
+    """Every field the report echoes reads back as a config, so the echo
+    fed back reproduces the report outside timing, sampled rows included."""
+    config = ExperimentConfig.from_json({
+        "groups": ["Z3", {"kind": "dihedral", "n": 3}, "Z2xZ4"],
+        "generator": {"kind": "random_dense", "params": {"delta": "1/2", "seed": 5}},
+        "k": 3, "epsilon": "0.3", "max_index": 3, "census": ["square", "lshape-right"],
+        "samples": 300, "seed": 11, "confidence": 0.9, "exact_budget": 40, "output": "ignored.json",
+    })
+    report = sweep(config)
+    assert {row["theta_method"] for row in report["rows"]} == {"exact", "sampled"}
+    again = sweep(ExperimentConfig.from_json(json.loads(json.dumps(report["config"]))))
+    strip = lambda rep: json.dumps({k: v for k, v in rep.items() if k != "timing"})
+    assert strip(again) == strip(report)
 
 
 def test_experiment_best_subgroup_is_first_covering_in_ascending_index():
@@ -657,7 +679,7 @@ LINEAR = '"generator": {"kind": "linear_order"}'
           '{"kind": "linear_order", "params": {"width": 3}}', "--k-max", "2",
           "--samples", "0", "--confidence", "1.5"], None),
         # a command-line override passes the same checks as the file's value
-        (["experiment", "run", "--threads", "0"], '{"groups": ["Z4"], %s}' % LINEAR),
+        (["experiment", "run", "--budget", "-1"], '{"groups": ["Z4"], %s}' % LINEAR),
         # a negative budget is refused before any work, whatever it caps
         (["subgroups", "--group", "Z6", "--max-index", "4", "--budget", "-1"], None),
         (["halfgraph", "count", "--group", "Z6", "--gen", '{"kind": "linear_order"}',
@@ -671,7 +693,6 @@ LINEAR = '"generator": {"kind": "linear_order"}'
         (["experiment", "run"], '{"groups": ["Z4"], "epsilon": true, %s}' % LINEAR),
         (["experiment", "run"], '{"groups": ["Z4"], "epsilon": {"num": true, "den": 2}, %s}' % LINEAR),
         (["experiment", "run"], '{"groups": ["Z4"], "samples": true, %s}' % LINEAR),
-        (["experiment", "run"], '{"groups": ["Z4"], "threads": true, %s}' % LINEAR),
         (["experiment", "run"], '{"groups": ["Z4"], "seed": false, %s}' % LINEAR),
         (["halfgraph", "count", "--group", "Z4",
           "--gen", '{"kind": "linear_order", "params": {"width": true}}'], None),
@@ -687,6 +708,10 @@ LINEAR = '"generator": {"kind": "linear_order"}'
           '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": [[1.9, 0]]}}'], None),
         (["gen", "--group", "Z4", "--spec",
           '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": [[true, false]]}}'], None),
+        # a key that names no config field, and a param that the generator kind does not read
+        (["experiment", "run"], '{"groups": ["Z4"], "threads": 1, %s}' % LINEAR),
+        (["experiment", "run"], '{"groups": ["Z4", "Z5"], %s, "k": 2, "sampels": 5, "thread": 3}' % LINEAR),
+        (["gen", "--group", "Z9", "--spec", '{"kind": "linear_order", "params": {"widht": 2}}'], None),
         # a coset pair is a two-element list, never a string read digit by digit
         (["gen", "--group", "Z4", "--spec",
           '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": ["10"]}}'], None),
@@ -728,6 +753,27 @@ def test_every_readme_command_line_runs(tmp_path, monkeypatch, capsys):
         assert words[0] == "groupstab", line
         assert main(words[1:]) == 0, line
         capsys.readouterr()
+
+
+def test_readme_option_table_lists_exactly_the_parsers_options():
+    """Each row of README's `| command | options |` table names exactly the
+    flags build_parser gives its commands, with "relation inputs" read as
+    the flags of the sentence that defines them."""
+    text = README.read_text()
+    flag = re.compile(r"--[a-z][a-z-]*")
+    start = text.index("| command | options |")
+    relation_inputs = set(flag.findall(text[text.index("The *relation inputs* are"):start]))
+    assert relation_inputs == {"--group", "--gen", "--seed", "--relation-file", "--output"}
+    parsers = {" ".join(words): parser for words, parser in _leaf_commands(build_parser())}
+    listed = set()
+    for row in text[start:text.index("\n\n", start)].splitlines()[2:]:
+        commands, options = row.strip("|").split("|")
+        flags = set(flag.findall(options)) | (relation_inputs if "relation inputs" in options else set())
+        for command in re.findall(r"`([^`]+)`", commands):
+            taken = {s for a in parsers[command]._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == taken, command
+            listed.add(command)
+    assert listed == set(parsers)
 
 
 def test_cli_version_and_bad_usage():

@@ -210,10 +210,36 @@ def test_instantiate_generator_kinds():
         GeneratorSpec("perturbation", {"base": base, "eta": "1/100", "seed": 4}), cyclic(10)
     )
     assert rel.edge_count > 0
-    with pytest.raises(ValueError):
-        instantiate_generator(GeneratorSpec("nope", {}), cyclic(4))
+    # the kind is checked before its params, and every param it does not read is named
+    with pytest.raises(ValueError, match="^unknown generator kind 'nope'$"):
+        instantiate_generator(GeneratorSpec("nope", {"widht": 2}), cyclic(4))
+    with pytest.raises(ValueError, match="^unknown linear_order generator params 'widht', 'seed'$"):
+        instantiate_generator(GeneratorSpec("linear_order", {"widht": 2, "seed": 1}), cyclic(9))
     with pytest.raises(ValueError):
         instantiate_generator(GeneratorSpec("coset_boxes", {"subgroup_index": 7}), cyclic(10))
+
+
+# Each generator kind with every param it reads.
+FULL_SPECS = {
+    "coset_boxes": {"max_subgroup_index": 2, "pairs": [[0, 1], [1, 0]]},
+    "sidon_cayley": {"budget": 3},
+    "random_dense": {"delta": "1/3", "seed": 5},
+    "perturbation": {"base": {"kind": "linear_order", "params": {"width": 2}}, "eta": "1/10", "seed": 2},
+    "linear_order": {"width": 2},
+}
+
+
+@pytest.mark.parametrize("kind", FULL_SPECS)
+def test_a_param_the_generator_kind_does_not_read_is_refused(kind):
+    z8 = cyclic(8)
+    params = FULL_SPECS[kind]
+    instantiate_generator(GeneratorSpec(kind, params), z8)
+    if kind == "coset_boxes":
+        instantiate_generator(GeneratorSpec(kind, {"subgroup_index": 2}), z8)
+    for extra in ("widht", "sampels", *(name for other in FULL_SPECS.values() for name in other)):
+        if extra not in params and not (kind == "coset_boxes" and extra == "subgroup_index"):
+            with pytest.raises(ValueError, match=f"^unknown {kind} generator params '{extra}'$"):
+                instantiate_generator(GeneratorSpec(kind, {**params, extra: 1}), z8)
 
 
 def test_a_rational_in_the_report_form_reads_wherever_a_rational_is_read():

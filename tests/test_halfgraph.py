@@ -36,7 +36,7 @@ from groupstab import (
 )
 import groupstab.halfgraph as halfgraph
 from groupstab.bits import mask_of
-from groupstab.halfgraph import _CHUNK, _score_chunk, _walk, derive_seed
+from groupstab.halfgraph import _CHUNK, _score_chunk, _walk
 
 from oracles import brute_halfgraph_count, brute_halfgraph_witnesses, brute_is_translation_invariant
 
@@ -138,7 +138,7 @@ def test_linear_order_counts_match_the_closed_form(w, k):
 
 
 NOT_INTS = [2.5, 3.0, True, False, "3", None]
-SAMPLING = {"samples": 10, "seed": 1, "worker_count": 1}
+SAMPLING = {"samples": 10, "seed": 1}
 # each entry point with arguments that it accepts, every one of them an int
 INT_CALLS = [
     (count_halfgraphs_exact, {"k": 2, "budget": 100}),
@@ -524,22 +524,20 @@ def test_sampling_interval_brackets_exact_value():
     assert lo <= exact.theta_group <= hi
 
 
-def test_sampling_worker_partition_changes_only_stream():
-    rel = linear_order_relation(cyclic(16), 4)
-    seq = sample_halfgraphs(rel, 2, 2000, seed=5, worker_count=1)
-    par = sample_halfgraphs(rel, 2, 2000, seed=5, worker_count=4)
-    assert seq.samples == par.samples == 2000
-    # same contract, deterministic per (seed, worker_count)
-    assert par == sample_halfgraphs(rel, 2, 2000, seed=5, worker_count=4)
-
-
-def test_sampler_builds_no_stream_that_draws_nothing():
-    # streams past `samples` draw 0 a-tuples, so none of them is seeded
-    rel = linear_order_relation(cyclic(8), 5)
-    with mock.patch.object(halfgraph, "derive_seed", wraps=derive_seed) as seeds:
-        report = sample_halfgraphs(rel, 2, 10, 3, worker_count=10**5)
-    assert seeds.call_count <= 10
-    assert report == sample_halfgraphs(rel, 2, 10, 3, worker_count=10)
+def test_the_seeded_sampler_reads_as_pinned():
+    # One stream, random.Random(derive_seed(seed, 0)), 256 a-tuples a chunk,
+    # across a chunk boundary: a change to the seeding or the draw order shows here.
+    rel = linear_order_relation(cyclic(16), 6)
+    est = sample_halfgraphs(rel, 2, 3 * _CHUNK + 1, seed=3)
+    assert (est.estimate, est.theta_carrier, est.samples) == (Fraction(14067, 12599296), Fraction(521, 9228), 769)
+    lo, hi = est.confidence_interval
+    assert lo <= est.estimate <= hi
+    # theta_profile samples height k with seed derive_seed(seed, k), derived again for the stream
+    entry = theta_profile(rel, 3, exact_budget=10, samples=300, seed=7)[1]
+    assert entry.exact_count is None
+    assert (entry.k, entry.estimate, entry.theta_carrier) == (2, Fraction(471, 409600), Fraction(157, 2700))
+    with pytest.raises(TypeError):
+        sample_halfgraphs(rel, 2, 10, 3, worker_count=1)
 
 
 SCORE_GROUPS = builtin_catalogue(8) + [dihedral(3)]
@@ -584,17 +582,15 @@ def test_equal_domain_rows_sample_the_exact_theta(k):
                    tuple(0b0101100 if x in (0, 1, 3, 4, 6) else 0 for x in range(7)))
     exact = count_halfgraphs_exact(rel, k).theta_group
     for seed in range(5):
-        for workers in (1, 3):
-            est = sample_halfgraphs(rel, k, 40, seed=seed, worker_count=workers)
-            assert est.estimate == est.theta_group == exact
+        est = sample_halfgraphs(rel, k, 40, seed=seed)
+        assert est.estimate == est.theta_group == exact
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_sampling_across_chunk_boundaries(workers):
+def test_sampling_across_chunk_boundaries():
     rel = linear_order_relation(cyclic(16), 6)
     samples = 3 * _CHUNK + 1
-    est = sample_halfgraphs(rel, 2, samples, seed=3, worker_count=workers)
-    assert est == sample_halfgraphs(rel, 2, samples, seed=3, worker_count=workers)
+    est = sample_halfgraphs(rel, 2, samples, seed=3)
+    assert est == sample_halfgraphs(rel, 2, samples, seed=3)
     assert est.samples == samples
     lo, hi = est.confidence_interval
     assert lo <= est.estimate <= hi

@@ -496,6 +496,24 @@ def test_lifted_censuses_match_pointwise_definition(group, arity, lift):
 
 
 
+GXG_KINDS = [kind for kind, shape in SHAPES.items() if not any(shape.lifted)]
+
+
+@pytest.mark.parametrize("kind", GXG_KINDS)
+def test_a_kind_on_gxg_checks_its_coordinate(kind):
+    assert len(GXG_KINDS) == 5
+    rel = random_relation(cyclic(6), random.Random(7))
+    default = census(rel, kind, True)
+    for lift in ({"coordinate": 0}, {"diagonal": True}, {"coordinate": 0, "diagonal": True}):
+        assert census(rel, kind, True, **lift) == default
+    for lift in ({"coordinate": 7}, {"coordinate": 1}, {"coordinate": -1}):
+        with pytest.raises(ArityMismatch):
+            census(rel, kind, **lift)
+    for lift in ({"coordinate": True}, {"coordinate": 0.0}, {"coordinate": True, "diagonal": True}):
+        with pytest.raises(ValueError, match="^coordinate must be an int"):
+            census(rel, kind, **lift)
+
+
 def test_corner_counts_full_relation():
     z5 = cyclic(5)
     census = corner_census(full_relation(z5), "naive")
