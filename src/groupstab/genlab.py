@@ -59,6 +59,10 @@ class GeneratorSpec:
     def from_json(obj: dict) -> "GeneratorSpec":
         if not isinstance(obj, dict):
             raise ValueError(f"generator spec must be a JSON object, got {obj!r}")
+        unknown = [key for key in obj if key not in ("kind", "params")]
+        if unknown or "kind" not in obj:
+            raise ValueError(f"unknown generator spec keys {', '.join(map(repr, unknown))}" if unknown
+                             else "generator spec has no 'kind'")
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"generator params must be a JSON object, got {params!r}")

@@ -357,19 +357,29 @@ def heisenberg(p: int) -> FiniteGroup:
     return group
 
 
+# The keys each group recipe kind reads besides "kind"; a recipe that gives any other is refused.
+_RECIPE_KEYS = {"cyclic": {"n"}, "product": {"factors"}, "cayley_table": {"table", "name"},
+                "dihedral": {"n"}, "heisenberg": {"p"}}
+
+
 def make_group(recipe) -> FiniteGroup:
     """Build a group from a recipe descriptor.
 
     Accepts a FiniteGroup (returned unchanged) or a dict such as
     {"kind": "cyclic", "n": 5}, {"kind": "product", "factors": [...]},
     {"kind": "cayley_table", "table": [[...]]}, {"kind": "dihedral", "n": 4},
-    {"kind": "heisenberg", "p": 3}.
+    {"kind": "heisenberg", "p": 3}; a key that its kind does not read is refused.
     """
     if isinstance(recipe, FiniteGroup):
         return recipe
     if not isinstance(recipe, Mapping):
         raise ValueError(f"unsupported group recipe: {recipe!r}")
     kind = recipe.get("kind")
+    if not isinstance(kind, str) or kind not in _RECIPE_KEYS:
+        raise ValueError(f"unknown group recipe kind: {kind!r}")
+    unknown = [key for key in recipe if key != "kind" and key not in _RECIPE_KEYS[kind]]
+    if unknown:
+        raise ValueError(f"unknown {kind} recipe keys {', '.join(map(repr, unknown))}")
     if kind == "cyclic":
         return cyclic(_read(int, recipe["n"], "'n'"))
     if kind == "product":
@@ -382,9 +392,7 @@ def make_group(recipe) -> FiniteGroup:
         return from_cayley_table(table, name=name)
     if kind == "dihedral":
         return dihedral(_read(int, recipe["n"], "'n'"))
-    if kind == "heisenberg":
-        return heisenberg(_read(int, recipe["p"], "'p'"))
-    raise ValueError(f"unknown group recipe kind: {kind!r}")
+    return heisenberg(_read(int, recipe["p"], "'p'"))
 
 
 def _int_rows(table) -> list[list[int]]:

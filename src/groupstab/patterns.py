@@ -8,9 +8,9 @@ census kind is one entry of SHAPES, and `census` counts the matches of any
 of them. It holds S as one int, row after row, and each point as one
 moved copy of it: for each g it ANDs the copies of the points and
 popcounts the meet. A point's copy is carried from one side length to the
-next by the one step between them (relations._matrix_mover), and built from
-S only where it has no copy yet, where that step would negate a digit (a
-right move of D_n by a reflection), and on groups without a digit layout.
+next by the one step between them, compiled once (relations._matrix_mover),
+and built from S only where it has no copy yet, where that step negates a
+digit (D_n's right moves by a reflection), and on groups without a digit layout.
 Every census counts ordered triples including the degenerate g = identity
 slice; nontrivial_count excludes it. For carriers of arity above one the
 side length acts on a single designated coordinate (default: the last),
@@ -160,20 +160,20 @@ def _censuses(
     coordinates the side length acts on. The points that move no row come
     first, so a sparse meet empties as early as it can.
 
-    Each point keeps its copy from one side length to the next, and the
-    mover carries it there by the one step between the two moves; it
-    builds the copy from F where there is none yet and where that step
-    would negate a digit (D_n's right moves by a reflection), and always on
-    a group without a digit layout. A copy that an emptied meet skipped is
-    carried from the side length it was made at. On a product of cyclic
-    groups the mover carries any int it is given, and there the points that
-    share a domain action are met as one: a domain move permutes bits, so
-    it commutes with AND, and the AND of their codomain copies, each kept
-    and carried, is moved once by that action's pair.
+    Each point keeps its copy and the side length it was made at, and the
+    mover carries it from there by the one step between the two moves,
+    compiled once per mover; it builds the copy from F where there is none
+    yet and where that step would negate a digit (D_n's right moves by a
+    reflection), and always on a group without a digit layout. So a copy
+    that an emptied meet skipped is carried from an older side length. On
+    a product of cyclic groups the points that share a domain action are
+    met as one: a domain move permutes bits, so it commutes with AND, and
+    the AND of their codomain copies, each kept and carried, is moved once
+    by that action's pair.
 
-    Kinds with the same lift share one mover and its kept copies, and the
-    pass takes g in the outer loop and the kinds in the inner one: a
-    point's copy at one side length serves every kind that has the point.
+    Kinds with the same lift share one mover and its points, and the pass
+    takes g in the outer loop and the kinds in the inner one: the first
+    kind to reach a point at g moves it, and every other reuses its copy.
     Every kind is checked, in the order given, before any work, so the
     first kind refused raises as its own census would.
 
@@ -203,21 +203,21 @@ def _censuses(
     q = group.order
     table = group._mul_table()
     cyclic = group._cyclic_digits() is not None
-    movers = {}  # slots -> the mover's copy, the number of each point and the kept copy by number
-    passes = []  # per kind: its mover's copy and kept copies, its plan, its counts and witnesses
+    movers = {}  # slots -> the mover's copy and the state of each point
+    passes = []  # per kind: its mover's copy, its plan, its counts and witnesses
     for shape, slots in shapes.values():
         if slots not in movers:
             stride, whole, copy = _matrix_mover(relation, slots)  # stride and whole are S's alone
-            movers[slots] = copy, {}, {}
-        copy, numbers, kept = movers[slots]
+            movers[slots] = copy, {}
+        copy, states = movers[slots]
 
         def carried(dact, cact):
-            """(the point's number, its powers ld, rd, lc, rc)."""
-            return (numbers.setdefault((dact, cact), len(numbers)), *dact, *cact)
+            """(the point's [side length, copy] state, shared by its kinds; its powers ld, rd, lc, rc)."""
+            return (states.setdefault((dact, cact), [-1, None]), *dact, *cact)
 
         # The points but the identity, by domain action, those that move no row
-        # first. An entry is (the domain action met as one, or None; the int its
-        # AND starts from, F where it meets the identity codomain action; its points).
+        # first. An entry is (the domain action met as one, or None; the int its AND
+        # starts from: F where it meets the identity codomain action, None for the meet; its points).
         by_domain: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for dact, cact in shape.points:
             if dact != (0, 0) or cact != (0, 0):
@@ -228,8 +228,8 @@ def _censuses(
                 plan.append((dact, whole if (0, 0) in cacts else -1,
                              [carried((0, 0), cact) for cact in cacts if cact != (0, 0)]))
             else:
-                plan += [(None, -1, [carried(dact, cact)]) for cact in cacts]
-        passes.append((copy, kept, plan, [0] * q, [] if include_witnesses else None))
+                plan += [(None, None, [carried(dact, cact)]) for cact in cacts]
+        passes.append((copy, plan, [0] * q, [] if include_witnesses else None))
     # the highest power of g in a point
     top = max((max(p[0] + p[1]) for shape, _ in shapes.values() for p in shape.points), default=0)
 
@@ -237,15 +237,18 @@ def _censuses(
         powers = [0, g]
         for _ in range(top - 1):
             powers.append(table[powers[-1]][g])
-        for copy, kept, plan, counts, witnesses in passes:
+        for copy, plan, counts, witnesses in passes:
             meet = whole
             for dact, part, points in plan:
-                for i, ld, rd, lc, rc in points:
-                    kept[i] = moved = copy(((powers[ld], powers[rd]), (powers[lc], powers[rc])), kept.get(i))
-                    part &= moved[1]
+                part = meet if part is None else part  # one point, ANDed into the meet
+                for state, ld, rd, lc, rc in points:
+                    if state[0] != g:  # not yet moved to g by an entry before
+                        state[0] = g
+                        state[1] = copy(((powers[ld], powers[rd]), (powers[lc], powers[rc])), state[1])
+                    part &= state[1][1]
                 if dact is not None:  # met as one: the AND, not moved yet, moved by dact
-                    part = copy(((powers[dact[0]], powers[dact[1]]), (0, 0)), (None, part))[1]
-                meet &= part
+                    part = meet & copy(((powers[dact[0]], powers[dact[1]]), (0, 0)), (None, part))[1]
+                meet = part
                 if not meet:
                     break
             counts[g] = meet.bit_count()

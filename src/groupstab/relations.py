@@ -138,30 +138,29 @@ def _matrix_mover(relation: Relation, slots):
     lookup left·right; t at the q/L block starts x = hi·L; σ at x = 1, -1
     only on D_n when right is a reflection. Bit (.., x, ..) of a copy is
     bit (.., f(x), ..) of the matrix it is moved from. So a move negates lo
-    at the coordinates of each slot whose σ is -1, rotates every hi digit
-    of each slot by -h0 (bits._digit_shift), and then rotates lo by
-    -σ·t(hi) in each hi block: one rotation per distinct offset, masked by
-    the union of the hi blocks that share it. Those masks are kept by the
-    blocks they cover, a set bounded by the group. On a product of cyclic
-    groups L = 1, and a move is its hi rotation alone. No translation map
-    is built.
+    at the coordinates of each slot whose σ is -1 (bits._negate_digit),
+    and is compiled to steps: (shl, high, shr, low) rotations, each one
+    shift-and-mask of the whole matrix, that rotate every hi digit of each
+    slot by -h0 (bits._digit_shift) and lo by -σ·t(hi) where every hi block
+    has the same t, then, per coordinate whose blocks do not, (mask,
+    rotation or None) parts, one per distinct offset, masked by the union
+    of the hi blocks that share it. On a product of cyclic groups L = 1.
 
     A copy is carried from kept where it can be: the kept copy at move
     (l0, r0) per slot is moved by the one-step move δ = (l0⁻¹·l, r·r0⁻¹)
-    per slot, since l·x·r = l0·(δl·x·δr)·r0. A census passes each point's
-    copy at the side length before, so δ is a small fixed step: mostly the
+    per slot, since l·x·r = l0·(δl·x·δr)·r0. The mover keeps one dict from
+    δ to its steps, so a census, which passes each point's copy at an
+    earlier side length, compiles each of its few steps once: mostly the
     central element on H_p (one unmasked lo rotation), a rotation on D_n
     (one or two block rotations), a unit step of the low digits on a
-    product of cyclic groups, whose shift masks stay kept instead of being
-    built anew for each side length. The copy is built from whole, by the
-    move itself, when there is no kept pair and when δ has σ = -1 in some
-    slot (D_n's right moves by a reflection): whole with lo negated at
-    those slots is made once (bits._negate_digit), where a kept copy would
-    be negated anew. So on a product of cyclic groups, where σ is always 1,
-    every kept pair is carried, and kept may hold any int at any move, or
-    be (None, X) for an int X not moved at all (moved by the move itself):
-    the census moves an AND of copies so. The lo rotations of a move are
-    worked out once per mover.
+    product of cyclic groups. A δ with σ = -1 in some slot (D_n's right
+    moves by a reflection) compiles to None, and the copy is built from
+    whole by the move itself, as where there is no kept pair: whole with
+    lo negated at those slots is made once, where a kept copy would be
+    negated anew. kept may also be (None, X), for an int X moved by the
+    move itself: the census moves an AND of copies so. The steps of such
+    fresh moves are not kept, since they differ from one side length to
+    the next; nothing outlives the mover.
 
     Every other group always builds from whole. It lifts each move's
     domain map, keeping the last _KEPT_MOVES, and moves the columns of all
@@ -207,6 +206,7 @@ def _matrix_mover(relation: Relation, slots):
     table = group._mul_table()
     inverse = [group.inv(x) for x in range(q)]
     total = len(rows) * size
+    whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
     # Per slot, domain slots first: the weight in the pair index of each coordinate's
     # group index, and (weight in the group index, in the pair index, length) of each hi digit.
     weights = [[unit * q ** (arity - 1 - c) for c in slot]
@@ -215,18 +215,14 @@ def _matrix_mover(relation: Relation, slots):
               for slot_weights in weights]
     periods: dict[int, int] = {}  # period -> the mask of its multiples below total
 
-    # The masks are as long as the matrix: keep the few that one side length reuses
-    # (over every kind on Z2×Z4×Z12, D16 and H5, where 16 missed 2-4 times as often).
+    # The masks are as long as the matrix: keep the few that fresh moves reuse (over
+    # every kind on Z2×Z4×Z12, D16 and H5, where 16 missed 2-4 times as often).
     @lru_cache(maxsize=32)
     def shift(weight: int, length: int, step: int) -> tuple[int, int, int, int]:
         period = weight * length
         if period not in periods:
             periods[period] = _tile(1, period, total) & full_mask(total)
         return _digit_shift(periods[period], weight, length, step)
-
-    def rotate(matrix: int, weight: int, length: int, step: int) -> int:
-        shl, high, shr, low = shift(weight, length, step)
-        return (matrix << shl & high) | (matrix >> shr & low)
 
     unions: dict[tuple[int, int], int] = {}  # (weight, hi blocks) -> their union; the group bounds the keys
 
@@ -237,91 +233,90 @@ def _matrix_mover(relation: Relation, slots):
             unions[weight, blocks] = _tile(pattern, q * weight, total) & full_mask(total)
         return unions[weight, blocks]
 
-    def moved(matrix: int, move, lo) -> int:
-        """The matrix with each slot's hi digits rotated by minus those of
-        left·right, then lo rotated as offsets lists it: by several steps,
-        the OR of the parts masked by the union of their hi blocks. The slot
-        is counted by hand: zip would cost more."""
-        slot = 0
-        for left, right in move:
+    def compiled(move):
+        """(the slots whose σ is -1, as a mask; the move's steps as (rotations,
+        parts per coordinate whose lo takes several offsets))."""
+        negated, rotations, parted = 0, [], []
+        for slot, (left, right) in enumerate(move):
             h = table[left][right]
             if h:
                 for w, scaled, length in places[slot]:
                     step = -(h // w) % length
                     if step:
-                        matrix = rotate(matrix, scaled, length, step)
-            slot += 1
-        for weight, steps in lo:
-            if len(steps) == 1:
-                matrix = rotate(matrix, weight, lo_length, steps[0][0])
-            else:
-                out = 0
-                for step, blocks in steps:
-                    part = matrix & union(weight, blocks)
-                    out |= rotate(part, weight, lo_length, step) if step else part
-                matrix = out
-        return matrix
-
-    def between(then, move) -> tuple[tuple[int, int], ...]:
-        """The one-step move δ from a copy at move then to one at move."""
-        return tuple([(table[inverse[l0]][l1], table[r1][inverse[r0]])
-                      for (l0, r0), (l1, r1) in zip(then, move)])
-
-    whole = int("".join(format(row, f"0{size}b") for row in reversed(rows)), 2)
-    if lo_length == 1:  # no lo digit and σ = 1: every kept int is carried
-        def copy(move, kept=None):
-            if kept is None:
-                return move, moved(whole, move, ())
-            then, matrix = kept
-            if then == move:
-                return kept
-            return move, moved(matrix, move if then is None else between(then, move), ())
-
-        return size, whole, copy
-
-    @cache
-    def offsets(move) -> tuple[tuple[bool, ...], list[tuple[int, list[tuple[int, int]]]]]:
-        """(σ = -1 per slot, the lo rotations of the move): per coordinate of
-        each slot, (its weight, (lo step, hi blocks taking it) per distinct
-        step), left out where the one step is 0."""
-        negated, out = [], []
-        for slot, (left, right) in enumerate(move):
+                        rotations.append(shift(scaled, length, step))
+            if lo_length == 1:
+                continue
             row = table[left]
             starts = [table[x][right] for x in row[::lo_length]]
             flip = lo_length > 2 and (table[row[1]][right] - starts[0]) % lo_length != 1
+            negated |= flip << slot
             blocks: dict[int, int] = {}
             for hi, t in enumerate(starts):
                 step = (t if flip else -t) % lo_length
                 blocks[step] = blocks.get(step, 0) | 1 << hi
-            if len(blocks) > 1 or 0 not in blocks:
-                out += [(weight, list(blocks.items())) for weight in weights[slot]]
-            negated.append(flip)
-        return tuple(negated), out
+            for weight in weights[slot]:
+                if len(blocks) > 1:
+                    parted.append([(union(weight, hi), shift(weight, lo_length, step) if step else None)
+                                   for step, hi in blocks.items()])
+                elif 0 not in blocks:
+                    rotations.append(shift(weight, lo_length, *blocks))
+        return negated, (rotations, parted)
 
-    bases: dict[tuple[bool, ...], int] = {}
+    def carry(matrix: int, steps) -> int:
+        """The matrix moved by the compiled steps of a move."""
+        rotations, parted = steps
+        for shl, high, shr, low in rotations:
+            matrix = (matrix << shl & high) | (matrix >> shr & low)
+        for parts in parted:
+            out = 0
+            for mask, rotation in parts:
+                part = matrix & mask
+                if rotation:
+                    shl, high, shr, low = rotation
+                    part = (part << shl & high) | (part >> shr & low)
+                out |= part
+            matrix = out
+        return matrix
 
-    def base(negated: tuple[bool, ...]) -> int:
-        """whole with lo negated at the coordinates of the slots marked."""
-        if negated not in bases:
-            matrix = whole
-            for flip, slot_weights in zip(negated, weights):
-                if flip:
-                    for weight in slot_weights:
-                        matrix = _negate_digit(matrix, total, weight, lo_length)
-            bases[negated] = matrix
-        return bases[negated]
+    def negated_at(matrix: int, negated: int) -> int:
+        """The matrix with lo negated at the coordinates of the slots in the mask."""
+        for slot, slot_weights in enumerate(weights):
+            if negated >> slot & 1:
+                for weight in slot_weights:
+                    matrix = _negate_digit(matrix, total, weight, lo_length)
+        return matrix
+
+    bases: dict[int, int] = {}  # the slots negated, as a mask -> whole negated there
+    programs: dict = {}  # δ -> its compiled steps, None where δ negates a digit
 
     def copy(move, kept=None):
-        if kept is not None:
-            then, matrix = kept
+        then, matrix = kept or (None, None)
+        if then is not None:
             if then == move:
                 return kept
-            delta = between(then, move)
-            negated, lo = offsets(delta)
-            if True not in negated:
-                return move, moved(matrix, delta, lo)
-        negated, lo = offsets(move)
-        return move, moved(base(negated), move, lo)
+            if len(move) == 2:  # a census's two slots: δ unpacked by hand
+                (l0, r0), (c0, s0) = then
+                (l1, r1), (c1, s1) = move
+                delta = ((table[inverse[l0]][l1], table[r1][inverse[r0]]),
+                         (table[inverse[c0]][c1], table[s1][inverse[s0]]))
+            else:
+                delta = tuple([(table[inverse[l0]][l1], table[r1][inverse[r0]])
+                               for (l0, r0), (l1, r1) in zip(then, move)])
+            steps = programs.get(delta, False)
+            if steps is False:
+                negated, steps = compiled(delta)
+                steps = programs[delta] = None if negated else steps
+            if steps is not None:
+                return move, carry(matrix, steps)
+            matrix = None
+        negated, steps = compiled(move)  # a fresh move: its steps are not kept
+        if matrix is None:
+            if negated not in bases:
+                bases[negated] = negated_at(whole, negated)
+            matrix = bases[negated]
+        elif negated:
+            matrix = negated_at(matrix, negated)
+        return move, carry(matrix, steps)
 
     return size, whole, copy
 

@@ -342,6 +342,22 @@ def test_a_config_key_that_names_no_field_is_named_in_the_error():
         ExperimentConfig.from_json(obj)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--group", "Z9", "--spec", '{"kind": "linear_order", "parms": {"width": 2}}'],
+     "unknown generator spec keys 'parms'"),
+    (["gen", "--group", "Z9", "--spec", '{"params": {"width": 2}}'], "generator spec has no 'kind'"),
+    (["gen", "--group", "Z9", "--spec",
+      '{"kind": "perturbation", "params": {"base": {"knd": "linear_order"}, "eta": "1/9"}}'],
+     "unknown generator spec keys 'knd'"),
+    (["group", "info", "--group", '{"kind": "cyclic", "n": 4, "nn": 5}'], "unknown cyclic recipe keys 'nn'"),
+    (["group", "info", "--group", '{"kind": "product", "factors": [{"kind": "dihedral", "n": 3, "p": 3}]}'],
+     "unknown dihedral recipe keys 'p'"),
+], ids=["spec-key", "spec-kind", "base-spec-key", "recipe-key", "factor-recipe-key"])
+def test_a_spec_or_recipe_key_that_nothing_reads_is_named_in_the_error(argv, message):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"config error: {message}\n")
+
+
 @pytest.mark.parametrize("sweep", [run_experiment, run_family_trend])
 def test_a_reports_config_block_read_back_reruns_the_report(sweep):
     """Every field the report echoes reads back as a config, so the echo
@@ -455,6 +471,24 @@ def test_family_trend_linear_order_decay():
 
 
 EXAMPLES = Path(__file__).parents[1] / "examples"
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in EXAMPLES.glob("*.json")))
+def test_every_example_config_and_its_relation_files_load(tmp_path, name):
+    """Each checked-in config reads with every group it names, and the
+    relation file `gen` writes for each member of order <= 64 loads back
+    as the relation the config's generator builds."""
+    config = json.loads((EXAMPLES / name).read_text())
+    cfg = ExperimentConfig.from_json(config)
+    for spec in cfg.groups:
+        group = parse_group_spec(spec)
+        if group.order > 64:
+            continue
+        path = tmp_path / f"{group.name}.rel"
+        assert main(["gen", "--group", spec, "--spec", json.dumps(config["generator"]),
+                     "--seed", str(cfg.seed), "--output", str(path)]) == 0
+        rel = groupstab.load_relation(path, parse_group_spec(spec))
+        assert rel.rows == instantiate_generator(cfg.generator, group, cfg.seed).rows
 
 
 def test_nonabelian_example_family_matches_the_oracles(tmp_path):
@@ -715,6 +749,10 @@ LINEAR = '"generator": {"kind": "linear_order"}'
         # a coset pair is a two-element list, never a string read digit by digit
         (["gen", "--group", "Z4", "--spec",
           '{"kind": "coset_boxes", "params": {"subgroup_index": 2, "pairs": ["10"]}}'], None),
+        # a spec or recipe key that nothing reads, and a spec with no kind
+        (["gen", "--group", "Z9", "--spec", '{"kind": "linear_order", "parms": {"width": 2}}'], None),
+        (["gen", "--group", "Z9", "--spec", '{"params": {"width": 2}}'], None),
+        (["group", "info", "--group", '{"kind": "cyclic", "n": 4, "nn": 5}'], None),
     ],
 )
 def test_malformed_config_shapes_are_one_line_config_errors(tmp_path, argv, config):

@@ -616,6 +616,36 @@ def test_recipes_names_and_hashes_are_pinned(build, recipe, name, digest):
     assert (g.recipe, g.name, g.recipe_hash()) == (recipe, name, digest)
 
 
+# The pinned digests above, built from recipe dicts as configs give them.
+RECIPES = [
+    ({"kind": "cyclic", "n": 12}, "3b7fb77412d3"),
+    ({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 6}]}, "6752adacabd4"),
+    ({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}]}, "eab613874839"),
+    ({"kind": "dihedral", "n": 4}, "72cd34ed2847"),
+    ({"kind": "heisenberg", "p": 3}, "3489db715571"),
+    ({"kind": "cayley_table", "table": Z3_TABLE}, "3ce8a6773a05"),
+    ({"kind": "cayley_table", "table": Z3_TABLE, "name": "T3"}, "3ce8a6773a05"),
+]
+
+
+def test_a_recipe_key_that_its_kind_does_not_read_is_refused():
+    """Every key a recipe's kind reads still builds the pinned group, the
+    table's optional name included; any other key is named in a ValueError,
+    in a factor too, and so is a kind that names no recipe."""
+    for recipe, digest in RECIPES:
+        assert make_group(recipe).recipe_hash() == digest, recipe
+        for extra in ("nn", "name", "p", "factors"):
+            if extra not in recipe and (recipe["kind"], extra) != ("cayley_table", "name"):
+                with pytest.raises(ValueError, match=f"^unknown {recipe['kind']} recipe keys '{extra}'$"):
+                    make_group({**recipe, extra: 5})
+    assert make_group(RECIPES[-1][0]).name == "T3"
+    with pytest.raises(ValueError, match="^unknown cyclic recipe keys 'nn', 'size'$"):
+        make_group({"kind": "product", "factors": [{"kind": "cyclic", "n": 2, "nn": 1, "size": 2}]})
+    for kind in ("cube", None, ["cyclic"]):
+        with pytest.raises(ValueError, match=re.escape(f"unknown group recipe kind: {kind!r}")):
+            make_group({"kind": kind, "n": 4})
+
+
 @st.composite
 def small_groups(draw):
     """A (groupstab group, oracle group) pair of order <= 60."""

@@ -382,6 +382,58 @@ def test_a_census_builds_each_point_from_f_once(group):
     assert built == BUILT_FROM_F[group.name]
 
 
+@pytest.mark.parametrize("group", [dihedral(6), cyclic(12), product(*[cyclic(2)] * 4)], ids=lambda g: g.name)
+def test_sparse_censuses_carry_copies_from_older_side_lengths(group):
+    """At density 1/50 most meets empty at their first point, and every kind
+    still matches the oracles. On the Cayley graph of the subgroup that
+    q/2 generates, with 1/50 noise, a meet empties at each g outside the
+    subgroup, and bmz_right carries a copy from a side length before the
+    one before: the point skipped in between keeps the copy it had. Each
+    side of a bmz_right point is (0, 0), (g, 0) or (0, g), so the largest
+    element of a move is its side length."""
+    full = CarrierSet.full(group, 1)
+    assert_censuses_match_oracles(random_dense(full, full, Fraction(1, 50), group.order), cap=200)
+    rel = noisy_cayley(group, group.order // 2, 1 / 50, group.order)
+    assert_censuses_match_oracles(rel, cap=200)
+    jumps = []
+
+    def mover(relation, slots):
+        stride, whole, copy = relations._matrix_mover(relation, slots)
+
+        def spied(move, kept=None):
+            if kept is not None and kept[0] is not None and kept[0] != move:
+                jumps.append(max(map(max, move)) - max(map(max, kept[0])))
+            return copy(move, kept)
+
+        return stride, whole, spied
+
+    with mock.patch.object(patterns, "_matrix_mover", mover):
+        assert census(rel, "bmz_right").to_json() == corner_census(rel, "bmz_right").to_json()
+    assert max(jumps) > 1, jumps
+
+
+def test_nothing_outlives_a_census():
+    """A census keeps nothing on its relation, its carriers or its group,
+    and two censuses of one relation each build their own mover."""
+    for group in (cyclic(12), dihedral(5), heisenberg(3), product(cyclic(2), dihedral(3))):
+        rel = random_relation(group, random.Random(group.order), arity=(1, 1))
+        owners = [rel, rel.domain, rel.codomain, group]
+        before = [set(vars(owner)) for owner in owners], dict(group._lattices), dict(group._powers)
+        copies = []
+
+        def mover(relation, slots):
+            made = relations._matrix_mover(relation, slots)
+            copies.append(made[2])
+            return made
+
+        with mock.patch.object(patterns, "_matrix_mover", mover):
+            first = patterns._censuses(rel, ["square", "bmz_right", "rect23"], True, 50)
+            second = patterns._censuses(rel, ["square", "bmz_right", "rect23"], True, 50)
+        assert ([set(vars(owner)) for owner in owners], group._lattices, group._powers) == before, group.name
+        assert len(copies) == 2 and copies[0] is not copies[1], group.name
+        assert {k: c.to_json() for k, c in first.items()} == {k: c.to_json() for k, c in second.items()}
+
+
 # Arity (2, 1): Z4 and Z2xZ3 meet a shared domain action as one on the lifted
 # domain, D4 and H2 carry each point, Z2xD3 builds every copy from F.
 @pytest.mark.parametrize("group", [cyclic(4), product(cyclic(2), cyclic(3)), dihedral(4), heisenberg(2),

@@ -31,7 +31,7 @@ from groupstab import (
 from groupstab import bits, patterns, relations
 from groupstab.bits import _column_permuter, _digit_shift, iter_bits, mask_of, permute_bits
 from groupstab.groups import parse_cayley_table, translation
-from groupstab.relations import _matrix_mover, decode_tuple, encode_tuple
+from groupstab.relations import _lift_move, _matrix_mover, decode_tuple, encode_tuple
 
 from oracles import brute_closure, ref_cyclic, ref_dihedral, ref_heisenberg, ref_product
 from test_relations import random_relation
@@ -343,6 +343,76 @@ def test_row_moves_are_translations(case, data):
         split = len(dslots)
         assert copy(dmove + cmove, (then, joined(rows)))[1] == moved(rows, step[:split], step[split:])
         assert copy(dmove + cmove, (None, joined(rows)))[1] == moved(rows, dmove, cmove)
+
+
+def lifted_copy(rel, slots, rows, stride, move):
+    """The rows, as one int of the given stride, moved as the mover moves S:
+    row a is row dmap[a], with column cmap[b] in column b, for dmap and cmap
+    the move's domain and codomain pairs lifted by _lift_move."""
+    split = len(slots[0])
+    dmap, cmap = (_lift_move(rel.group, carrier.arity, side_slots, side_move) for carrier, side_slots, side_move
+                  in zip((rel.domain, rel.codomain), slots, (move[:split], move[split:])))
+    inverse = [0] * len(cmap)
+    for y, source in enumerate(cmap):
+        inverse[source] = y
+    return sum(permute_bits(rows[x], inverse) << a * stride for a, x in enumerate(dmap))
+
+
+def carry_chain(rel, slots, move, steps, order):
+    """Carry a copy along a chain: from move, each next move is the one before
+    times the step that order picks, (l·δl, δr·r) per slot, and each copy is
+    carried from the one before. Every copy must be S moved by its move.
+    On a group with a digit layout an int kept at no move, (None, X), must
+    be X moved by the move itself."""
+    group = rel.group
+    stride, whole, copy = _matrix_mover(rel, slots)
+    kept = copy(move)
+    assert kept == (move, lifted_copy(rel, slots, rel.rows, stride, move))
+    rng = random.Random(group.order)
+    for i in order:
+        move = tuple((group.mul(l, dl), group.mul(dr, r)) for (l, r), (dl, dr) in zip(move, steps[i]))
+        kept = copy(move, kept)
+        assert kept == (move, lifted_copy(rel, slots, rel.rows, stride, move))
+        if group._digit_layout() is not None:
+            rows = [rng.getrandbits(rel.codomain.universe) for _ in rel.rows]
+            joined = sum(row << a * stride for a, row in enumerate(rows))
+            assert copy(move, (None, joined))[1] == lifted_copy(rel, slots, rows, stride, move)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mover_cases(), st.data())
+def test_a_chain_of_carries_that_repeats_its_steps_moves_as_the_lifted_maps(case, data):
+    """Four to eight carries, each by one of two drawn steps δ, so a step's
+    compiled program is used again, checked against _lift_move; and on a
+    group with a digit layout, (None, X) at every move of the chain."""
+    group, _, rel, slots = case
+    pairs = st.tuples(*[st.tuples(*[st.integers(0, group.order - 1)] * 2)] * sum(map(len, slots)))
+    move, *steps = (data.draw(pairs, label=label) for label in ("first move", "step 0", "step 1"))
+    order = data.draw(st.lists(st.integers(0, 1), min_size=4, max_size=8), label="steps taken")
+    carry_chain(rel, slots, move, steps, order)
+
+
+def lo_offsets(group, left, right):
+    """The distinct lo offsets t(hi) of x -> left·x·right, and whether it
+    negates lo (σ = -1), read off the table as the mover reads them."""
+    his, lo = group._digit_layout()
+    f = translation(group, left, right)
+    return {f[hi * lo] % lo for hi in range(group.order // lo)}, lo > 2 and (f[1] - f[0]) % lo == lo - 1
+
+
+@pytest.mark.parametrize("group, step", [
+    (dihedral(6), ((1, 7), (0, 0))),  # σ = -1: a right move by a reflection, built from S each time
+    (heisenberg(3), ((9, 0), (0, 1))),  # a left move whose lo offsets differ by hi block: masked parts
+    (product(cyclic(2), cyclic(2), cyclic(3)), ((5, 0), (1, 2))),  # and (None, X) at each move
+], ids=["D6-reflection", "H3-parted", "Z2xZ2xZ3-none"])
+def test_a_chain_repeating_one_named_step_moves_as_the_lifted_maps(group, step):
+    """A chain that repeats one step, at arity (1, 1) and at (2, 1) with the
+    domain's slot on both coordinates, from a move that is not the identity."""
+    offsets, negated = lo_offsets(group, *step[0])
+    assert negated == (group.name[0] == "D") and (len(offsets) > 1) == (group.name[0] != "Z")
+    for arity, dslots in ((1, [[0]]), (2, [[0, 1]])):
+        rel = random_relation(group, random.Random(arity), (arity, 1))
+        carry_chain(rel, (dslots, [[0]]), ((2, 1), (1, 3)), [step], [0] * 5)
 
 
 @contextlib.contextmanager
