@@ -46,7 +46,7 @@ from .halfgraph import (
     sample_halfgraphs,
     theta_profile,
 )
-from .patterns import SHAPES, PatternCensus, _censuses, _coverage, ap_census, census
+from .patterns import SHAPES, PatternCensus, _censuses, _coverage, ap_census
 from .relations import density, dump_relation, load_relation
 
 # A shorthand factor: a letter naming the family, then its parameter.
@@ -154,15 +154,11 @@ class ExperimentConfig:
         return out
 
 
-def _run_census(relation, kind: str, witnesses: int = 0) -> PatternCensus:
-    """The census of one CLI kind, listing up to `witnesses` witness triples."""
-    return census(relation, kind.replace("-", "_"), witnesses > 0, witnesses or 1)
-
-
-def _run_censuses(relation, kinds: list[str]) -> dict[str, PatternCensus]:
-    """The census of each CLI kind, in one pass; a refused kind raises as
-    its own census would, the first in the order given."""
-    counted = _censuses(relation, [kind.replace("-", "_") for kind in kinds])
+def _run_censuses(relation, kinds: list[str], witnesses: int = 0) -> dict[str, PatternCensus]:
+    """The census of each CLI kind, in one pass, listing up to `witnesses`
+    witness triples each; a refused kind raises as its own census would,
+    the first in the order given."""
+    counted = _censuses(relation, [kind.replace("-", "_") for kind in kinds], witnesses > 0, witnesses or 1)
     return {kind: counted[kind.replace("-", "_")] for kind in kinds}
 
 
@@ -350,7 +346,7 @@ def _cmd_halfgraph(args) -> int:
 
 def _cmd_census(args) -> int:
     _, relation = _load_relation_arg(args)
-    _emit(_run_census(relation, args.kind, args.witnesses).to_json(), args.output)
+    _emit(_run_censuses(relation, [args.kind], args.witnesses)[args.kind].to_json(), args.output)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, the one reader of JSON fields,
-the one check of an integer argument and the one check of a work budget."""
+the one check of an integer argument, of an index into a carrier universe
+and of a work budget."""
 
 from __future__ import annotations
 
@@ -87,6 +88,13 @@ def _check_int(value, name: str) -> None:
     """An argument that is a bool or not an int is a ValueError that names it."""
     if type(value) is bool or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_index(index, name: str, side: str, universe: int) -> None:
+    """An index that is not an int in 0..universe-1 of the side, a bool
+    included, is a ValueError that names it and the universe."""
+    if type(index) is bool or not isinstance(index, int) or not 0 <= index < universe:
+        raise ValueError(f"{name} {index!r} outside the {side} universe 0..{universe - 1}")
 
 
 def _check_budget(budget: int, name: str = "budget") -> None:

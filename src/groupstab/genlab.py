@@ -101,7 +101,7 @@ def sidon_set(group: FiniteGroup, budget: int | None = None) -> int:
     result is re-verified against the all-pairs difference test before
     returning.
     """
-    if group.recipe != f"cyclic({group.order})":
+    if group._layout != (((1, group.order),), 1):
         raise ValueError("greedy Sidon construction expects a cyclic group")
     if budget is not None:
         _check_budget(budget)
@@ -140,7 +140,9 @@ def random_dense(
     domain: CarrierSet, codomain: CarrierSet, delta, seed: int
 ) -> Relation:
     """Each carrier pair kept independently with probability delta; seeded, one
-    draw per pair, domain members ascending, then codomain members ascending."""
+    draw per pair, domain members ascending, then codomain members ascending.
+    A seed that is not an int (a bool included) is a ValueError."""
+    _check_int(seed, "seed")
     d = float(as_fraction(delta))
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {delta}")
@@ -153,8 +155,9 @@ def perturb_relation(relation: Relation, eta, seed: int) -> Relation:
 
     Sampling is without replacement, so re-applying the same (eta, seed)
     perturbation restores the original relation (the XOR mask is its own
-    inverse).
+    inverse). A seed that is not an int (a bool included) is a ValueError.
     """
+    _check_int(seed, "seed")
     frac = as_fraction(eta)
     if not 0 <= frac <= 1:
         raise ValueError(f"perturbation fraction must lie in [0, 1], got {eta}")

@@ -10,13 +10,13 @@ associativity test on a generating set) and kept from the start; dihedral
 and Heisenberg groups are built this way. A
 cyclic group or a product builds its table the first time anything reads
 it (`mul`, `inv`, a subgroup search, a census) and keeps it, so a large
-Z_n used only as an index space never holds n² entries. The index of an
-element of a product of cyclic groups has one digit per factor
-(`FiniteGroup._cyclic_digits`), and element orders are read from those
-digits. `dihedral` and `heisenberg` record the digits of their index too
-(`FiniteGroup._digit_layout`), so a census or `translate_relation` moves
-a relation's rows over any of these groups by rotating digits
-(`relations._matrix_mover`).
+Z_n used only as an index space never holds n² entries. Each family
+constructor records the group's digit layout in `FiniteGroup._layout` as it
+builds the group: cyclic groups and products of them, `dihedral` and
+`heisenberg` have one, and every other group has None. Element orders of a
+product of cyclic groups are read from its digits, and a census or
+`translate_relation` moves a relation's rows over any group with a layout
+by rotating digits (`relations._matrix_mover`).
 """
 
 from __future__ import annotations
@@ -58,9 +58,12 @@ class FiniteGroup:
         self._abelian = abelian
         self._table = table
         self._inv = inverses
-        self._cyclic = table is None and not self.factors
-        self._layout: tuple[tuple[tuple[int, int], ...], int] | None = None  # see _digit_layout
-        self._digits = ...  # see _cyclic_digits; ... until it is first asked for
+        # The digit layout, set by the family constructors: (hi, L) for the index
+        # written as x = h·L + lo, lo < L, or None. hi lists (weight, length) of
+        # each digit of h, weights counted in x. Every map x -> l·x·r adds a
+        # constant h0 to those digits, digit by digit, and sends lo to σ·lo + t(h)
+        # mod L, σ = ±1. A product of cyclic groups has L = 1.
+        self._layout: tuple[tuple[tuple[int, int], ...], int] | None = None
         # power subgroup P -> ((index, mask) of each subgroup above P in
         # listing order, the walk's closure count); see subgroups_up_to_index
         self._lattices: dict[int, tuple[list[tuple[int, int]], int]] = {}
@@ -86,34 +89,6 @@ class FiniteGroup:
                 table = [doubled[a:a + n] for a in range(n)]
             self._table = table
         return self._table
-
-    def _cyclic_digits(self) -> tuple[tuple[int, int], ...] | None:
-        """(weight, length) of each cyclic factor's digit in the index, first
-        factor most significant, or None unless every factor is cyclic.
-        Worked out on the first call and kept: every census asks."""
-        if self._digits is ...:
-            digits: tuple[tuple[int, int], ...] | None = ((1, self.order),) if self._cyclic else None
-            if self.factors:
-                digits = ()
-                for f in self.factors:
-                    inner = f._cyclic_digits()
-                    if inner is None:
-                        digits = None
-                        break
-                    digits = tuple((w * f.order, n) for w, n in digits) + inner
-            self._digits = digits
-        return self._digits
-
-    def _digit_layout(self) -> tuple[tuple[tuple[int, int], ...], int] | None:
-        """(hi, L) for the index written as x = h·L + lo, lo < L, or None.
-
-        hi lists (weight, length) of each digit of h, weights counted in x.
-        Every map x -> l·x·r of the group adds a constant h0 to those
-        digits, digit by digit, and sends lo to σ·lo + t(h) mod L, σ = ±1.
-        A product of cyclic groups has L = 1 and hi = its _cyclic_digits;
-        dihedral and heisenberg record theirs; any other group has none."""
-        digits = self._cyclic_digits()
-        return self._layout if digits is None else (digits, 1)
 
     def mul(self, a: int, b: int) -> int:
         return self._mul_table()[a][b]
@@ -164,12 +139,14 @@ class GroupElement:
 
 def _element_index(group: FiniteGroup, element: GroupElement | int) -> int:
     """The index of an element of the group, given as a GroupElement or as an
-    index; the one element check. An index out of range is a ValueError, a
-    GroupElement of another group a CrossGroupElement."""
+    index; the one element check. An index that is not an int (a bool
+    included) or is out of range is a ValueError, a GroupElement of another
+    group a CrossGroupElement."""
     if isinstance(element, GroupElement):
         if element.group is not group:
             raise CrossGroupElement(f"element of {element.group.name} used with {group.name}")
         return element.index
+    _check_int(element, "element index")
     if not 0 <= element < group.order:
         raise ValueError(f"element index {element} out of range for order {group.order}")
     return element
@@ -188,20 +165,29 @@ def cyclic(n: int) -> FiniteGroup:
     _check_int(n, "n")
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    return FiniteGroup(n, f"cyclic({n})", f"Z{n}", abelian=True)
+    group = FiniteGroup(n, f"cyclic({n})", f"Z{n}", abelian=True)
+    group._layout = (((1, n),), 1)
+    return group
 
 
 def product(*factors: FiniteGroup) -> FiniteGroup:
-    """Direct product, elements packed big-endian (first factor most significant)."""
+    """Direct product, elements packed big-endian (first factor most significant);
+    a product of factors with L = 1 has their digits, in order, and L = 1."""
     if not factors:
         raise ValueError("product recipe needs at least one factor")
-    return FiniteGroup(
+    group = FiniteGroup(
         math.prod(f.order for f in factors),
         "product(" + ",".join(f.recipe for f in factors) + ")",
         "x".join(f.name for f in factors),
         factors=factors,
         abelian=True if all(f._abelian for f in factors) else None,
     )
+    if all(f._layout and f._layout[1] == 1 for f in factors):
+        digits: tuple[tuple[int, int], ...] = ()
+        for f in factors:
+            digits = tuple((w * f.order, n) for w, n in digits) + f._layout[0]
+        group._layout = (digits, 1)
+    return group
 
 
 def from_cayley_table(table: Sequence[Sequence[int]], name: str | None = None) -> FiniteGroup:
@@ -450,12 +436,12 @@ def evaluate(group: FiniteGroup, word: Iterable[tuple[GroupElement, int]]) -> Gr
 
 
 def element_order(group: FiniteGroup, a: GroupElement | int) -> int:
-    """Order of element a. On a product of cyclic groups it is read from the
-    digits, lcm of n_i / gcd(a_i, n_i), and no table is built."""
+    """Order of element a. On a product of cyclic groups (a layout with L = 1)
+    it is read from the digits, lcm of n_i / gcd(a_i, n_i), and no table is
+    built."""
     a = _element_index(group, a)
-    digits = group._cyclic_digits()
-    if digits is not None:
-        return math.lcm(*(n // math.gcd(a // w % n, n) for w, n in digits))
+    if group._layout and group._layout[1] == 1:
+        return math.lcm(*(n // math.gcd(a // w % n, n) for w, n in group._layout[0]))
     x = a
     n = 1
     while x != 0:

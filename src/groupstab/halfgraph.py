@@ -44,7 +44,7 @@ from fractions import Fraction
 from operator import and_, invert, mul, or_
 
 from .bits import full_mask, iter_bits, mask_of
-from .errors import BudgetExceeded, _check_budget, _check_int
+from .errors import BudgetExceeded, _check_budget, _check_index, _check_int
 from .genlab import frac_json
 from .relations import Relation
 
@@ -328,8 +328,7 @@ def is_halfgraph(relation: Relation, witness: tuple[int, ...]) -> bool:
     for side, indices, universe in (("domain", a, relation.domain.universe),
                                     ("codomain", b, relation.codomain.universe)):
         for i in indices:
-            if not 0 <= i < universe:
-                raise ValueError(f"witness index {i} outside the {side} universe 0..{universe - 1}")
+            _check_index(i, "witness index", side, universe)
     rows = relation.rows
     for i in range(k):
         row = rows[a[i]]

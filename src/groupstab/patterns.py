@@ -202,7 +202,7 @@ def _censuses(
                                      if lifted else (0,),) for lifted, carrier in zip(lifts, carriers))
     q = group.order
     table = group._mul_table()
-    cyclic = group._cyclic_digits() is not None
+    cyclic = group._layout is not None and group._layout[1] == 1
     movers = {}  # slots -> the mover's copy and the state of each point
     passes = []  # per kind: its mover's copy, its plan, its counts and witnesses
     for shape, slots in shapes.values():

@@ -25,6 +25,7 @@ from .errors import (
     CrossGroupElement,
     EmptyCarrier,
     PairOutsideCarrier,
+    _check_index,
     _check_int,
 )
 from .groups import FiniteGroup, GroupElement, _element_index, translation
@@ -130,9 +131,9 @@ def _matrix_mover(relation: Relation, slots):
     pair, made earlier by the same mover; a kept pair at the same move comes
     back as it is.
 
-    On a group with a digit layout (FiniteGroup._digit_layout: products of
-    cyclic groups, D_n and H_p) the stride is |Y|, and each coordinate of
-    the pair index holds a group index x = hi·L + lo. The map
+    On a group with a digit layout (FiniteGroup._layout, set when products
+    of cyclic groups, D_n and H_p are built) the stride is |Y|, and each
+    coordinate of the pair index holds a group index x = hi·L + lo. The map
     f: x -> left·x·right adds h0 to the hi digits and sends lo to
     σ·lo + t(hi), and is read off the table: h0 at x = 0, which is the one
     lookup left·right; t at the q/L block starts x = hi·L; σ at x = 1, -1
@@ -174,8 +175,7 @@ def _matrix_mover(relation: Relation, slots):
     n, m = relation.domain.arity, relation.codomain.arity
     rows = relation.rows
     size = relation.codomain.universe
-    layout = group._digit_layout()
-    if layout is None:
+    if group._layout is None:
         t = _tile_width(len(rows), size)
         stride = -(-size // t) * t // 8
         cuts = [slice(x * stride, (x + 1) * stride) for x in range(len(rows))]
@@ -201,7 +201,7 @@ def _matrix_mover(relation: Relation, slots):
 
         return stride * 8, int.from_bytes(data, "little"), copy
 
-    hi_digits, lo_length = layout
+    his, lo_length = group._layout
     q = group.order
     table = group._mul_table()
     inverse = [group.inv(x) for x in range(q)]
@@ -211,7 +211,7 @@ def _matrix_mover(relation: Relation, slots):
     # group index, and (weight in the group index, in the pair index, length) of each hi digit.
     weights = [[unit * q ** (arity - 1 - c) for c in slot]
                for unit, arity, side in ((size, n, dslots), (1, m, cslots)) for slot in side]
-    places = [[(w, weight * w, length) for weight in slot_weights for w, length in hi_digits]
+    places = [[(w, weight * w, length) for weight in slot_weights for w, length in his]
               for slot_weights in weights]
     periods: dict[int, int] = {}  # period -> the mask of its multiples below total
 
@@ -401,6 +401,10 @@ class Relation:
         return sum(row.bit_count() for row in self.rows)
 
     def has_pair(self, x: int, y: int) -> bool:
+        """Whether (x, y) is in S; an index that is not an int of its side's
+        universe is a ValueError."""
+        _check_index(x, "pair index", "domain", self.domain.universe)
+        _check_index(y, "pair index", "codomain", self.codomain.universe)
         return bool(self.rows[x] >> y & 1)
 
     def pairs(self) -> Iterable[tuple[int, int]]:

@@ -27,7 +27,7 @@ from groupstab import (
 from groupstab import cli
 from groupstab.cli import build_parser, main, parse_group_spec
 from groupstab.halfgraph import derive_seed
-from groupstab.patterns import SHAPES
+from groupstab.patterns import SHAPES, census
 
 import oracles
 
@@ -135,6 +135,22 @@ def test_halfgraph_profile_samples_each_height_at_its_derived_seed(capsys):
             assert report == sample_halfgraphs(relation, k, 700, derive_seed(4, k)).to_json()
     # k = 1 is exact; k = 2 and 3 are sampled.
     assert [r["exact_count"] is None for r in profile] == [False, True, True]
+
+
+@pytest.mark.parametrize("group", ["Z6", "D3", "Z2xZ2"])
+def test_patterns_census_prints_the_census_of_its_kind(capsys, group):
+    """`patterns census` prints census()'s report, with and without witnesses,
+    byte for byte: the CLI's one census helper adds nothing."""
+    spec = '{"kind": "random_dense", "params": {"delta": 0.5, "seed": 3}}'
+    relation = instantiate_generator(GeneratorSpec.from_json(json.loads(spec)), parse_group_spec(group), 0)
+    for kind in cli.CENSUS_KINDS:
+        if SHAPES[kind.replace("-", "_")].abelian_error and group == "D3":
+            continue
+        for witnesses in (0, 5):
+            assert main(["patterns", "census", "--group", group, "--gen", spec, "--kind", kind,
+                         "--witnesses", str(witnesses)]) == 0
+            expected = census(relation, kind.replace("-", "_"), witnesses > 0, witnesses or 1).to_json()
+            assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n", (kind, witnesses)
 
 
 def test_patterns_census_cli(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from groupstab import (
     cyclic,
     density,
     dihedral,
+    format_cayley_table,
     greedy_box_cover,
     box_union_stability_check,
     instantiate_generator,
@@ -31,6 +33,7 @@ from groupstab import (
 from groupstab.bits import iter_bits, mask_of
 from groupstab.cli import ExperimentConfig
 from groupstab.genlab import _is_sidon, as_fraction, frac_json
+from groupstab.groups import parse_cayley_table
 
 
 def test_coset_box_whole_group_is_full():
@@ -108,6 +111,16 @@ def test_negative_sidon_budget_is_refused_and_zero_chooses_none():
         instantiate_generator(GeneratorSpec("sidon_cayley", {"budget": -1}), g)
 
 
+def test_sidon_set_takes_a_group_whose_layout_is_one_cyclic_digit():
+    """sidon_set reads the digit layout: Z_n, and a one-factor product of it,
+    which has Z_n's indices, are cyclic; Z2×Z2, D3 and a table loaded from
+    the file format, a cyclic one among them, are refused."""
+    assert sidon_set(product(cyclic(12))) == sidon_set(cyclic(12))
+    for group in (product(cyclic(2), cyclic(2)), dihedral(3), parse_cayley_table(format_cayley_table(cyclic(5)))):
+        with pytest.raises(ValueError, match="^greedy Sidon construction expects a cyclic group$"):
+            sidon_set(group)
+
+
 def test_sidon_cayley_is_three_stable_spotcheck():
     g = cyclic(13)
     rel = cayley_graph(g, sidon_set(g), "left")
@@ -164,6 +177,18 @@ def test_perturb_exact_flip_count_and_involution():
     once = perturb_relation(rel, 0.1, seed=77)
     twice = perturb_relation(once, 0.1, seed=77)
     assert twice == rel
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "1", None], ids=repr)
+def test_a_seed_that_is_not_an_int_is_refused(seed):
+    """random_dense and perturb_relation check their seed as sample_halfgraphs
+    does, where random.Random took any hashable value."""
+    carrier = CarrierSet.full(cyclic(4), 1)
+    rel = random_dense(carrier, carrier, 0.5, 1)
+    perturb_relation(rel, 0.25, 1)
+    for call in (lambda: random_dense(carrier, carrier, 0.5, seed), lambda: perturb_relation(rel, 0.25, seed)):
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+            call()
 
 
 def test_perturb_ceil_rounding():

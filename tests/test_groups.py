@@ -1,8 +1,11 @@
 """group-core: recipes, words, subgroups, cosets."""
 
+import ast
+import inspect
 import math
 import pickle
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -173,7 +176,10 @@ def test_orders_of_cyclic_products_build_no_table():
 
 
 def test_orders_from_digits_match_the_table_walk():
-    for group in builtin_catalogue(24):
+    """element_order reads a product of cyclic groups' orders off its digits
+    and walks the table elsewhere; both agree with a walk of the table."""
+    nested = product(product(cyclic(2), cyclic(3)), cyclic(4))
+    for group in builtin_catalogue(24) + [dihedral(5), heisenberg(3), product(cyclic(2), dihedral(3)), nested]:
         _, orders = exponent_and_orders(group)
         for a in group.elements():
             x, n = a, 1
@@ -181,6 +187,35 @@ def test_orders_from_digits_match_the_table_walk():
                 x = group.mul(x, a)
                 n += 1
             assert orders[a] == n, (group.name, a)
+
+
+def _layout_assigners(tree: ast.AST) -> list[int]:
+    """Lines that assign an attribute `_layout`, or set it by name through
+    setattr or object.__setattr__."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            named = any(isinstance(arg, ast.Constant) and arg.value == "_layout" for arg in node.args)
+        else:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+            named = any(isinstance(sub, ast.Attribute) and sub.attr == "_layout"
+                        for target in targets for sub in ast.walk(target))
+        if named:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_group_constructors_set_a_digit_layout():
+    """FiniteGroup._layout decides how a census moves rows, so one module
+    sets it: no module of src/ but groups.py assigns it, and FiniteGroup
+    takes no layout argument that a caller could get wrong."""
+    src = Path(groups.__file__).resolve().parents[1]
+    assigned = {path.relative_to(src).as_posix(): lines for path in sorted(src.rglob("*.py"))
+                if (lines := _layout_assigners(ast.parse(path.read_text())))}
+    assert list(assigned) == ["groupstab/groups.py"], assigned
+    assert not any("layout" in name for name in inspect.signature(groups.FiniteGroup).parameters)
+    assert _layout_assigners(ast.parse("g._layout = 1\na, b._layout = 1, 2\nsetattr(g, '_layout', 1)")) == [1, 2, 3]
 
 
 def test_associativity_exhaustive_small_groups():

@@ -104,10 +104,17 @@ def test_enumeration_matches_brute_force_and_verifies():
         assert enumerate_halfgraphs(rel, 2, 3) == expected[:3]
 
 
-@pytest.mark.parametrize("witness", [(-1, 0), (4, 0), (9, 0), (0, -1), (0, 4), (0, 1, 2, 7)])
-def test_is_halfgraph_rejects_indices_outside_the_universes(witness):
+@pytest.mark.parametrize("witness, index, side", [
+    ((-1, 0), -1, "domain"), ((4, 0), 4, "domain"), ((9, 0), 9, "domain"), ((0, -1), -1, "codomain"),
+    ((0, 4), 4, "codomain"), ((0, 1, 2, 7), 7, "codomain"), ((0, 1.5), 1.5, "codomain"),
+    ((True, 1), True, "domain"), ((0, "1"), "1", "codomain"),
+], ids=repr)
+def test_is_halfgraph_rejects_indices_outside_the_universes(witness, index, side):
+    """An index that is not an int of its side's universe is refused, one
+    that is a float or a bool too: (0, 1.5) raised TypeError, (True, 1) read
+    as (1, 1)."""
     rel = cayley_graph(cyclic(4), mask_of([0, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^witness index {re.escape(repr(index))} outside the {side} universe 0..3$"):
         is_halfgraph(rel, witness)
     assert is_halfgraph(rel, (3, 3)) and not is_halfgraph(rel, (3, 1))
 

@@ -206,7 +206,7 @@ def test_a_dihedral_table_loaded_from_a_file_permutes_columns_and_counts_the_sam
     are byte-identical to dihedral(7)'s, which rotate digits."""
     built = dihedral(7)
     loaded = parse_cayley_table(format_cayley_table(built))
-    assert loaded.recipe == built.recipe and loaded._digit_layout() is None
+    assert loaded.recipe == built.recipe and loaded._layout is None
     for seed, proper in [(7, False), (8, True)]:
         rels = [random_relation(group, random.Random(seed), proper_carriers=proper)
                 for group in (built, loaded)]
@@ -277,7 +277,7 @@ def test_a_mover_keeps_every_action_of_one_side_length():
                 distinct += len(moves - {(0, 0)})
         with mock.patch.object(relations, "_lift_move", wraps=relations._lift_move) as lifts:
             patterns._censuses(rel, kinds)
-        if group._digit_layout() is None:
+        if group._layout is None:
             assert 0 < lifts.call_count <= distinct, group.name
         else:
             assert lifts.call_count == 0, group.name
@@ -347,7 +347,7 @@ def test_carried_copies_count_as_the_oracles(group, delta):
     H3's digit wrap, and on groups that build every copy from F. The sparse
     relation shows that copies went stale: the census makes fewer copies
     than its points at every side length."""
-    generator = group.order // 2 if group._digit_layout() else 1
+    generator = group.order // 2 if group._layout else 1
     rel = noisy_cayley(group, generator, float(delta), group.order)
     with counted_copies() as calls:
         assert_censuses_match_oracles(rel, cap=200)

@@ -1,6 +1,7 @@
 """relation: bit matrices, Cayley graphs, densities, translation, algebra."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from groupstab import (
     CarrierMismatch,
     CarrierSet,
     EmptyCarrier,
+    GroupElement,
     PairOutsideCarrier,
     build_relation,
     cayley_graph,
@@ -24,7 +26,7 @@ from groupstab import (
 )
 from groupstab.bits import full_mask, iter_bits, mask_of
 from groupstab.errors import CrossGroupElement
-from groupstab.groups import element_order
+from groupstab.groups import element_order, translation
 from groupstab.patterns import ap_census, comparability_defect
 from groupstab.relations import coordinate_action, decode_tuple, encode_tuple
 
@@ -307,3 +309,41 @@ def test_group_element_arguments_are_their_index_and_foreign_ones_are_refused():
         ):
             with pytest.raises(CrossGroupElement, match="used with Z12"):
                 call()
+
+
+Z4 = cyclic(4)
+# each entry point that takes an element index, with an index that it accepts
+ELEMENT_CALLS = {
+    "GroupElement": lambda h: GroupElement(Z4, h),
+    "element": lambda h: Z4.element(h),
+    "translation-left": lambda h: translation(Z4, h),
+    "translation-right": lambda h: translation(Z4, 0, h),
+    "element_order": lambda h: element_order(Z4, h),
+    "coordinate_action": lambda h: coordinate_action(Z4, 2, h),
+    "ap_census": lambda h: ap_census(Z4, 0b11, 3, h),
+    "comparability_defect": lambda h: comparability_defect(Z4, 0b11, h),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None], ids=repr)
+@pytest.mark.parametrize("call", ELEMENT_CALLS.values(), ids=ELEMENT_CALLS.keys())
+def test_element_indices_that_are_not_ints_are_refused(call, value):
+    """One check, _element_index, refuses an element index that is not an
+    int, a bool among them, where a float or a bool was read as an index."""
+    call(1)
+    with pytest.raises(ValueError, match=f"^element index must be an int, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("side, index", [
+    ("domain", -1), ("domain", 4), ("codomain", 7), ("codomain", -1),
+    ("domain", 1.5), ("codomain", 1.5), ("domain", True), ("codomain", "1"),
+], ids=repr)
+def test_a_pair_index_outside_its_universe_is_refused(side, index):
+    """has_pair refuses an index that is not an int of its side's universe,
+    where -1 read the last row, 4 raised IndexError and 7 answered False."""
+    rel = build_relation(CarrierSet.full(Z4, 1), CarrierSet.full(Z4, 1), pairs=[(3, 0)])
+    assert rel.has_pair(3, 0) and not rel.has_pair(0, 3)
+    pair = (index, 0) if side == "domain" else (0, index)
+    with pytest.raises(ValueError, match=f"^pair index {re.escape(repr(index))} outside the {side} universe 0..3$"):
+        rel.has_pair(*pair)

@@ -24,6 +24,8 @@ from groupstab import (
     format_cayley_table,
     heisenberg,
     left_cosets,
+    load_cayley_table,
+    make_group,
     product,
     subgroup,
     translate_relation,
@@ -333,7 +335,7 @@ def test_row_moves_are_translations(case, data):
             kept = None
         kept = copy(dmove + cmove, kept)
         assert kept == (dmove + cmove, moved(rel.rows, dmove, cmove))
-    if group._cyclic_digits() is not None:
+    if group._layout is not None and group._layout[1] == 1:
         rows = [random.Random(q).getrandbits(rel.codomain.universe) for _ in rel.rows]
         then = kept[0]
         dmove, cmove = (data.draw(moves(side_slots), label=f"last {side}") or side_still
@@ -373,7 +375,7 @@ def carry_chain(rel, slots, move, steps, order):
         move = tuple((group.mul(l, dl), group.mul(dr, r)) for (l, r), (dl, dr) in zip(move, steps[i]))
         kept = copy(move, kept)
         assert kept == (move, lifted_copy(rel, slots, rel.rows, stride, move))
-        if group._digit_layout() is not None:
+        if group._layout is not None:
             rows = [rng.getrandbits(rel.codomain.universe) for _ in rel.rows]
             joined = sum(row << a * stride for a, row in enumerate(rows))
             assert copy(move, (None, joined))[1] == lifted_copy(rel, slots, rows, stride, move)
@@ -395,7 +397,7 @@ def test_a_chain_of_carries_that_repeats_its_steps_moves_as_the_lifted_maps(case
 def lo_offsets(group, left, right):
     """The distinct lo offsets t(hi) of x -> left·x·right, and whether it
     negates lo (σ = -1), read off the table as the mover reads them."""
-    his, lo = group._digit_layout()
+    his, lo = group._layout
     f = translation(group, left, right)
     return {f[hi * lo] % lo for hi in range(group.order // lo)}, lo > 2 and (f[1] - f[0]) % lo == lo - 1
 
@@ -496,14 +498,23 @@ def test_a_shift_of_another_kind_is_refused(shift):
             translate_relation(rel, **kwargs)
 
 
-@pytest.mark.parametrize("group", [dihedral(n) for n in range(1, 13)] + [heisenberg(p) for p in (2, 3, 5)],
-                         ids=lambda group: group.name)
+# Products of cyclic groups: nested, of one factor, and with D1, which has L = 1 too.
+LAYOUT_PRODUCTS = [product(product(cyclic(2), cyclic(3)), cyclic(4)),
+                   product(cyclic(3), product(cyclic(2), cyclic(2))),
+                   product(cyclic(6)), product(dihedral(1), cyclic(3))]
+
+
+@pytest.mark.parametrize("group", [dihedral(n) for n in range(1, 13)] + [heisenberg(p) for p in (2, 3, 5)]
+                         + [cyclic(1), cyclic(12)] + LAYOUT_PRODUCTS, ids=lambda group: group.name)
 def test_the_recorded_digit_layout_holds_for_every_translation(group):
-    """Write x = hi·L + lo, lo < L, for the layout (hi digits, L) that dihedral()
-    and heisenberg() record. Every map x -> l·x·r of the oracle group adds h0
-    to the hi digits, digit by digit, and sends lo to σ·lo + t(hi) mod L,
-    with σ = -1 only on D_n, when r is a reflection, and L > 2."""
-    his, lo = group._digit_layout()
+    """Write x = hi·L + lo, lo < L, for the layout (hi digits, L) that the
+    family constructors record. Every map x -> l·x·r of the oracle group adds
+    h0 to the hi digits, digit by digit, and sends lo to σ·lo + t(hi) mod L,
+    with σ = -1 only on D_n, when r is a reflection, and L > 2. A product of
+    cyclic groups has L = 1."""
+    his, lo = group._layout
+    if group.factors or group.recipe.startswith("cyclic"):
+        assert lo == 1, group.recipe
     q, blocks = group.order, group.order // lo
     assert math.prod(length for _, length in his) * lo == q
     assert all(w % lo == 0 for w, _ in his)
@@ -523,3 +534,16 @@ def test_the_recorded_digit_layout_holds_for_every_translation(group):
         assert (sigma == -1) == (group.name[0] == "D" and lo > 2 and right >= lo), (left, right)
         assert f == [plus[h0][hi] * lo + (sigma * r + t[hi]) % lo
                      for hi in range(blocks) for r in range(lo)], (left, right)
+
+
+def test_mixed_products_and_cayley_tables_have_no_digit_layout(tmp_path):
+    """A product with a factor of L > 1, a table loaded from a file or from the
+    table format, and a table recipe have no layout, even where the group is
+    D_n or Z_n: so they move rows by the column permuter."""
+    path = tmp_path / "D5.txt"
+    path.write_text(format_cayley_table(dihedral(5)))
+    z6 = cyclic(6)
+    for group in [Z2xD3, product(cyclic(2), heisenberg(2)), product(Z2xD3, cyclic(2)), LOADED_D5,
+                  load_cayley_table(path), parse_cayley_table(format_cayley_table(z6)),
+                  make_group({"kind": "cayley_table", "table": z6._mul_table()})]:
+        assert group._layout is None, group.recipe
