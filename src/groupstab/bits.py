@@ -16,6 +16,8 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Iterable, Iterator
 
+from .errors import _check_index, _check_mask
+
 
 _SCAN_WIDTH = 1024
 
@@ -42,6 +44,19 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _checked_mask(members: Iterable[int] | int, name: str, side: str, universe: int) -> int:
+    """A member set, given as a mask or as indices, as a mask: a bad mask or
+    index, a bool included, is a ValueError that names it and the universe
+    of the side."""
+    if isinstance(members, int):
+        _check_mask(members, name, side, universe)
+        return members
+    members = list(members)
+    for index in members:
+        _check_index(index, f"{name} entry", side, universe)
+    return mask_of(members)
 
 
 def full_mask(n: int) -> int:

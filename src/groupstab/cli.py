@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .bits import iter_bits, mask_of
 from .boxcover import greedy_box_cover
-from .errors import ToolkitError, _check_budget, _read
+from .errors import ToolkitError, _check_budget, _check_int, _read
 from .genlab import GeneratorSpec, as_fraction, frac_json, instantiate_generator
 from .groups import (
     FiniteGroup,
@@ -108,6 +108,9 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
+        _check_int(self.k, "k")
+        _check_int(self.max_index, "max_index")
+        self.epsilon = _read(as_fraction, self.epsilon, "epsilon")  # as from_json reads it: 0.1 is 1/10
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_index < 1:

@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, the one reader of JSON fields,
-the one check of an integer argument, of an index into a carrier universe
-and of a work budget."""
+the one check of an integer argument, of an index into a carrier universe,
+of a member mask and of a work budget."""
 
 from __future__ import annotations
 
@@ -95,6 +95,15 @@ def _check_index(index, name: str, side: str, universe: int) -> None:
     included, is a ValueError that names it and the universe."""
     if type(index) is bool or not isinstance(index, int) or not 0 <= index < universe:
         raise ValueError(f"{name} {index!r} outside the {side} universe 0..{universe - 1}")
+
+
+def _check_mask(mask, name: str, side: str, universe: int) -> None:
+    """A member mask that is a bool, not an int, negative, or has bits at or
+    above the universe of the side is a ValueError that names it and the
+    universe."""
+    _check_int(mask, name)
+    if mask < 0 or mask >> universe:
+        raise ValueError(f"{name} is not a mask over the {side} universe 0..{universe - 1}")
 
 
 def _check_budget(budget: int, name: str = "budget") -> None:

@@ -79,6 +79,8 @@ def coset_box_set(
     cosets = left_cosets(group, sub)
     rows = [0] * group.order
     for i, j in pairs:
+        _check_int(i, "coset index")
+        _check_int(j, "coset index")
         if not (0 <= i < len(cosets) and 0 <= j < len(cosets)):
             raise IndexOutOfRange(
                 f"coset pair ({i}, {j}) out of range for index {len(cosets)}"

@@ -28,7 +28,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .bits import iter_bits, mask_of
+from .bits import _checked_mask, iter_bits, mask_of
 from .errors import AxiomViolation, BudgetExceeded, CrossGroupElement, _check_budget, _check_int, _read
 
 DEFAULT_CLOSURE_BUDGET = 10**6
@@ -481,11 +481,9 @@ def subgroup(group: FiniteGroup, members: Iterable[int] | int) -> Subgroup:
     A set holding the identity is a subgroup exactly when it is its own
     `closure`.
     """
-    mask = members if isinstance(members, int) else mask_of(members)
+    mask = _checked_mask(members, "subgroup members", "element", group.order)
     if not mask & 1:
         raise ValueError("subgroup must contain the identity (index 0)")
-    if mask >> group.order:
-        raise ValueError("subgroup members exceed the element universe")
     added = closure(group, mask) & ~mask
     if added:
         low = (added & -added).bit_length() - 1
@@ -499,9 +497,7 @@ def closure(group: FiniteGroup, seed: Iterable[int] | int) -> int:
     from the identity by right multiplication with the seed elements, at
     |subgroup|·|seed| table lookups.
     """
-    mask = seed if isinstance(seed, int) else mask_of(seed)
-    if mask >> group.order:
-        raise ValueError("closure seed exceeds the element universe")
+    mask = _checked_mask(seed, "closure seed", "element", group.order)
     return _grow(group._mul_table(), [0], (1).__lshift__, [s for s in iter_bits(mask) if s])
 
 

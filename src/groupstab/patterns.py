@@ -5,12 +5,13 @@ translation-comparability defects.
 A shape is a list of points ((ld, rd), (lc, rc)); a triple (a, b, g)
 matches it when every pair (g^ld·a·g^rd, g^lc·b·g^rc) lies in S. Every
 census kind is one entry of SHAPES, and `census` counts the matches of any
-of them. It holds S as one int, row after row, and each point as one
-moved copy of it: for each g it ANDs the copies of the points and
-popcounts the meet. A point's copy is carried from one side length to the
-next by the one step between them, compiled once (relations._matrix_mover),
-and built from S only where it has no copy yet, where that step negates a
-digit (D_n's right moves by a reflection), and on groups without a digit layout.
+of them. It holds S as one int, row after row, and each point but the
+identity as one moved copy of it: for each g it ANDs S and the copies of
+the points and popcounts the meet. A point's copy is carried from one side
+length to the next by the one step between them, compiled once
+(relations._matrix_mover), and built from S only where it has no copy
+yet, where that step negates a digit (D_n's right moves by a reflection),
+and on groups without a digit layout.
 Every census counts ordered triples including the degenerate g = identity
 slice; nontrivial_count excludes it. For carriers of arity above one the
 side length acts on a single designated coordinate (default: the last),
@@ -25,7 +26,7 @@ from itertools import islice
 from typing import Iterable
 
 from .bits import iter_bits, mask_of, permute_bits
-from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup, _check_int
+from .errors import ArityUnsupported, CrossGroupElement, NonAbelianGroup, _check_int, _check_mask
 from .groups import FiniteGroup, GroupElement, Subgroup, _element_index, translation
 from .relations import Relation, _acted_coordinates, _matrix_mover, _side_pair
 
@@ -64,8 +65,7 @@ class CoverageReport:
 def _checked_element(group: FiniteGroup, members: int, element: GroupElement | int) -> int:
     """Index of the element, after checking it and the member mask against the group."""
     index = _element_index(group, element)
-    if members >> group.order:
-        raise ValueError(f"member mask has bits outside 0..{group.order - 1}")
+    _check_mask(members, "member mask", "element", group.order)
     return index
 
 
@@ -160,16 +160,13 @@ def _censuses(
     coordinates the side length acts on. The points that move no row come
     first, so a sparse meet empties as early as it can.
 
-    Each point keeps its copy and the side length it was made at, and the
-    mover carries it from there by the one step between the two moves,
-    compiled once per mover; it builds the copy from F where there is none
-    yet and where that step would negate a digit (D_n's right moves by a
-    reflection), and always on a group without a digit layout. So a copy
-    that an emptied meet skipped is carried from an older side length. On
-    a product of cyclic groups the points that share a domain action are
-    met as one: a domain move permutes bits, so it commutes with AND, and
-    the AND of their codomain copies, each kept and carried, is moved once
-    by that action's pair.
+    Each point but the identity, on every group, keeps its copy and the
+    side length it was made at, and the mover carries it from there by the
+    one step between the two moves, compiled once per mover; it builds the
+    copy from F where there is none yet and where that step would negate a
+    digit (D_n's right moves by a reflection), and always on a group
+    without a digit layout. So a copy that an emptied meet skipped is
+    carried from an older side length.
 
     Kinds with the same lift share one mover and its points, and the pass
     takes g in the outer loop and the kinds in the inner one: the first
@@ -202,34 +199,19 @@ def _censuses(
                                      if lifted else (0,),) for lifted, carrier in zip(lifts, carriers))
     q = group.order
     table = group._mul_table()
-    cyclic = group._layout is not None and group._layout[1] == 1
     movers = {}  # slots -> the mover's copy and the state of each point
-    passes = []  # per kind: its mover's copy, its plan, its counts and witnesses
+    passes = []  # per kind: its mover's copy, its points, its counts and witnesses
     for shape, slots in shapes.values():
         if slots not in movers:
             stride, whole, copy = _matrix_mover(relation, slots)  # stride and whole are S's alone
             movers[slots] = copy, {}
         copy, states = movers[slots]
-
-        def carried(dact, cact):
-            """(the point's [side length, copy] state, shared by its kinds; its powers ld, rd, lc, rc)."""
-            return (states.setdefault((dact, cact), [-1, None]), *dact, *cact)
-
-        # The points but the identity, by domain action, those that move no row
-        # first. An entry is (the domain action met as one, or None; the int its AND
-        # starts from: F where it meets the identity codomain action, None for the meet; its points).
-        by_domain: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for dact, cact in shape.points:
-            if dact != (0, 0) or cact != (0, 0):
-                by_domain.setdefault(dact, []).append(cact)
-        plan = []
-        for dact, cacts in sorted(by_domain.items(), key=lambda item: item[0] != (0, 0)):
-            if cyclic and dact != (0, 0) and len(cacts) > 1:
-                plan.append((dact, whole if (0, 0) in cacts else -1,
-                             [carried((0, 0), cact) for cact in cacts if cact != (0, 0)]))
-            else:
-                plan += [(None, None, [carried(dact, cact)]) for cact in cacts]
-        passes.append((copy, plan, [0] * q, [] if include_witnesses else None))
+        # The points but the identity, those that move no row first: each is its
+        # [side length, copy] state, shared by its kinds, and its powers ld, rd, lc, rc.
+        points = [(states.setdefault(point, [-1, None]), *point[0], *point[1])
+                  for point in sorted(shape.points, key=lambda p: p[0] != (0, 0))
+                  if point != ((0, 0), (0, 0))]
+        passes.append((copy, points, [0] * q, [] if include_witnesses else None))
     # the highest power of g in a point
     top = max((max(p[0] + p[1]) for shape, _ in shapes.values() for p in shape.points), default=0)
 
@@ -237,18 +219,13 @@ def _censuses(
         powers = [0, g]
         for _ in range(top - 1):
             powers.append(table[powers[-1]][g])
-        for copy, plan, counts, witnesses in passes:
+        for copy, points, counts, witnesses in passes:
             meet = whole
-            for dact, part, points in plan:
-                part = meet if part is None else part  # one point, ANDed into the meet
-                for state, ld, rd, lc, rc in points:
-                    if state[0] != g:  # not yet moved to g by an entry before
-                        state[0] = g
-                        state[1] = copy(((powers[ld], powers[rd]), (powers[lc], powers[rc])), state[1])
-                    part &= state[1][1]
-                if dact is not None:  # met as one: the AND, not moved yet, moved by dact
-                    part = meet & copy(((powers[dact[0]], powers[dact[1]]), (0, 0)), (None, part))[1]
-                meet = part
+            for state, ld, rd, lc, rc in points:
+                if state[0] != g:  # not yet moved to g by a kind before
+                    state[0] = g
+                    state[1] = copy(((powers[ld], powers[rd]), (powers[lc], powers[rc])), state[1])
+                meet &= state[1][1]
                 if not meet:
                     break
             counts[g] = meet.bit_count()

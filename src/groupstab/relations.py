@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .bits import (
-    _column_permuter, _digit_shift, _negate_digit, _tile, _tile_width, full_mask, iter_bits, mask_of,
-    permute_bits,
+    _checked_mask, _column_permuter, _digit_shift, _negate_digit, _tile, _tile_width, full_mask, iter_bits,
+    mask_of, permute_bits,
 )
 from .errors import (
     ArityMismatch,
@@ -27,6 +27,7 @@ from .errors import (
     PairOutsideCarrier,
     _check_index,
     _check_int,
+    _check_mask,
 )
 from .groups import FiniteGroup, GroupElement, _element_index, translation
 
@@ -158,10 +159,8 @@ def _matrix_mover(relation: Relation, slots):
     moves by a reflection) compiles to None, and the copy is built from
     whole by the move itself, as where there is no kept pair: whole with
     lo negated at those slots is made once, where a kept copy would be
-    negated anew. kept may also be (None, X), for an int X moved by the
-    move itself: the census moves an AND of copies so. The steps of such
-    fresh moves are not kept, since they differ from one side length to
-    the next; nothing outlives the mover.
+    negated anew. The steps of such fresh moves are not kept, since they
+    differ from one side length to the next; nothing outlives the mover.
 
     Every other group always builds from whole. It lifts each move's
     domain map, keeping the last _KEPT_MOVES, and moves the columns of all
@@ -215,9 +214,9 @@ def _matrix_mover(relation: Relation, slots):
               for slot_weights in weights]
     periods: dict[int, int] = {}  # period -> the mask of its multiples below total
 
-    # The masks are as long as the matrix: keep the few that fresh moves reuse (over
-    # every kind on Z2×Z4×Z12, D16 and H5, where 16 missed 2-4 times as often).
-    @lru_cache(maxsize=32)
+    # The masks are as long as the matrix: the compiled steps δ and the fresh moves
+    # (D_n's right moves by a reflection, at every side length) share them.
+    @cache
     def shift(weight: int, length: int, step: int) -> tuple[int, int, int, int]:
         period = weight * length
         if period not in periods:
@@ -290,8 +289,8 @@ def _matrix_mover(relation: Relation, slots):
     programs: dict = {}  # δ -> its compiled steps, None where δ negates a digit
 
     def copy(move, kept=None):
-        then, matrix = kept or (None, None)
-        if then is not None:
+        if kept is not None:
+            then, matrix = kept
             if then == move:
                 return kept
             if len(move) == 2:  # a census's two slots: δ unpacked by hand
@@ -308,15 +307,10 @@ def _matrix_mover(relation: Relation, slots):
                 steps = programs[delta] = None if negated else steps
             if steps is not None:
                 return move, carry(matrix, steps)
-            matrix = None
         negated, steps = compiled(move)  # a fresh move: its steps are not kept
-        if matrix is None:
-            if negated not in bases:
-                bases[negated] = negated_at(whole, negated)
-            matrix = bases[negated]
-        elif negated:
-            matrix = negated_at(matrix, negated)
-        return move, carry(matrix, steps)
+        if negated not in bases:
+            bases[negated] = negated_at(whole, negated)
+        return move, carry(bases[negated], steps)
 
     return size, whole, copy
 
@@ -330,10 +324,10 @@ class CarrierSet:
     members: int
 
     def __post_init__(self) -> None:
+        _check_int(self.arity, "carrier arity")
         if self.arity < 1:
             raise ValueError(f"carrier arity must be >= 1, got {self.arity}")
-        if self.members >> power_size(self.group, self.arity):
-            raise ValueError("carrier members exceed |G|^arity universe")
+        _check_mask(self.members, "carrier members", "tuple", self.universe)
 
     @staticmethod
     def full(group: FiniteGroup, arity: int = 1) -> "CarrierSet":
@@ -341,7 +335,8 @@ class CarrierSet:
 
     @staticmethod
     def from_indices(group: FiniteGroup, arity: int, indices: Iterable[int]) -> "CarrierSet":
-        return CarrierSet(group, arity, mask_of(indices))
+        universe = CarrierSet(group, arity, 0).universe  # the arity checked first
+        return CarrierSet(group, arity, _checked_mask(list(indices), "carrier members", "tuple", universe))
 
     @property
     def size(self) -> int:
@@ -426,6 +421,8 @@ def build_relation(
     if pairs is not None:
         xmask, ymask = domain.members, codomain.members
         for x, y in pairs:
+            _check_int(x, "domain index")
+            _check_int(y, "codomain index")
             if not (0 <= x < domain.universe and xmask >> x & 1):
                 raise PairOutsideCarrier(f"domain index {x} outside carrier")
             if not (0 <= y < codomain.universe and ymask >> y & 1):
@@ -448,8 +445,7 @@ def cayley_graph(group: FiniteGroup, members: int, direction: str = "left") -> R
     direction "left" sets bit (g, h) iff g^-1·h is a member; "right" sets it
     iff h^-1·g is a member.
     """
-    if members >> group.order:
-        raise ValueError("member bitset exceeds the group universe")
+    _check_mask(members, "member mask", "element", group.order)
     if direction == "right":
         # Row g is g·A^-1: h^-1·g lies in A iff h = g·a^-1 for some a in A.
         members = mask_of(group.inv(a) for a in iter_bits(members))

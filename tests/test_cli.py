@@ -1,6 +1,7 @@
 """cli: subcommands, experiment harness, reproducibility, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -507,6 +508,38 @@ def test_every_example_config_and_its_relation_files_load(tmp_path, name):
         assert rel.rows == instantiate_generator(cfg.generator, group, cfg.seed).rows
 
 
+# sha256 of each example's report, as written with its "timing" key removed.
+REPORT_DIGESTS = {
+    ("asymptotic_trend.json", "run"): "ae47db70a5cb81484f35d9a44627bc895901893e94f4c05724bdd303b71189fa",
+    ("asymptotic_trend.json", "trend"): "8e60efb94ed79a9ddf5efa34d95c86c3089a78ec5cf6948c5cd25c99dbd4b689",
+    ("asymptotic_unstable.json", "run"): "47456a746a159779ecd9b99eac95872fa891dc4475a8d6c2c505cb864bb4a6c8",
+    ("asymptotic_unstable.json", "trend"): "c15cc938eba2b378ae8b32dffaf48f8ef18fd2038f135cf8a2a6fef62d8090e3",
+    ("nonabelian_trend.json", "run"): "cb87b38cc71c3692b5903914221f877445b33a647eead01cf21e689c41f23e17",
+    ("nonabelian_trend.json", "trend"): "2dd9295823b176d3201104a6caf11dfd140f019ed73a7c7124deec47f6315c32",
+}
+
+
+def test_the_example_reports_are_byte_identical_outside_timing(tmp_path):
+    """`experiment run` and `trend` on every checked-in example write the
+    same bytes as when the digests were recorded, once the "timing" key is
+    removed: a change that should leave every result alone must pass this
+    as it stands. A change that alters the report on purpose (a new field,
+    a new number format, a different result) records the new digests: run
+    `python -m pytest tests/test_cli.py -k byte_identical -vv`, check that
+    the reports differ only as intended, and copy the digests the failure
+    prints into REPORT_DIGESTS."""
+    digests = {}
+    for name, mode in REPORT_DIGESTS:
+        out = tmp_path / f"{name}.{mode}"
+        assert main(["experiment", mode, "--config", str(EXAMPLES / name), "--output", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert json.dumps(report, indent=2) + "\n" == text  # so the text below is the report as written
+        del report["timing"]
+        digests[name, mode] = hashlib.sha256((json.dumps(report, indent=2) + "\n").encode()).hexdigest()
+    assert digests == REPORT_DIGESTS
+
+
 def test_nonabelian_example_family_matches_the_oracles(tmp_path):
     """The checked-in non-abelian trend: every census density is the brute-force
     total over |G|³, on D5, D6 and H3, where the census rotates digits and
@@ -838,3 +871,26 @@ def test_cli_version_and_bad_usage():
 def test_python_dash_m_groupstab_runs_without_warnings():
     proc = run_cli("--version", python=("-W", "error", "-m", "groupstab"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, groupstab.__version__ + "\n", "")
+
+
+@pytest.mark.parametrize("field, value", [("k", True), ("k", 1.5), ("max_index", 2.5), ("max_index", True)],
+                         ids=repr)
+def test_a_directly_built_config_refuses_a_count_that_is_not_an_int(field, value):
+    """k=True was kept as True, and k=1.5 or max_index=2.5 failed only in
+    every row of the sweep."""
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+        ExperimentConfig(["Z4"], GeneratorSpec("linear_order", {}), **{field: value})
+
+
+def test_a_directly_built_config_reads_epsilon_as_from_json_does():
+    """epsilon=0.1 crashed the report's config echo with an AttributeError,
+    outside the sweep's error rows; it is read as 1/10, as from_json reads it."""
+    spec = GeneratorSpec("linear_order", {})
+    config = ExperimentConfig(["Z4"], spec, epsilon=0.1)
+    assert config.epsilon == Fraction(1, 10)
+    assert config == ExperimentConfig.from_json({"groups": ["Z4"], "generator": spec.to_json(), "epsilon": 0.1})
+    report = run_experiment(config)
+    assert report["row_errors"] == 0 and report["config"]["epsilon"] == {"num": 1, "den": 10}
+    for value in (True, "x"):
+        with pytest.raises(ValueError, match=f"^cannot read epsilon from {re.escape(repr(value))}$"):
+            ExperimentConfig(["Z4"], spec, epsilon=value)

@@ -54,6 +54,18 @@ def test_coset_box_matches_cayley_on_diagonal():
         assert coset_box_set(d4, sub, diag) == cayley_graph(d4, sub.members, "left")
 
 
+@pytest.mark.parametrize("pair, index", [((True, 0), True), ((0, 1.0), 1.0)], ids=repr)
+def test_coset_box_set_refuses_a_coset_index_that_is_not_an_int(pair, index):
+    """The pair (True, 0) was read as (1, 0), and a float index raised a raw
+    TypeError. An int out of range is still IndexOutOfRange."""
+    z4 = cyclic(4)
+    h = subgroup(z4, [0, 2])
+    with pytest.raises(ValueError, match=f"^coset index must be an int, got {re.escape(repr(index))}$"):
+        coset_box_set(z4, h, [pair])
+    with pytest.raises(IndexOutOfRange):
+        coset_box_set(z4, h, [(2, 0)])
+
+
 def test_coset_box_single_block_density():
     z6 = cyclic(6)
     h3 = subgroup(z6, [0, 2, 4])

@@ -292,6 +292,21 @@ def test_closure_refuses_seed_bits_outside_the_group(seed):
         subgroup(z4, seed | 1)
 
 
+@pytest.mark.parametrize("members, message", [
+    ([0, 1.5], "subgroup members entry 1.5 outside the element universe 0..3"),
+    ([0, -1], "subgroup members entry -1 outside the element universe 0..3"),
+    ([0, True], "subgroup members entry True outside the element universe 0..3"),
+    (True, "subgroup members must be an int, got True"),
+], ids=repr)
+def test_subgroup_refuses_a_member_that_is_not_an_element_index(members, message):
+    """A float raised a raw TypeError, -1 "negative shift count", and a bool
+    was read as the index 1 or as the mask {0}."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        subgroup(cyclic(4), members)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.replace('subgroup members', 'closure seed'))}$"):
+        closure(cyclic(4), members)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_closure_matches_fixed_point_oracle(data):

@@ -347,3 +347,56 @@ def test_a_pair_index_outside_its_universe_is_refused(side, index):
     pair = (index, 0) if side == "domain" else (0, index)
     with pytest.raises(ValueError, match=f"^pair index {re.escape(repr(index))} outside the {side} universe 0..3$"):
         rel.has_pair(*pair)
+
+
+@pytest.mark.parametrize("side", ["domain", "codomain"])
+@pytest.mark.parametrize("index", [True, 1.5, 2.0], ids=repr)
+def test_build_relation_refuses_a_pair_index_that_is_not_an_int(side, index):
+    """A bool was read as 0 or 1 and kept, and a float raised a raw TypeError.
+    An int outside the carrier is still a PairOutsideCarrier."""
+    full = CarrierSet.full(Z4, 1)
+    pair = (index, 0) if side == "domain" else (0, index)
+    with pytest.raises(ValueError, match=f"^{side} index must be an int, got {re.escape(repr(index))}$"):
+        build_relation(full, full, pairs=[pair])
+    with pytest.raises(PairOutsideCarrier):
+        build_relation(full, full, pairs=[(4, 0)])
+
+
+@pytest.mark.parametrize("index", [1.0, -1, True, 4], ids=repr)
+def test_carrier_from_indices_refuses_an_index_outside_the_tuple_universe(index):
+    """A float raised a raw TypeError and -1 "negative shift count"."""
+    with pytest.raises(ValueError, match=f"^carrier members entry {re.escape(repr(index))} outside the tuple universe 0..3$"):
+        CarrierSet.from_indices(Z4, 1, [0, index])
+
+
+@pytest.mark.parametrize("arity, members, message", [
+    (True, 3, "carrier arity must be an int, got True"),
+    (1.5, 3, "carrier arity must be an int, got 1.5"),
+    (1, 1.0, "carrier members must be an int, got 1.0"),
+    (1, True, "carrier members must be an int, got True"),
+    (1, -1, "carrier members is not a mask over the tuple universe 0..3"),
+    (1, 16, "carrier members is not a mask over the tuple universe 0..3"),
+    (2, 1 << 16, "carrier members is not a mask over the tuple universe 0..15"),
+], ids=repr)
+def test_a_carrier_checks_its_arity_and_its_member_mask(arity, members, message):
+    """CarrierSet(Z4, True, 3) was a carrier of arity True, and a float
+    arity or mask raised a raw TypeError."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CarrierSet(Z4, arity, members)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mask: cayley_graph(Z4, mask),
+    lambda mask: ap_census(Z4, mask, 2, 1),
+    lambda mask: comparability_defect(Z4, mask, 1),
+], ids=["cayley_graph", "ap_census", "comparability_defect"])
+@pytest.mark.parametrize("mask, message", [
+    (2.0, "member mask must be an int, got 2.0"),
+    (True, "member mask must be an int, got True"),
+    (-1, "member mask is not a mask over the element universe 0..3"),
+    (1 << 4, "member mask is not a mask over the element universe 0..3"),
+], ids=repr)
+def test_an_element_member_mask_is_checked_once_for_every_caller(call, mask, message):
+    """A float mask raised a raw TypeError, and a bool was read as {0}."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(mask)

@@ -291,8 +291,7 @@ def test_row_moves_are_translations(case, data):
     the copy before or built afresh, as drawn: the copy is the same either
     way. A drawn None stands for the identity move, (0, 0) in every slot.
     On a product of cyclic groups every carry moves the kept matrix, so it
-    moves any matrix kept at any move by the step between the moves, and a
-    matrix kept at no move (None) by the move itself."""
+    moves any matrix kept at any move by the step between the moves."""
     group, ref, rel, slots = case
     q = group.order
     stride, whole, copy = _matrix_mover(rel, slots)
@@ -344,7 +343,6 @@ def test_row_moves_are_translations(case, data):
                      for (l0, r0), (l1, r1) in zip(then, dmove + cmove))
         split = len(dslots)
         assert copy(dmove + cmove, (then, joined(rows)))[1] == moved(rows, step[:split], step[split:])
-        assert copy(dmove + cmove, (None, joined(rows)))[1] == moved(rows, dmove, cmove)
 
 
 def lifted_copy(rel, slots, rows, stride, move):
@@ -363,30 +361,22 @@ def lifted_copy(rel, slots, rows, stride, move):
 def carry_chain(rel, slots, move, steps, order):
     """Carry a copy along a chain: from move, each next move is the one before
     times the step that order picks, (l·δl, δr·r) per slot, and each copy is
-    carried from the one before. Every copy must be S moved by its move.
-    On a group with a digit layout an int kept at no move, (None, X), must
-    be X moved by the move itself."""
+    carried from the one before. Every copy must be S moved by its move."""
     group = rel.group
     stride, whole, copy = _matrix_mover(rel, slots)
     kept = copy(move)
     assert kept == (move, lifted_copy(rel, slots, rel.rows, stride, move))
-    rng = random.Random(group.order)
     for i in order:
         move = tuple((group.mul(l, dl), group.mul(dr, r)) for (l, r), (dl, dr) in zip(move, steps[i]))
         kept = copy(move, kept)
         assert kept == (move, lifted_copy(rel, slots, rel.rows, stride, move))
-        if group._layout is not None:
-            rows = [rng.getrandbits(rel.codomain.universe) for _ in rel.rows]
-            joined = sum(row << a * stride for a, row in enumerate(rows))
-            assert copy(move, (None, joined))[1] == lifted_copy(rel, slots, rows, stride, move)
 
 
 @settings(max_examples=150, deadline=None)
 @given(mover_cases(), st.data())
 def test_a_chain_of_carries_that_repeats_its_steps_moves_as_the_lifted_maps(case, data):
     """Four to eight carries, each by one of two drawn steps δ, so a step's
-    compiled program is used again, checked against _lift_move; and on a
-    group with a digit layout, (None, X) at every move of the chain."""
+    compiled program is used again, checked against _lift_move."""
     group, _, rel, slots = case
     pairs = st.tuples(*[st.tuples(*[st.integers(0, group.order - 1)] * 2)] * sum(map(len, slots)))
     move, *steps = (data.draw(pairs, label=label) for label in ("first move", "step 0", "step 1"))
@@ -405,7 +395,7 @@ def lo_offsets(group, left, right):
 @pytest.mark.parametrize("group, step", [
     (dihedral(6), ((1, 7), (0, 0))),  # σ = -1: a right move by a reflection, built from S each time
     (heisenberg(3), ((9, 0), (0, 1))),  # a left move whose lo offsets differ by hi block: masked parts
-    (product(cyclic(2), cyclic(2), cyclic(3)), ((5, 0), (1, 2))),  # and (None, X) at each move
+    (product(cyclic(2), cyclic(2), cyclic(3)), ((5, 0), (1, 2))),  # neither: digit rotations alone
 ], ids=["D6-reflection", "H3-parted", "Z2xZ2xZ3-none"])
 def test_a_chain_repeating_one_named_step_moves_as_the_lifted_maps(group, step):
     """A chain that repeats one step, at arity (1, 1) and at (2, 1) with the
